@@ -64,6 +64,16 @@ SETUP_CODE = (
     "import bellgame; bellgame.build_registry(); bellgame.prove_bound(); "
     "print(time.perf_counter() - t0)"
 )
+# The reference for a set-up sample: a fresh interpreter importing a fixed
+# set of standard-library modules. It is the same kind of work as SETUP_CODE
+# (reading and running module byte code) and runs no bellgame code.
+REFERENCE_CODE = (
+    "import time; t0 = time.perf_counter(); "
+    "import unittest, email.parser, http.client, xml.dom.minidom, logging, argparse, statistics; "
+    "print(time.perf_counter() - t0)"
+)
+# Typical REFERENCE_CODE time on the machine that defined this benchmark.
+REFERENCE_S = 0.05
 # Typical calibration_ms() on the machine that defined this benchmark
 # (Intel Xeon at 2.1 GHz, 2 cores, Python 3.11.7): the reference speed.
 CALIBRATION_REF_MS = 3.0
@@ -139,15 +149,20 @@ def rate(results, units: str, seconds: str) -> float:
     return sum(getattr(r, units) for _, r, _ in results) / total if total else 0.0
 
 
-def setup_once() -> float:
-    """Seconds a fresh interpreter spends importing bellgame, building the
-    registry and proving the bound, timed inside that interpreter so that
-    process start-up, which bellgame does not control, is left out."""
+def child_seconds(code: str) -> float:
+    """What a fresh interpreter running ``code`` prints: seconds timed inside
+    it, so that process start-up, which bellgame does not control, is left out."""
     out = subprocess.run(
-        [sys.executable, "-c", SETUP_CODE, str(SRC)],
-        cwd=ROOT, check=True, capture_output=True, text=True,
+        [sys.executable, "-c", code, str(SRC)], cwd=ROOT, check=True, capture_output=True, text=True
     )
     return float(out.stdout)
+
+
+def setup_once() -> tuple[float, float]:
+    """Seconds a fresh interpreter spends importing bellgame, building the
+    registry and proving the bound, and the seconds of the reference child
+    run right after it."""
+    return child_seconds(SETUP_CODE), child_seconds(REFERENCE_CODE)
 
 
 class _Cell:
@@ -178,7 +193,7 @@ class Calibration:
     """Kernel times taken before the first sample and after each sample.
 
     The machine is shared and its speed swings by a third within minutes,
-    far more than the changes the benchmark must resolve. Each timed sample
+    far more than the changes the benchmark must resolve. Each timed op
     is therefore scaled to the reference speed by the kernel times measured
     just before and just after it: a sample taken while the machine ran at
     half speed counts half its wall time.
@@ -194,21 +209,18 @@ class Calibration:
         """Reference time over measured time for sample j."""
         return 2 * CALIBRATION_REF_MS / (self.kernel_ms[j] + self.kernel_ms[j + 1])
 
-    def factor_near(self, i: int) -> float:
-        """Reference time over measured time around kernel sample i, from the
-        median of the five nearest kernel times. A set-up sample uses this:
-        the kernel run right after a child process exits is erratic."""
-        return CALIBRATION_REF_MS / statistics.median(self.kernel_ms[max(0, i - 2) : i + 3])
 
-
-def peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+def peak_rss_mb(who=resource.RUSAGE_SELF) -> float:
+    """Peak resident set size of this process, or with RUSAGE_CHILDREN of
+    its largest finished child."""
+    return resource.getrusage(who).ru_maxrss / 1024
 
 
 def measure(bg, name: str, seed: int, seconds: float, ledger: Ledger) -> tuple[dict, dict]:
     """The end-to-end metrics of one untraced run, plus extra figures.
 
-    Times and rates are at the reference speed (see Calibration); the raw
+    Op times and rates are at the reference speed (see Calibration), and
+    setup_s is scaled so that its reference child takes REFERENCE_S; the raw
     figures go to the result file beside them.
     """
     pins = None
@@ -222,19 +234,19 @@ def measure(bg, name: str, seed: int, seconds: float, ledger: Ledger) -> tuple[d
     run_cycle(workload, master_seed(seed, 0), ledger, pins=pins)  # warm-up, checked like the rest
     setup_once()  # untimed: fills the byte-code cache
     op_cal, cycles = Calibration(), []
-    setup = []  # (seconds, index of the kernel sample taken just before)
+    setup = []  # (set-up seconds, reference seconds)
 
     def after_op():
         op_cal.after_sample()
         # set-up samples are spread evenly over the measured time, between ops
         if len(setup) < SETUP_SAMPLES and time.perf_counter() - start >= len(setup) * seconds / SETUP_SAMPLES:
-            setup.append((setup_once(), len(op_cal.kernel_ms) - 1))
+            setup.append(setup_once())
 
     start = time.perf_counter()
     while not cycles or time.perf_counter() - start < seconds:
         cycles.append(run_cycle(workload, master_seed(seed, len(cycles) + 1), ledger, after_op=after_op))
     while len(setup) < SETUP_SAMPLES:
-        setup.append((setup_once(), len(op_cal.kernel_ms) - 1))
+        setup.append(setup_once())
     measured_s = time.perf_counter() - start
 
     # per cycle: (runs, main_s, checked, check_s) at the reference speed
@@ -257,7 +269,9 @@ def measure(bg, name: str, seed: int, seconds: float, ledger: Ledger) -> tuple[d
         return statistics.quantiles(values, n=10)[8] if len(values) > 1 else values[0]
 
     metrics = {
-        "setup_s": statistics.median(s * op_cal.factor_near(i) for s, i in setup),
+        # the machine's speed drifts; the reference child, run beside each
+        # sample, drifts with it, so their ratio holds still
+        "setup_s": statistics.median(s / ref for s, ref in setup) * REFERENCE_S,
         # a cycle is one op per entry, so per-cycle rates keep the entry mix fixed
         "runs_per_s": statistics.median(runs / t for runs, t, _, _ in scaled if t),
         "op_ms_p50": statistics.median(op_ms),
@@ -267,10 +281,13 @@ def measure(bg, name: str, seed: int, seconds: float, ledger: Ledger) -> tuple[d
     extra = {
         "raw": {
             "setup_s": statistics.median(s for s, _ in setup),
+            "setup_reference_s": statistics.median(ref for _, ref in setup),
             "runs_per_s": statistics.median(rate(c, "runs", "main_s") for c in cycles),
             "op_ms_p50": statistics.median(raw_op_ms),
             "op_ms_p90": p90(raw_op_ms),
         },
+        # the set-up children: with RUSAGE_SELF, peak_rss_mb leaves them out
+        "children_peak_rss_mb": peak_rss_mb(resource.RUSAGE_CHILDREN),
         "calibration_ms_median": statistics.median(op_cal.kernel_ms),
         "calibration_ms_range": [min(op_cal.kernel_ms), max(op_cal.kernel_ms)],
         "cycles": len(cycles),
@@ -331,7 +348,14 @@ def trace(bg, name: str, seed: int, ledger: Ledger) -> tuple[dict, dict, list]:
     problems = identity_problems(metrics, plain.rounds)
     spans_path = OUT / f"spans-{name}-seed{seed}.csv.gz"
     tracer.write(spans_path)
-    extra = {"spans": len(tracer.start), "spans_file": str(spans_path.relative_to(ROOT))}
+    extra = {
+        "spans": len(tracer.start),
+        "spans_file": str(spans_path.relative_to(ROOT)),
+        # entry points the package no longer has; the metrics they feed read 0
+        "missing_entry_points": tracer.missing,
+    }
+    for entry_point in tracer.missing:
+        print(f"perfbench: not traced, no such entry point: {entry_point}", file=sys.stderr)
     return metrics, extra, problems
 
 

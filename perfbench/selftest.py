@@ -6,7 +6,8 @@
 Runs the traced cycle of every workload twice at one seed and checks that
 the per-layer counts repeat exactly, that the count identities hold, that
 the counts are the ones each workload's shape implies, and that tracing
-leaves no wrapper behind. Kept out of the package's pytest suite on purpose:
+leaves no wrapper behind. Also checks that a missing entry point is skipped
+and that a censor violation counts whether it is returned or raised. Kept out of the package's pytest suite on purpose:
 it lives here, and its name does not match pytest's test file patterns.
 """
 
@@ -14,9 +15,11 @@ from __future__ import annotations
 
 import sys
 import unittest
+from unittest import mock
 
 from run import OUT, SCRATCH, TRACE_SIZES, Ledger, load_bellgame, traced_cycle
-from spans import COUNT_METRICS, FUNCTIONS, METHODS, identity_problems, layer_metrics
+import spans
+from spans import COUNT_METRICS, FUNCTIONS, METHODS, Tracer, identity_problems, layer_metrics
 from workloads import WORKLOADS, master_seed
 
 SEED = 7
@@ -103,6 +106,38 @@ class TracedCounts(unittest.TestCase):
         self.assertEqual(bindings(), before)
         strategy = bg.build_registry()["negotiation"]
         self.assertFalse(hasattr(strategy.emit, "__wrapped__"))
+
+
+class TracerEdges(unittest.TestCase):
+    def test_missing_entry_point_is_skipped(self):
+        absent = ("bellgame.protocol", "no_such_function", "protocol.no_such_function", None)
+        tracer = Tracer()
+        with mock.patch.object(spans, "FUNCTIONS", FUNCTIONS + (absent,)):
+            tracer.install()
+            tracer.restore()
+        self.assertEqual(tracer.missing, ["bellgame.protocol.no_such_function"])
+        self.assertEqual(layer_metrics(tracer.summary())["protocol.runs"], 0)
+
+    def test_violation_counts_when_returned_or_raised(self):
+        measure = {name: m for _, _, name, m in FUNCTIONS}["censor.vet_emission"]
+        home, exc_name = spans.RAISED["censor.vet_emission"]
+        violation = getattr(sys.modules[home], exc_name)
+
+        class Raised(violation):
+            def __init__(self):
+                Exception.__init__(self, "emission depends on the setting")
+
+        def raising():
+            raise Raised()
+
+        tracer = Tracer()
+        returns = tracer.wrap("censor.vet_emission", lambda verdict: verdict, measure, violation)
+        raises = tracer.wrap("censor.vet_emission", raising, measure, violation)
+        for verdict in (bg.CensorVerdict(True, payload=b""), bg.CensorVerdict(False), True, False):
+            returns(verdict)
+        with self.assertRaises(violation):
+            raises()
+        self.assertEqual(tracer.summary()["censor.vet_emission"]["value"], 3)
 
 
 if __name__ == "__main__":

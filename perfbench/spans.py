@@ -18,13 +18,15 @@ import time
 from array import array
 
 # (module, attribute, span name, measure) for module-level functions. The
-# measure maps a call's result to the number stored with its span.
+# measure maps a call's result to the number stored with its span. An entry
+# point the package no longer has is skipped and listed in Tracer.missing;
+# the metrics it feeds then read 0.
 FUNCTIONS = (
     ("bellgame.randomness", "derive_run_seed", "randomness.derive_run_seed", None),
     ("bellgame.protocol", "draw_settings", "protocol.draw_settings", None),
     ("bellgame.protocol", "execute_run", "protocol.execute_run", lambda r: len(r.transcript)),
     ("bellgame.protocol", "run_experiment", "protocol.run_experiment", None),
-    ("bellgame.censor", "vet_emission", "censor.vet_emission", lambda v: 0 if v.ok else 1),
+    ("bellgame.censor", "vet_emission", "censor.vet_emission", lambda v: 0 if getattr(v, "ok", v) else 1),
     ("bellgame.censor", "verify_transcript_invariance", "censor.verify_transcript_invariance", None),
     ("bellgame.quantum", "sample_quantum_run", "quantum.sample_quantum_run", None),
     ("bellgame.quantum", "quantum_experiment", "quantum.quantum_experiment", None),
@@ -40,6 +42,11 @@ METHODS = (
     ("bellgame.core", "RunRecord", "from_json_line", "core.from_json_line", None),
     ("bellgame.analysis", "ExperimentStats", "record", "analysis.record", None),
 )
+
+# Span name -> (module, exception class): a call that raises this exception
+# stores 1 with its span. vet_emission counts a violation whether the censor
+# reports it in a falsy or not-ok verdict or raises it.
+RAISED = {"censor.vet_emission": ("bellgame.censor", "CensorViolation")}
 
 SLOTS = ("init", "transition", "emit", "flash")
 
@@ -85,6 +92,7 @@ class Tracer:
         self._stack = [-1]
         self.op = -1
         self._undo: list = []
+        self.missing: list[str] = []  # entry points install() did not find
 
     def _intern(self, name: str) -> int:
         if name not in self._ids:
@@ -103,11 +111,13 @@ class Tracer:
         self._stack.append(idx)
         return idx
 
-    def wrap(self, name: str, fn, measure=None):
-        """``fn`` with a span recorded around every call."""
+    def wrap(self, name: str, fn, measure=None, raised=None):
+        """``fn`` with a span recorded around every call. A call that raises
+        ``raised`` (an exception class) stores 1 with its span."""
         nid = self._intern(name)
         open_span, stack, start, end, value = self._open, self._stack, self.start, self.end, self.value
         clock = time.perf_counter_ns
+        counted = raised or ()
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
@@ -115,6 +125,9 @@ class Tracer:
             t0 = clock()
             try:
                 result = fn(*args, **kwargs)
+            except counted:
+                value[idx] = 1
+                raise
             finally:
                 end[idx] = clock()
                 start[idx] = t0
@@ -144,16 +157,26 @@ class Tracer:
         """Wrap every entry point in FUNCTIONS, METHODS and the strategy slots."""
         modules = [m for n, m in sys.modules.items() if n == "bellgame" or n.startswith("bellgame.")]
         for module, attr, name, measure in FUNCTIONS:
-            original = getattr(sys.modules[module], attr)
-            traced = self.wrap(name, original, measure)
+            original = getattr(sys.modules.get(module), attr, None)
+            if original is None:
+                self.missing.append(f"{module}.{attr}")
+                continue
+            raised = None
+            if name in RAISED:
+                home, exc_name = RAISED[name]
+                raised = getattr(sys.modules.get(home), exc_name, None)
+            traced = self.wrap(name, original, measure, raised)
             # callers import these by name, so rebind every module's copy
             for mod in modules:
                 for key, val in list(vars(mod).items()):
                     if val is original:
                         self._set(mod, key, traced)
         for module, cls_name, attr, name, measure in METHODS:
-            cls = getattr(sys.modules[module], cls_name)
-            raw = cls.__dict__[attr]
+            cls = getattr(sys.modules.get(module), cls_name, None)
+            raw = vars(cls).get(attr) if cls is not None else None
+            if raw is None:
+                self.missing.append(f"{module}.{cls_name}.{attr}")
+                continue
             if isinstance(raw, classmethod):
                 new = classmethod(self.wrap(name, raw.__func__, measure))
             else:
@@ -162,8 +185,11 @@ class Tracer:
         # Every factory builds its strategy through this module-level name, so
         # strategies made while tracing get wrapped slots. functools.wraps keeps
         # the signatures that validate_strategy inspects.
-        strategies = sys.modules["bellgame.strategies"]
-        real = strategies.WingStrategy
+        strategies = sys.modules.get("bellgame.strategies")
+        real = getattr(strategies, "WingStrategy", None)
+        if real is None:
+            self.missing.append("bellgame.strategies.WingStrategy")
+            return
         slot_wrappers = {slot: f"strategies.{slot}" for slot in SLOTS}
 
         def traced_strategy(strategy_id, init, transition, emit, flash, **flags):
