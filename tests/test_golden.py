@@ -1,0 +1,88 @@
+"""Golden digests: every JSONL byte and abort diagnostic, pinned.
+
+Each digest is the sha256 of the record stream that ``run_experiment`` (or
+``quantum_experiment``) writes at n=2000, master seed 2024, default config.
+A refactor or speed-up must leave all of them unchanged; a change that moves
+one has changed observable output and must say why.
+"""
+
+import hashlib
+import io
+import json
+
+import pytest
+
+from bellgame.protocol import ExperimentAborted, RunConfig, run_experiment
+from bellgame.quantum import quantum_experiment
+from bellgame.strategies import build_registry
+
+N_RUNS = 2000
+MASTER_SEED = 2024
+
+# censor on for every compliant strategy; cheat runs with the censor off
+STREAM_SHA256 = {
+    "negotiation": "18c627e246fe3b042fc7dc5362edf355de327d381a866a688fab80b679165d28",
+    "fixed-RRG": "4a02670a6ccc37603fdc452c285acd4f0742ac10a263a09490bfec2238d54ed5",
+    "fixed-RGR": "6188f2cea9bceaa1bfce6819be71c32e5a96c50c5cbe451ecf2e2e1199414726",
+    "fixed-GRR": "995ea796684d4ed3c2661aa6b28d7e201303fca7115ff94f73b08e6fb694f583",
+    "fixed-GGR": "c1b33f9bc773c85e49faa633dd29424ac2f9042b039bcaa8687c1bf241d9ebb6",
+    "fixed-GRG": "89c7c1aab051bfe03a9ca96bb8e8fb8e5d122005d035843b3c6cfb23e026e9de",
+    "fixed-RGG": "29b3a0ce4bfc7ef0dda1b80827b0be5a2e83a39988411e0028dd62a5dfc9c0d2",
+    "fixed-RRR": "e01d21c608558fb38737c5b0df7f594bb1cbf633f3255947254abac374c4c0c6",
+    "fixed-GGG": "c3efb851fdaa0c449e1ca23c6d7a995b18a3fb0c1bc7718d2bab016014022e6d",
+    "clock-keyed": "4d3f252515c8caa455cbd4fbfb9bbb0c4bc32a042b590aa05ae5ae2f9cbcb4d7",
+    "tape-mixing": "e2bdb93ec7aa3be8d1b434dfccce71d2fc1e0644f756bc5ca38320aa0f589e35",
+    "max-random": "25e6c036a2a22f6d62763437c4bd8d4547308903d3d383a7c168335a912fe78b",
+    "near-leak": "1c937383b5b37370d7857aa82e80720d196c4d4e72a6e31aa38e711313457808",
+    "cheat": "95ae299f009fd2fbe703e76d84c960e5d4e858cd08b140adaa396164237f2e6b",
+}
+QUANTUM_SHA256 = "c0cb608f5c068297b1df1bef8164bd69a3ed2518d31eba98e68930fdf1855c6f"
+
+# cheat with the censor on: Left's round-1 frame is its setting byte
+CHEAT_VIOLATION = {
+    "payload_a": "01" + "00" * 31,
+    "payload_b": "02" + "00" * 31,
+    "round": 1,
+    "setting_a": 1,
+    "setting_b": 2,
+    "wing": "L",
+}
+CHEAT_ABORT_STREAM_SHA256 = "a7d2813bfe7fcc3535f41b580db047eabbda0bd411d65d24d68cf42f7cbebc8c"
+
+REGISTRY = build_registry()
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_registry_ids_all_pinned():
+    assert sorted(REGISTRY) == sorted(STREAM_SHA256)
+
+
+@pytest.mark.parametrize("strategy_id", sorted(STREAM_SHA256))
+def test_classical_stream(strategy_id):
+    strategy = REGISTRY[strategy_id]
+    config = RunConfig(censor_enabled=not strategy.requires_censor_off)
+    sink = io.StringIO()
+    run_experiment(config, strategy, N_RUNS, MASTER_SEED, sink=sink)
+    assert _sha256(sink.getvalue()) == STREAM_SHA256[strategy_id]
+
+
+def test_quantum_stream():
+    sink = io.StringIO()
+    quantum_experiment(N_RUNS, MASTER_SEED, sink=sink)
+    assert _sha256(sink.getvalue()) == QUANTUM_SHA256
+
+
+def test_cheat_abort_diagnostic():
+    sink = io.StringIO()
+    with pytest.raises(ExperimentAborted) as caught:
+        run_experiment(RunConfig(), REGISTRY["cheat"], N_RUNS, MASTER_SEED, sink=sink)
+    aborted = caught.value
+    assert aborted.completed_runs == 0
+    assert aborted.violation.to_json() == json.dumps(
+        CHEAT_VIOLATION, sort_keys=True, separators=(",", ":")
+    )
+    assert aborted.partial_stats.n_runs == 0
+    assert _sha256(sink.getvalue()) == CHEAT_ABORT_STREAM_SHA256
