@@ -6,12 +6,12 @@ settings). Enumerate all eight, count agreeing setting pairs exactly, and
 the minimum is 5/9. No sampling, no floats.
 """
 
-from bellgame import all_instruction_sets, prove_bound, same_color_fraction
+from bellgame import INSTRUCTION_SETS, prove_bound, same_color_fraction
 
 print("All eight instruction sets and their exact same-color fractions")
 print("(9 equally likely setting pairs per run):\n")
 
-for iset in all_instruction_sets():
+for iset in INSTRUCTION_SETS:
     matches = 9 * same_color_fraction(iset)
     print(f"  {iset.label}: agrees on {matches} of 9 pairs -> {same_color_fraction(iset)}")
 

@@ -23,7 +23,6 @@ from .analysis import (
     prove_bound,
 )
 from .censor import (
-    CensorVerdict,
     CensorViolation,
     Violation,
     state_transition_guard,
@@ -36,7 +35,6 @@ from .core import (
     INSTRUCTION_SETS,
     SETTINGS,
     Color,
-    Fraction,
     InstructionSet,
     Message,
     RunRecord,
@@ -44,15 +42,12 @@ from .core import (
     SettingPair,
     Transcript,
     Wing,
-    all_instruction_sets,
     same_color_fraction,
-    settings_equal_probability,
 )
 from .protocol import (
     ExperimentAborted,
     ProtocolError,
     RunConfig,
-    WingView,
     draw_settings,
     execute_run,
     run_experiment,
@@ -84,12 +79,10 @@ __all__ = [
     "SETTINGS",
     "BoundReport",
     "ByteStream",
-    "CensorVerdict",
     "CensorViolation",
     "Color",
     "ExperimentAborted",
     "ExperimentStats",
-    "Fraction",
     "GapReport",
     "InstructionSet",
     "Message",
@@ -103,9 +96,7 @@ __all__ = [
     "Violation",
     "Wing",
     "WingStrategy",
-    "WingView",
     "adversarial_strategy_suite",
-    "all_instruction_sets",
     "bell_gap_report",
     "build_registry",
     "cheat_strategy",
@@ -124,7 +115,6 @@ __all__ = [
     "run_experiment",
     "same_color_fraction",
     "sample_quantum_run",
-    "settings_equal_probability",
     "singlet_joint",
     "state_transition_guard",
     "validate_strategy",

@@ -20,7 +20,6 @@ from .core import (
     InstructionSet,
     RunRecord,
     SettingPair,
-    all_instruction_sets,
     same_color_fraction,
 )
 
@@ -196,7 +195,7 @@ def prove_bound() -> BoundReport:
 
     A failure here is a build-breaking defect, not a runtime condition.
     """
-    fractions = {iset: same_color_fraction(iset) for iset in all_instruction_sets()}
+    fractions = {iset: same_color_fraction(iset) for iset in INSTRUCTION_SETS}
     minimum = min(fractions.values())
     minimizers = tuple(i for i, f in fractions.items() if f == minimum)
     if minimum != CLASSICAL_FLOOR:
@@ -365,25 +364,21 @@ def induced_instruction_set(strategy, record: RunRecord, config) -> tuple[Instru
         raise ValueError(
             "induced sets are only defined for censor-compliant strategies"
         )
-    from .protocol import execute_run_detailed  # analysis stays import-light
+    from .protocol import _play  # analysis stays import-light
 
-    outcome = execute_run_detailed(
+    replayed, (state_l, inbox_l), (state_r, inbox_r) = _play(
         config, strategy, record.settings, record.seed, run_index=record.run_index
     )
-    if outcome.record.transcript != record.transcript:
+    if replayed.transcript != record.transcript:
         raise ReplayMismatchError(
             f"run {record.run_index}: replayed transcript differs from record"
         )
-    if outcome.record.colors != record.colors:
+    if replayed.colors != record.colors:
         raise ReplayMismatchError(
             f"run {record.run_index}: replayed colors differ from record"
         )
-    left = InstructionSet(
-        *(strategy.flash(outcome.state_left, outcome.inbox_left, s) for s in SETTINGS)
-    )
-    right = InstructionSet(
-        *(strategy.flash(outcome.state_right, outcome.inbox_right, s) for s in SETTINGS)
-    )
+    left = InstructionSet(*(strategy.flash(state_l, inbox_l, s) for s in SETTINGS))
+    right = InstructionSet(*(strategy.flash(state_r, inbox_r, s) for s in SETTINGS))
     return left, right
 
 

@@ -12,13 +12,11 @@ from __future__ import annotations
 import inspect
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import SETTINGS, Setting, SettingPair, Wing
 
 __all__ = [
     "Violation",
-    "CensorVerdict",
     "CensorViolation",
     "vet_emission",
     "state_transition_guard",
@@ -53,16 +51,6 @@ class Violation:
         )
 
 
-@dataclass(frozen=True)
-class CensorVerdict:
-    """Outcome of vetting one emission. When ok, ``payload`` is the
-    actual-setting payload cleared for delivery."""
-
-    ok: bool
-    payload: Optional[bytes] = None
-    violation: Optional[Violation] = None
-
-
 class CensorViolation(Exception):
     """Raised when an emission depends on the emitting wing's setting."""
 
@@ -75,35 +63,29 @@ class CensorViolation(Exception):
         )
 
 
-def vet_emission(strategy, view, round: int) -> CensorVerdict:
+def vet_emission(strategy, wing: Wing, state, round: int, inbox, randomness_slice: bytes, setting: Setting) -> bytes:
     """Recompute the emission under each counterfactual setting.
 
     All other inputs (public state, inbox, randomness slice) are passed
-    byte-identical. Ok iff the three payloads agree; the actual-setting
-    payload is then the one delivered.
+    byte-identical. Returns the actual-setting payload, cleared for
+    delivery, when the three payloads agree; otherwise raises
+    CensorViolation naming the first pair of settings whose payloads differ.
     """
     emit = strategy.emit
-    state, inbox, rand = view.public_state, view.inbox, view.randomness_slice
-    p1 = emit(state, round, inbox, rand, Setting.ONE)
-    p2 = emit(state, round, inbox, rand, Setting.TWO)
-    p3 = emit(state, round, inbox, rand, Setting.THREE)
+    payloads = (
+        emit(state, round, inbox, randomness_slice, Setting.ONE),
+        emit(state, round, inbox, randomness_slice, Setting.TWO),
+        emit(state, round, inbox, randomness_slice, Setting.THREE),
+    )
+    p1, p2, p3 = payloads
     if p1 == p2 == p3:
-        return CensorVerdict(True, payload=(p1, p2, p3)[view.setting - 1])
-    payloads = (p1, p2, p3)
-    for ia, ib in ((0, 1), (0, 2), (1, 2)):
-        if payloads[ia] != payloads[ib]:
-            return CensorVerdict(
-                False,
-                violation=Violation(
-                    wing=view.wing_id,
-                    round=round,
-                    setting_a=SETTINGS[ia],
-                    setting_b=SETTINGS[ib],
-                    payload_a=payloads[ia],
-                    payload_b=payloads[ib],
-                ),
-            )
-    raise AssertionError("unreachable: payloads differ but no pair found")
+        return payloads[setting - 1]
+    # pairs in the order (1, 2), (1, 3), (2, 3); with p1 == p2 the first
+    # differing pair is always (1, 3)
+    ia, ib = (0, 1) if p1 != p2 else (0, 2)
+    raise CensorViolation(
+        Violation(wing, round, SETTINGS[ia], SETTINGS[ib], payloads[ia], payloads[ib])
+    )
 
 
 def _positional_parameters(fn) -> list[str]:

@@ -28,10 +28,7 @@ __all__ = [
     "Transcript",
     "EMPTY_TRANSCRIPT",
     "RunRecord",
-    "Fraction",
-    "all_instruction_sets",
     "same_color_fraction",
-    "settings_equal_probability",
 ]
 
 
@@ -125,11 +122,6 @@ _CANONICAL_LABELS = ("RRG", "RGR", "GRR", "GGR", "GRG", "RGG", "RRR", "GGG")
 INSTRUCTION_SETS = tuple(InstructionSet.from_label(s) for s in _CANONICAL_LABELS)
 
 
-def all_instruction_sets() -> list[InstructionSet]:
-    """The eight instruction sets, in canonical order."""
-    return list(INSTRUCTION_SETS)
-
-
 def same_color_fraction(iset: InstructionSet) -> Fraction:
     """Exact fraction of the nine equally likely setting pairs on which two
     wings following ``iset`` flash the same color."""
@@ -137,11 +129,6 @@ def same_color_fraction(iset: InstructionSet) -> Fraction:
         1 for a, b in ALL_SETTING_PAIRS if iset.color_for(a) is iset.color_for(b)
     )
     return Fraction(matches, 9)
-
-
-def settings_equal_probability() -> Fraction:
-    """Probability that two independent uniform settings coincide: 1/3."""
-    return Fraction(1, 3)
 
 
 class Message(NamedTuple):

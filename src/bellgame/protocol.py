@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, NamedTuple, Optional
+from typing import IO, Optional
 
 from ._version import __version__
 from .analysis import ExperimentStats
@@ -34,14 +34,10 @@ __all__ = [
     "PRIVATE_TAPE_BYTES",
     "RANDOMNESS_SLICE_BYTES",
     "RunConfig",
-    "WingView",
-    "RunOutcome",
     "ProtocolError",
     "ExperimentAborted",
-    "RecordWriter",
     "draw_settings",
     "execute_run",
-    "execute_run_detailed",
     "run_experiment",
 ]
 
@@ -88,29 +84,6 @@ class RunConfig:
         }
 
 
-class WingView(NamedTuple):
-    """Everything one wing can see at an emission point."""
-
-    wing_id: Wing
-    shared_tape: bytes
-    private_tape: bytes
-    inbox: tuple[Message, ...]
-    setting: Setting
-    public_state: object
-    randomness_slice: bytes
-
-
-class RunOutcome(NamedTuple):
-    """A completed run plus the final wing states, for counterfactual
-    flash evaluation."""
-
-    record: RunRecord
-    state_left: object
-    state_right: object
-    inbox_left: tuple[Message, ...]
-    inbox_right: tuple[Message, ...]
-
-
 class ExperimentAborted(RuntimeError):
     """A censor violation stopped an experiment; partial tallies attached."""
 
@@ -142,32 +115,22 @@ def _randomness_slices(seed: int, label: bytes, rounds: int) -> list[bytes]:
     return [stream.take(RANDOMNESS_SLICE_BYTES) for _ in range(rounds)]
 
 
-def _emission(strategy, view: WingView, rnd: int, censor_enabled: bool, payload_bytes: int) -> bytes:
-    if censor_enabled:
-        verdict = vet_emission(strategy, view, rnd)
-        if not verdict.ok:
-            raise CensorViolation(verdict.violation)
-        payload = verdict.payload
+def _emission(strategy, wing: Wing, state, rnd: int, inbox, rand: bytes, setting: Setting, config: RunConfig) -> bytes:
+    if config.censor_enabled:
+        payload = vet_emission(strategy, wing, state, rnd, inbox, rand, setting)
     else:
-        payload = strategy.emit(
-            view.public_state, rnd, view.inbox, view.randomness_slice, view.setting
-        )
-    if not isinstance(payload, bytes) or len(payload) != payload_bytes:
+        payload = strategy.emit(state, rnd, inbox, rand, setting)
+    if not isinstance(payload, bytes) or len(payload) != config.payload_bytes:
         raise ProtocolError(
-            f"wing {view.wing_id.value}, round {rnd}: payload must be exactly "
-            f"{payload_bytes} bytes"
+            f"wing {wing.value}, round {rnd}: payload must be exactly "
+            f"{config.payload_bytes} bytes"
         )
     return payload
 
 
-def execute_run_detailed(
-    config: RunConfig,
-    strategy,
-    settings: SettingPair,
-    seed: int,
-    run_index: int = 0,
-) -> RunOutcome:
-    """Run the full referee loop and keep the final wing states."""
+def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_index: int = 0):
+    """The referee loop: ``(record, (state_l, inbox_l), (state_r, inbox_r))``, the
+    final wing states and inboxes kept for counterfactual flash evaluation."""
     shared = ByteStream(seed, b"tape/shared").take(config.shared_tape_bytes)
     priv_l = ByteStream(seed, b"tape/private/L").take(PRIVATE_TAPE_BYTES)
     priv_r = ByteStream(seed, b"tape/private/R").take(PRIVATE_TAPE_BYTES)
@@ -178,8 +141,6 @@ def execute_run_detailed(
     state_r = strategy.init(Wing.RIGHT, shared, priv_r, run_index)
 
     transition = strategy.transition
-    censor_on = config.censor_enabled
-    payload_bytes = config.payload_bytes
     setting_l, setting_r = settings
 
     inbox_l: tuple[Message, ...] = ()
@@ -187,20 +148,8 @@ def execute_run_detailed(
     messages: list[Message] = []
 
     for rnd in range(1, config.rounds + 1):
-        payload_l = _emission(
-            strategy,
-            WingView(Wing.LEFT, shared, priv_l, inbox_l, setting_l, state_l, rand_l[rnd - 1]),
-            rnd,
-            censor_on,
-            payload_bytes,
-        )
-        payload_r = _emission(
-            strategy,
-            WingView(Wing.RIGHT, shared, priv_r, inbox_r, setting_r, state_r, rand_r[rnd - 1]),
-            rnd,
-            censor_on,
-            payload_bytes,
-        )
+        payload_l = _emission(strategy, Wing.LEFT, state_l, rnd, inbox_l, rand_l[rnd - 1], setting_l, config)
+        payload_r = _emission(strategy, Wing.RIGHT, state_r, rnd, inbox_r, rand_r[rnd - 1], setting_r, config)
         msg_l = Message(Wing.LEFT, rnd, payload_l)
         msg_r = Message(Wing.RIGHT, rnd, payload_r)
         messages.append(msg_l)
@@ -220,7 +169,7 @@ def execute_run_detailed(
         seed=seed,
         strategy_id=strategy.strategy_id,
     )
-    return RunOutcome(record, state_l, state_r, inbox_l, inbox_r)
+    return record, (state_l, inbox_l), (state_r, inbox_r)
 
 
 def execute_run(
@@ -235,26 +184,42 @@ def execute_run(
     Byte-for-byte deterministic in (config, strategy, settings, seed).
     Raises CensorViolation if any emission depends on the local setting.
     """
-    return execute_run_detailed(config, strategy, settings, seed, run_index).record
+    return _play(config, strategy, settings, seed, run_index)[0]
 
 
-class RecordWriter:
-    """JSON-lines sink: one header line, then one line per run record."""
-
-    def __init__(self, out: IO[str], config: RunConfig, strategy_id: str, master_seed: int):
-        self._out = out
+def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_seed: int, sink) -> ExperimentStats:
+    """The run loop of classical and quantum experiments alike: per-run seeds
+    off the master seed, settings, ``play(settings, seed, run_index) ->
+    (colors, transcript)``, the tally and, with a sink, the JSONL header and
+    one record line per run. A censor violation aborts the experiment."""
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
+    if sink is not None:
         header = {
             "type": "header",
             "config": config.to_json_dict(),
-            "strategy": strategy_id,
+            "strategy": source_id,
             "master_seed": str(master_seed),
             "seed_derivation": "splitmix64",
             "version": __version__,
         }
-        out.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-
-    def write(self, record: RunRecord) -> None:
-        self._out.write(record.to_json_line() + "\n")
+        sink.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+    stats = ExperimentStats.empty()
+    record_stat = stats.record
+    for i in range(n_runs):
+        seed_i = derive_run_seed(master_seed, i)
+        settings = draw_settings(ByteStream(seed_i, b"settings"))
+        try:
+            colors, transcript = play(settings, seed_i, i)
+        except CensorViolation as exc:
+            raise ExperimentAborted(exc.violation, stats, i) from exc
+        record_stat(settings, colors[0] is colors[1])
+        # a record is built only to be written: the oracle's runs are cheap
+        # enough that building one per run would show in their throughput
+        if sink is not None:
+            record = RunRecord(i, settings, colors, transcript, seed_i, source_id)
+            sink.write(record.to_json_line() + "\n")
+    return stats
 
 
 def run_experiment(
@@ -269,19 +234,9 @@ def run_experiment(
     Identical arguments produce identical stats and an identical record
     stream. The first censor violation aborts with partial tallies attached.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    writer = RecordWriter(sink, config, strategy.strategy_id, master_seed) if sink else None
-    stats = ExperimentStats.empty()
-    record_stat = stats.record
-    for i in range(n_runs):
-        seed_i = derive_run_seed(master_seed, i)
-        settings = draw_settings(ByteStream(seed_i, b"settings"))
-        try:
-            record = execute_run(config, strategy, settings, seed_i, run_index=i)
-        except CensorViolation as exc:
-            raise ExperimentAborted(exc.violation, stats, i) from exc
-        record_stat(settings, record.colors[0] is record.colors[1])
-        if writer is not None:
-            writer.write(record)
-    return stats
+
+    def play(settings, seed, run_index):
+        record = execute_run(config, strategy, settings, seed, run_index=run_index)
+        return record.colors, record.transcript
+
+    return _experiment(config, strategy.strategy_id, play, n_runs, master_seed, sink)

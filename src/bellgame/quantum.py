@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import IO, Optional
 
 from .analysis import ExperimentStats
-from .core import ALL_SETTING_PAIRS, EMPTY_TRANSCRIPT, Color, RunRecord, SettingPair
-from .protocol import RecordWriter, RunConfig, draw_settings
-from .randomness import ByteStream, derive_run_seed
+from .core import ALL_SETTING_PAIRS, EMPTY_TRANSCRIPT, Color, SettingPair
+from .protocol import RunConfig, _experiment
+from .randomness import ByteStream
 
 __all__ = [
     "QUANTUM_ORACLE_ID",
@@ -88,27 +88,8 @@ def quantum_experiment(
     Stats are comparable field for field with classical experiments; the
     record stream uses the same format with an empty transcript.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    if config is None:
-        config = RunConfig()
-    writer = RecordWriter(sink, config, QUANTUM_ORACLE_ID, master_seed) if sink else None
-    stats = ExperimentStats.empty()
-    record_stat = stats.record
-    for i in range(n_runs):
-        seed_i = derive_run_seed(master_seed, i)
-        settings = draw_settings(ByteStream(seed_i, b"settings"))
-        colors = sample_quantum_run(settings, ByteStream(seed_i, b"oracle"))
-        record_stat(settings, colors[0] is colors[1])
-        if writer is not None:
-            writer.write(
-                RunRecord(
-                    run_index=i,
-                    settings=settings,
-                    colors=colors,
-                    transcript=EMPTY_TRANSCRIPT,
-                    seed=seed_i,
-                    strategy_id=QUANTUM_ORACLE_ID,
-                )
-            )
-    return stats
+
+    def play(settings, seed, run_index):
+        return sample_quantum_run(settings, ByteStream(seed, b"oracle")), EMPTY_TRANSCRIPT
+
+    return _experiment(RunConfig() if config is None else config, QUANTUM_ORACLE_ID, play, n_runs, master_seed, sink)

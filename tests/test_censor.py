@@ -12,7 +12,7 @@ from bellgame.censor import (
     vet_emission,
 )
 from bellgame.core import INSTRUCTION_SETS, Color, Setting, SettingPair, Wing
-from bellgame.protocol import RunConfig, WingView, execute_run
+from bellgame.protocol import RunConfig, execute_run
 from bellgame.strategies import (
     StrategyError,
     WingStrategy,
@@ -25,16 +25,8 @@ from bellgame.strategies import (
 CFG = RunConfig()
 
 
-def _view(strategy, setting=Setting.ONE, state=None, inbox=(), rand=bytes(16)):
-    return WingView(
-        wing_id=Wing.LEFT,
-        shared_tape=bytes(64),
-        private_tape=bytes(64),
-        inbox=inbox,
-        setting=setting,
-        public_state=state,
-        randomness_slice=rand,
-    )
+def _vet(strategy, round=1, setting=Setting.ONE, state=None, inbox=(), rand=bytes(16)):
+    return vet_emission(strategy, Wing.LEFT, state, round, inbox, rand, setting)
 
 
 def _strategy(emit, strategy_id="test"):
@@ -53,25 +45,21 @@ def _strategy(emit, strategy_id="test"):
 class TestVetEmission:
     def test_setting_independent_passes(self):
         strat = _strategy(lambda state, round, inbox, rand, setting: bytes(32))
-        verdict = vet_emission(strat, _view(strat), 1)
-        assert verdict.ok
-        assert verdict.payload == bytes(32)
-        assert verdict.violation is None
+        assert _vet(strat) == bytes(32)
 
     def test_delivered_payload_is_actual_setting(self):
         # all three counterfactuals agree, so any of them can be delivered;
         # check it is the actual-setting one by using a setting-free emit
         strat = _strategy(lambda state, round, inbox, rand, setting: rand)
-        verdict = vet_emission(strat, _view(strat, rand=b"z" * 16), 2)
-        assert verdict.ok and verdict.payload == b"z" * 16
+        assert _vet(strat, round=2, rand=b"z" * 16) == b"z" * 16
 
     def test_first_byte_leak_flagged_one_vs_two(self):
         strat = _strategy(
             lambda state, round, inbox, rand, setting: bytes([setting]) + bytes(31)
         )
-        verdict = vet_emission(strat, _view(strat), 1)
-        assert not verdict.ok
-        v = verdict.violation
+        with pytest.raises(CensorViolation) as caught:
+            _vet(strat)
+        v = caught.value.violation
         assert v.setting_a is Setting.ONE
         assert v.setting_b is Setting.TWO
         assert v.payload_a != v.payload_b
@@ -85,25 +73,24 @@ class TestVetEmission:
                 b"\xff" + bytes(31) if setting is Setting.THREE else bytes(32)
             )
         )
-        verdict = vet_emission(strat, _view(strat), 4)
-        assert not verdict.ok
-        assert verdict.violation.setting_a is Setting.ONE
-        assert verdict.violation.setting_b is Setting.THREE
+        with pytest.raises(CensorViolation) as caught:
+            _vet(strat, round=4)
+        assert caught.value.violation.setting_a is Setting.ONE
+        assert caught.value.violation.setting_b is Setting.THREE
 
     def test_negotiation_round_one_passes(self):
         strat = negotiation_strategy()
         state = strat.init(Wing.LEFT, bytes(range(64)), bytes(64), 0)
-        view = _view(strat, setting=Setting.TWO, state=state)
-        verdict = vet_emission(strat, view, 1)
-        assert verdict.ok
-        assert verdict.payload[:3].decode("ascii") in {i.label for i in INSTRUCTION_SETS}
+        payload = _vet(strat, setting=Setting.TWO, state=state)
+        assert payload[:3].decode("ascii") in {i.label for i in INSTRUCTION_SETS}
 
     def test_violation_json_has_hex_payloads(self):
         strat = _strategy(
             lambda state, round, inbox, rand, setting: bytes([setting, 0xAB])
         )
-        verdict = vet_emission(strat, _view(strat), 1)
-        doc = json.loads(verdict.violation.to_json())
+        with pytest.raises(CensorViolation) as caught:
+            _vet(strat)
+        doc = json.loads(caught.value.violation.to_json())
         assert doc["payload_a"] == "01ab"
         assert doc["payload_b"] == "02ab"
         assert doc["wing"] == "L"

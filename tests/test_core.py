@@ -18,9 +18,7 @@ from bellgame.core import (
     SettingPair,
     Transcript,
     Wing,
-    all_instruction_sets,
     same_color_fraction,
-    settings_equal_probability,
 )
 
 # Independent oracle: brute-force count over the 9 pairs, frozen by hand.
@@ -48,11 +46,11 @@ def brute_force_fraction(iset):
 
 class TestEnumeration:
     def test_canonical_order(self):
-        labels = [i.label for i in all_instruction_sets()]
+        labels = [i.label for i in INSTRUCTION_SETS]
         assert labels == ["RRG", "RGR", "GRR", "GGR", "GRG", "RGG", "RRR", "GGG"]
 
     def test_exactly_eight_distinct(self):
-        sets = all_instruction_sets()
+        sets = INSTRUCTION_SETS
         assert len(sets) == 8
         assert len(set(sets)) == 8
 
@@ -62,7 +60,7 @@ class TestEnumeration:
             InstructionSet(*combo)
             for combo in itertools.product((Color.R, Color.G), repeat=3)
         }
-        assert set(all_instruction_sets()) == every
+        assert set(INSTRUCTION_SETS) == every
 
     def test_nine_setting_pairs(self):
         assert len(ALL_SETTING_PAIRS) == 9
@@ -99,11 +97,11 @@ class TestSameColorFraction:
         assert same_color_fraction(iset.permuted(perm)) == same_color_fraction(iset)
 
 
-def test_settings_equal_probability():
-    p = settings_equal_probability()
-    assert p == Fraction(1, 3)
-    assert p == Fraction(3, 9)
-    assert 1 - p == Fraction(2, 3)
+def test_three_of_nine_setting_pairs_equal():
+    # two independent uniform settings coincide on 3 of the 9 pairs: 1/3
+    equal = [pair for pair in ALL_SETTING_PAIRS if pair.left is pair.right]
+    assert len(equal) == 3
+    assert Fraction(len(equal), len(ALL_SETTING_PAIRS)) == Fraction(1, 3)
 
 
 def test_color_flip_involution():
