@@ -15,7 +15,6 @@ import contextlib
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from ._version import __version__
@@ -80,8 +79,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_experiment_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=DEFAULT_N_RUNS, help="number of runs")
+    p.add_argument("--n", type=_positive_int, default=DEFAULT_N_RUNS, help="number of runs")
     p.add_argument("--seed", type=int, default=None, help=f"master seed (env {SEED_ENV})")
     p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS, help="message rounds per run")
     p.add_argument("--payload-bytes", type=int, default=DEFAULT_PAYLOAD_BYTES, help="frame size")
@@ -124,11 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-censor", help="whole-run counterfactual replay checks")
     p_verify.add_argument("--strategy", default="all", help="strategy id or 'all'")
-    p_verify.add_argument("--n", type=int, default=100, help="replay trials per strategy")
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
-    p_verify.add_argument("--payload-bytes", type=int, default=DEFAULT_PAYLOAD_BYTES)
-    p_verify.add_argument("--tape-bytes", type=int, default=DEFAULT_SHARED_TAPE_BYTES)
+    _add_experiment_options(p_verify)
+    p_verify.set_defaults(n=100)
     p_verify.add_argument("--output", default=None)
 
     p_list = sub.add_parser("list-strategies", help="available strategy ids")
@@ -225,34 +228,34 @@ def _stats_json_line(stats, failure_probability=DEFAULT_FAILURE_PROBABILITY) -> 
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _run_source(args, config: RunConfig, registry, seed: int, sink=None):
+    """Stats of ``--n`` runs of ``--strategy``, the quantum oracle or a registry
+    strategy. A censor violation prints one diagnostic line and exits 4."""
+    try:
+        if args.strategy == QUANTUM_ORACLE_ID:
+            return quantum_experiment(args.n, seed, config=config, sink=sink)
+        strategy = _lookup_strategy(registry, args.strategy)
+        return run_experiment(config, strategy, args.n, seed, sink=sink)
+    except ExperimentAborted as aborted:
+        print(
+            _error_line(
+                "censor-violation",
+                strategy=args.strategy,
+                completed_runs=aborted.completed_runs,
+                violation=json.loads(aborted.violation.to_json()),
+            ),
+            file=sys.stderr,
+        )
+        raise SystemExit(EXIT_VIOLATION) from None
+
+
 def _cmd_run(args) -> int:
     seed = _resolve_seed(args)
-    if args.n < 1:
-        print(_error_line("config", detail="--n must be >= 1"), file=sys.stderr)
-        return EXIT_CONFIG
-    censor_on = args.censor == "on"
-    config = _config_from(args, censor_enabled=censor_on)
+    config = _config_from(args, censor_enabled=args.censor == "on")
     registry = build_registry(config.payload_bytes)
 
     with _open_output(args) as out:
-        sink = out if args.format == "jsonl" else None
-        try:
-            if args.strategy == QUANTUM_ORACLE_ID:
-                stats = quantum_experiment(args.n, seed, config=config, sink=sink)
-            else:
-                strategy = _lookup_strategy(registry, args.strategy)
-                stats = run_experiment(config, strategy, args.n, seed, sink=sink)
-        except ExperimentAborted as aborted:
-            print(
-                _error_line(
-                    "censor-violation",
-                    strategy=args.strategy,
-                    completed_runs=aborted.completed_runs,
-                    violation=json.loads(aborted.violation.to_json()),
-                ),
-                file=sys.stderr,
-            )
-            return EXIT_VIOLATION
+        stats = _run_source(args, config, registry, seed, out if args.format == "jsonl" else None)
         if args.format == "jsonl":
             out.write(_stats_json_line(stats) + "\n")
         elif args.format == "csv":
@@ -277,33 +280,13 @@ def _cmd_prove_bound(args) -> int:
                 out.write(f"{iset.label},{frac}\n")
         else:
             out.write(report.to_text() + "\n")
-    return EXIT_OK if report.minimum == Fraction(5, 9) else 1
+    return EXIT_OK if report.minimum == CLASSICAL_FLOOR else 1
 
 
 def _cmd_gap(args) -> int:
     seed = _resolve_seed(args)
-    if args.n < 1:
-        print(_error_line("config", detail="--n must be >= 1"), file=sys.stderr)
-        return EXIT_CONFIG
-    config = _config_from(args, censor_enabled=True)
-    registry = build_registry(config.payload_bytes)
-    try:
-        if args.strategy == QUANTUM_ORACLE_ID:
-            classical = quantum_experiment(args.n, seed, config=config)
-        else:
-            strategy = _lookup_strategy(registry, args.strategy)
-            classical = run_experiment(config, strategy, args.n, seed)
-    except ExperimentAborted as aborted:
-        print(
-            _error_line(
-                "censor-violation",
-                strategy=args.strategy,
-                completed_runs=aborted.completed_runs,
-                violation=json.loads(aborted.violation.to_json()),
-            ),
-            file=sys.stderr,
-        )
-        return EXIT_VIOLATION
+    config = _config_from(args)
+    classical = _run_source(args, config, build_registry(config.payload_bytes), seed)
     quantum = quantum_experiment(args.n, seed, config=config)
     report = bell_gap_report(classical, quantum)
     with _open_output(args) as out:
@@ -319,23 +302,18 @@ def _cmd_gap(args) -> int:
 
 def _cmd_verify_censor(args) -> int:
     seed = _resolve_seed(args)
-    if args.n < 1:
-        print(_error_line("config", detail="--n must be >= 1"), file=sys.stderr)
-        return EXIT_CONFIG
-    config = RunConfig(
-        rounds=args.rounds,
-        payload_bytes=args.payload_bytes,
-        shared_tape_bytes=args.tape_bytes,
-        censor_enabled=True,
-    )
+    config = _config_from(args)
     registry = build_registry(config.payload_bytes)
+    chosen = []  # the quantum oracle has no wings to replay
     if args.strategy == "all":
         chosen = list(registry.values())
-    else:
+    elif args.strategy != QUANTUM_ORACLE_ID:
         chosen = [_lookup_strategy(registry, args.strategy)]
 
     failures = 0
     with _open_output(args) as out:
+        if not chosen:
+            out.write(f"{QUANTUM_ORACLE_ID}: color source, no wings; skipped\n")
         for index, strategy in enumerate(chosen):
             sid = strategy.strategy_id
             if strategy.requires_censor_off:

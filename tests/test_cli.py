@@ -154,6 +154,11 @@ class TestGapCommand:
         doc = json.loads(out)
         assert doc["floor"] == "5/9"
 
+    def test_rejects_bad_n(self, capsys):
+        code, _, err = run_cli(capsys, "gap", "--n", "-1")
+        assert code == EXIT_CONFIG
+        assert json.loads(err)["error"] == "config"
+
     def test_cheat_classical_side_violates(self, capsys):
         code, _, err = run_cli(capsys, "gap", "--strategy", "cheat", "--n", "10")
         assert code == EXIT_VIOLATION
@@ -172,6 +177,17 @@ class TestVerifyCensor:
         code, out, _ = run_cli(capsys, "verify-censor", "--n", "3", "--seed", "1")
         assert code == EXIT_OK
         assert "cheat: declared censor-off; skipped" in out
+
+    def test_quantum_oracle_skipped(self, capsys):
+        code, out, err = run_cli(capsys, "verify-censor", "--strategy", "quantum-oracle", "--n", "3")
+        assert code == EXIT_OK
+        assert out == "quantum-oracle: color source, no wings; skipped\n"
+        assert err == ""
+
+    def test_rejects_bad_n(self, capsys):
+        code, _, err = run_cli(capsys, "verify-censor", "--n", "0")
+        assert code == EXIT_CONFIG
+        assert json.loads(err)["error"] == "config"
 
 
 class TestEnvironmentOverrides:
