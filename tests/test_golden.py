@@ -1,8 +1,10 @@
-"""Golden digests: every JSONL byte and abort diagnostic, pinned.
+"""Golden digests: every JSONL byte, CLI output and abort diagnostic, pinned.
 
-Each digest is the sha256 of the record stream that ``run_experiment`` (or
-``quantum_experiment``) writes at n=2000, master seed 2024, default config.
-A refactor or speed-up must leave all of them unchanged; a change that moves
+Each stream digest is the sha256 of the record stream that
+``run_experiment`` (or ``quantum_experiment``) writes at n=2000, master seed
+2024, default config. The CLI digests are the sha256 of the stdout of one
+command line each, and the CLI error lines are pinned byte for byte. A
+refactor or speed-up must leave all of them unchanged; a change that moves
 one has changed observable output and must say why.
 """
 
@@ -12,6 +14,7 @@ import json
 
 import pytest
 
+from bellgame.cli import main
 from bellgame.protocol import ExperimentAborted, RunConfig, run_experiment
 from bellgame.quantum import quantum_experiment
 from bellgame.strategies import build_registry
@@ -86,3 +89,70 @@ def test_cheat_abort_diagnostic():
     )
     assert aborted.partial_stats.n_runs == 0
     assert _sha256(sink.getvalue()) == CHEAT_ABORT_STREAM_SHA256
+
+
+_RUN = ("run", "--strategy", "negotiation", "--n", "2000", "--seed", "2024")
+_GAP = ("gap", "--n", "2000", "--seed", "2024")
+
+CLI_STDOUT_SHA256 = {
+    _RUN + ("--format", "text"): "6be18ff5c7510509c2911f46dd52055869c208794bafa52fad6063115d3684a9",
+    _RUN + ("--format", "csv"): "0a454840031cd8335115f190170440add7a75b961caeb784adc113ee9093f211",
+    _RUN + ("--format", "jsonl"): "e0791b05b3b4039e432c4082b44f38f549bd4fea6f72efd2f2ae25c816217b4f",
+    _GAP + ("--format", "text"): "f33b85e10d1bb9326aa9a5f5c9efb8eba585944446f4c364e5d4a26de434698d",
+    _GAP + ("--format", "jsonl"): "82b559a3d3a4366343778fd91972bf4a554542d2c85270737e8729662f0b7e8e",
+    ("prove-bound", "--format", "text"): "6ddcdf0cf42c158f7cf5aba1b958f20f543f955b93f261252394d3ea935252a3",
+    ("prove-bound", "--format", "jsonl"): "9b977c2f28fb45ae9d3030dcd9291b85f9c5fd4a4e0b4a4a5a28232b9eb7105c",
+    ("prove-bound", "--format", "csv"): "c2c36af7ca0046601507d27e85eef6ae9a1d53b7a662f3645e2d036d9b838a00",
+}
+
+_CHEAT_PAYLOADS = (
+    '"payload_a":"01' + "00" * 31 + '","payload_b":"02' + "00" * 31 + '"'
+)
+# (argv, exit code, the whole of stderr)
+CLI_ERROR_LINES = {
+    "unknown-strategy": (
+        ("run", "--strategy", "nope", "--n", "5"),
+        3,
+        '{"available":["cheat","clock-keyed","fixed-GGG","fixed-GGR","fixed-GRG",'
+        '"fixed-GRR","fixed-RGG","fixed-RGR","fixed-RRG","fixed-RRR","max-random",'
+        '"near-leak","negotiation","tape-mixing","quantum-oracle"],'
+        '"error":"unknown-strategy","strategy":"nope"}\n',
+    ),
+    "config": (
+        ("run", "--strategy", "negotiation", "--n", "0"),
+        2,
+        '{"detail":"argument --n: must be >= 1, got 0","error":"config"}\n',
+    ),
+    "censor-violation": (
+        ("run", "--strategy", "cheat", "--n", "2000", "--seed", "2024"),
+        4,
+        '{"completed_runs":0,"error":"censor-violation","strategy":"cheat",'
+        '"violation":{' + _CHEAT_PAYLOADS + ',"round":1,"setting_a":1,'
+        '"setting_b":2,"wing":"L"}}\n',
+    ),
+    "power-warning": (
+        ("gap", "--n", "50"),
+        0,
+        '{"detail":"insufficient power: confidence radii 0.380902+0.380902 cover '
+        'the floor-to-half gap 0.055556","error":"power-warning"}\n',
+    ),
+}
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    monkeypatch.delenv("BELLGAME_SEED", raising=False)
+    monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
+
+
+@pytest.mark.parametrize("argv", list(CLI_STDOUT_SHA256), ids=" ".join)
+def test_cli_stdout(argv, capsys, clean_env):
+    assert main(list(argv)) == 0
+    assert _sha256(capsys.readouterr().out) == CLI_STDOUT_SHA256[argv]
+
+
+@pytest.mark.parametrize("kind", sorted(CLI_ERROR_LINES))
+def test_cli_error_line(kind, capsys, clean_env):
+    argv, code, line = CLI_ERROR_LINES[kind]
+    assert main(list(argv)) == code
+    assert capsys.readouterr().err == line
