@@ -1,17 +1,16 @@
 """Exact verification of the classical floor and statistics over run streams.
 
 The floor proof is pure integer arithmetic over the eight instruction sets.
-Everything empirical carries Hoeffding confidence radii at a stated failure
-probability (default 1e-6).
+Everything empirical carries Hoeffding confidence radii at one failure
+probability, 1e-6.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     ALL_SETTING_PAIRS,
@@ -20,13 +19,13 @@ from .core import (
     InstructionSet,
     RunRecord,
     SettingPair,
+    canonical_json,
     same_color_fraction,
 )
 
 __all__ = [
     "ExperimentStats",
     "BoundReport",
-    "FeatureIResult",
     "FeatureIIResult",
     "GapReport",
     "ReplayMismatchError",
@@ -71,13 +70,6 @@ class ExperimentStats:
     @classmethod
     def empty(cls) -> "ExperimentStats":
         return cls()
-
-    @classmethod
-    def from_records(cls, records: Iterable[RunRecord]) -> "ExperimentStats":
-        stats = cls()
-        for r in records:
-            stats.record(r.settings, r.colors[0] is r.colors[1])
-        return stats
 
     def record(self, pair: SettingPair, same: bool) -> None:
         self.counts[pair][0 if same else 1] += 1
@@ -149,11 +141,6 @@ class ExperimentStats:
         return out
 
 
-def feature_i_from_stats(stats: ExperimentStats) -> bool:
-    """Equal settings never produced different colors."""
-    return stats.equal_setting_counts()[1] == 0
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """The eight exact same-color fractions, their minimum and minimizers."""
@@ -178,14 +165,12 @@ class BoundReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return canonical_json(
             {
                 "per_set": {i.label: str(f) for i, f in self.per_set_fractions.items()},
                 "minimum": str(self.minimum),
                 "minimizers": [i.label for i in self.minimizers],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
 
@@ -208,21 +193,9 @@ def prove_bound() -> BoundReport:
     return BoundReport(fractions, minimum, minimizers)
 
 
-@dataclass(frozen=True)
-class FeatureIResult:
-    """Did equal settings always produce equal colors?"""
-
-    holds: bool
-    violations: tuple[int, ...]
-
-
-def check_feature_i(records: Iterable[RunRecord]) -> FeatureIResult:
-    violations = tuple(
-        r.run_index
-        for r in records
-        if r.settings.left is r.settings.right and r.colors[0] is not r.colors[1]
-    )
-    return FeatureIResult(holds=not violations, violations=violations)
+def check_feature_i(stats: ExperimentStats) -> bool:
+    """Equal settings always produced equal colors."""
+    return stats.equal_setting_counts()[1] == 0
 
 
 @dataclass(frozen=True)
@@ -232,19 +205,11 @@ class FeatureIIResult:
     holds: bool
     observed: Fraction
     tolerance: float
-    expected: Fraction = field(default=Fraction(1, 2))
 
 
-def check_feature_ii(
-    stats: ExperimentStats,
-    tolerance: Optional[float] = None,
-    failure_probability: float = DEFAULT_FAILURE_PROBABILITY,
-) -> FeatureIIResult:
-    """Tolerance defaults to the Hoeffding radius for the sample size."""
-    if tolerance is None:
-        tolerance = hoeffding_radius(stats.n_runs, failure_probability)
-    elif tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+def check_feature_ii(stats: ExperimentStats) -> FeatureIIResult:
+    """The tolerance is the Hoeffding radius for the sample size."""
+    tolerance = hoeffding_radius(stats.n_runs)
     observed = stats.overall_same
     holds = abs(float(observed) - 0.5) <= tolerance
     return FeatureIIResult(holds=holds, observed=observed, tolerance=tolerance)
@@ -260,10 +225,8 @@ class GapReport:
     quantum_n: int
     classical_radius: float
     quantum_radius: float
-    floor: Fraction
     disjoint: bool
     sufficient_power: bool
-    failure_probability: float
 
     @property
     def warning(self) -> Optional[str]:
@@ -271,7 +234,7 @@ class GapReport:
             return (
                 "insufficient power: confidence radii "
                 f"{self.classical_radius:.6f}+{self.quantum_radius:.6f} cover "
-                f"the floor-to-half gap {float(self.floor - Fraction(1, 2)):.6f}"
+                f"the floor-to-half gap {float(CLASSICAL_FLOOR - Fraction(1, 2)):.6f}"
             )
         return None
 
@@ -290,7 +253,7 @@ class GapReport:
             f"+/- {self.classical_radius:.6f}  (n={self.classical_n})",
             f"quantum:   same fraction {float(self.quantum_same):.6f} "
             f"+/- {self.quantum_radius:.6f}  (n={self.quantum_n})",
-            f"exact classical floor: {self.floor} = {float(self.floor):.6f}",
+            f"exact classical floor: {CLASSICAL_FLOOR} = {float(CLASSICAL_FLOOR):.6f}",
             f"verdict: {self.verdict}",
         ]
         if self.warning:
@@ -298,7 +261,7 @@ class GapReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return canonical_json(
             {
                 "classical_same": str(self.classical_same),
                 "classical_same_float": float(self.classical_same),
@@ -308,29 +271,26 @@ class GapReport:
                 "quantum_n": self.quantum_n,
                 "classical_radius": self.classical_radius,
                 "quantum_radius": self.quantum_radius,
-                "floor": str(self.floor),
+                "floor": str(CLASSICAL_FLOOR),
                 "disjoint": self.disjoint,
                 "sufficient_power": self.sufficient_power,
-                "failure_probability": self.failure_probability,
+                "failure_probability": DEFAULT_FAILURE_PROBABILITY,
                 "verdict": self.verdict,
                 "warning": self.warning,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
 
 def bell_gap_report(
     classical_stats: ExperimentStats,
     quantum_stats: ExperimentStats,
-    failure_probability: float = DEFAULT_FAILURE_PROBABILITY,
 ) -> GapReport:
     """Compare a classical strategy's long-run same fraction against the
-    target statistics, with Hoeffding intervals at the stated failure
-    probability. Underpowered comparisons warn instead of failing."""
+    target statistics, with Hoeffding intervals. Underpowered comparisons
+    warn instead of failing."""
     c_n, q_n = classical_stats.n_runs, quantum_stats.n_runs
-    c_r = hoeffding_radius(c_n, failure_probability)
-    q_r = hoeffding_radius(q_n, failure_probability)
+    c_r = hoeffding_radius(c_n)
+    q_r = hoeffding_radius(q_n)
     c, q = classical_stats.overall_same, quantum_stats.overall_same
     disjoint = float(c) - c_r > float(q) + q_r or float(q) - q_r > float(c) + c_r
     sufficient = c_r + q_r < float(CLASSICAL_FLOOR - Fraction(1, 2))
@@ -341,10 +301,8 @@ def bell_gap_report(
         quantum_n=q_n,
         classical_radius=c_r,
         quantum_radius=q_r,
-        floor=CLASSICAL_FLOOR,
         disjoint=disjoint,
         sufficient_power=sufficient,
-        failure_probability=failure_probability,
     )
 
 
@@ -382,10 +340,7 @@ def induced_instruction_set(strategy, record: RunRecord, config) -> tuple[Instru
     return left, right
 
 
-def stats_to_csv(
-    stats: ExperimentStats,
-    failure_probability: float = DEFAULT_FAILURE_PROBABILITY,
-) -> str:
+def stats_to_csv(stats: ExperimentStats) -> str:
     """Plot-ready CSV: one row per setting pair."""
     lines = ["left,right,n,same_fraction,confidence_radius"]
     for pair in ALL_SETTING_PAIRS:
@@ -393,7 +348,7 @@ def stats_to_csv(
         n = a + b
         if n:
             frac = f"{a / n:.6f}"
-            radius = f"{hoeffding_radius(n, failure_probability):.6f}"
+            radius = f"{hoeffding_radius(n):.6f}"
         else:
             frac = radius = ""
         lines.append(f"{int(pair.left)},{int(pair.right)},{n},{frac},{radius}")

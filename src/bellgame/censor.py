@@ -10,10 +10,9 @@ never alters payloads; it only passes or aborts.
 from __future__ import annotations
 
 import inspect
-import json
 from dataclasses import dataclass
 
-from .core import SETTINGS, Setting, SettingPair, Wing
+from .core import SETTINGS, Setting, SettingPair, Wing, canonical_json
 
 __all__ = [
     "Violation",
@@ -37,7 +36,7 @@ class Violation:
     payload_b: bytes
 
     def to_json(self) -> str:
-        return json.dumps(
+        return canonical_json(
             {
                 "wing": self.wing.value,
                 "round": self.round,
@@ -45,9 +44,7 @@ class Violation:
                 "setting_b": int(self.setting_b),
                 "payload_a": self.payload_a.hex(),
                 "payload_b": self.payload_b.hex(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
 

@@ -4,8 +4,8 @@ Subcommands: run, prove-bound, gap, verify-censor, list-strategies. All
 machine-readable output is byte-identical across identical command lines,
 including the seed. Error paths emit one JSON line on stderr.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 unknown strategy,
-4 censor violation or failed noninterference check.
+Exit codes: 0 success, 1 floor enumeration defect, 2 configuration or usage
+error, 3 unknown strategy, 4 censor violation or failed noninterference check.
 """
 
 from __future__ import annotations
@@ -15,21 +15,20 @@ import contextlib
 import json
 import os
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 from ._version import __version__
 from .analysis import (
     CLASSICAL_FLOOR,
-    DEFAULT_FAILURE_PROBABILITY,
     bell_gap_report,
+    check_feature_i,
     check_feature_ii,
-    feature_i_from_stats,
-    hoeffding_radius,
     prove_bound,
     render_stats_text,
     stats_to_csv,
 )
 from .censor import verify_transcript_invariance
+from .core import canonical_json
 from .protocol import (
     DEFAULT_PAYLOAD_BYTES,
     DEFAULT_ROUNDS,
@@ -44,6 +43,7 @@ from .randomness import ByteStream, derive_run_seed, mix64
 from .strategies import build_registry
 
 EXIT_OK = 0
+EXIT_DEFECT = 1
 EXIT_CONFIG = 2
 EXIT_UNKNOWN_STRATEGY = 3
 EXIT_VIOLATION = 4
@@ -57,6 +57,7 @@ OUTPUT_ENV = "BELLGAME_OUTPUT"
 _EPILOG = f"""\
 exit codes:
   {EXIT_OK}  success
+  {EXIT_DEFECT}  floor enumeration defect (prove-bound)
   {EXIT_CONFIG}  configuration or usage error
   {EXIT_UNKNOWN_STRATEGY}  unknown strategy id
   {EXIT_VIOLATION}  censor violation / failed noninterference check
@@ -67,16 +68,15 @@ environment:
 """
 
 
-def _error_line(kind: str, **fields) -> str:
-    payload = {"error": kind, **fields}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _fail(code: int, kind: str, **fields) -> NoReturn:
+    """Print the one machine-parsable diagnostic line on stderr and exit."""
+    print(canonical_json({"error": kind, **fields}), file=sys.stderr)
+    raise SystemExit(code)
 
 
 class _Parser(argparse.ArgumentParser):
-    # single-line machine-parsable diagnostics on stderr
     def error(self, message):
-        print(_error_line("config", detail=message), file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+        _fail(EXIT_CONFIG, "config", detail=message)
 
 
 def _positive_int(text: str) -> int:
@@ -97,11 +97,12 @@ def _add_experiment_options(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_output_options(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+def _add_output_options(p: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
     p.add_argument(
         "--output", default=None, help=f"output path, '-' for stdout (env {OUTPUT_ENV})"
     )
-    p.add_argument("--format", choices=formats, default="text", help="output format")
+    if formats:
+        p.add_argument("--format", choices=formats, default="text", help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,16 +133,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--strategy", default="all", help="strategy id or 'all'")
     _add_experiment_options(p_verify)
     p_verify.set_defaults(n=100)
-    p_verify.add_argument("--output", default=None)
+    _add_output_options(p_verify)
 
     p_list = sub.add_parser("list-strategies", help="available strategy ids")
-    p_list.add_argument("--output", default=None)
+    _add_output_options(p_list)
 
     return parser
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
     return int(env) if env else DEFAULT_SEED
@@ -149,7 +150,7 @@ def _resolve_seed(args) -> int:
 
 @contextlib.contextmanager
 def _open_output(args):
-    path = getattr(args, "output", None)
+    path = args.output
     if path is None:
         path = os.environ.get(OUTPUT_ENV)
     if path is None or path == "-":
@@ -171,24 +172,18 @@ def _config_from(args, censor_enabled: bool = True) -> RunConfig:
 def _lookup_strategy(registry, strategy_id: str):
     if strategy_id not in registry:
         available = sorted(registry) + [QUANTUM_ORACLE_ID]
-        print(
-            _error_line("unknown-strategy", strategy=strategy_id, available=available),
-            file=sys.stderr,
-        )
-        raise SystemExit(EXIT_UNKNOWN_STRATEGY)
+        _fail(EXIT_UNKNOWN_STRATEGY, "unknown-strategy", strategy=strategy_id, available=available)
     return registry[strategy_id]
 
 
-def _run_report_text(strategy_id, stats, failure_probability=DEFAULT_FAILURE_PROBABILITY) -> str:
+def _run_report_text(strategy_id, stats) -> str:
     """Narrative report: agreement on equal settings, overall balance, the
     exact floor, then the verdict."""
     eq_same, eq_diff = stats.equal_setting_counts()
-    f1 = feature_i_from_stats(stats)
-    f2 = check_feature_ii(stats, failure_probability=failure_probability)
-    radius = hoeffding_radius(stats.n_runs, failure_probability)
+    f2 = check_feature_ii(stats)
     observed = stats.overall_same_float
     floor = float(CLASSICAL_FLOOR)
-    if observed >= floor - radius:
+    if observed >= floor - f2.tolerance:
         verdict = (
             "at or above the classical floor: consistent with an "
             "agreed-instruction-set model"
@@ -202,7 +197,7 @@ def _run_report_text(strategy_id, stats, failure_probability=DEFAULT_FAILURE_PRO
         f"strategy: {strategy_id}   runs: {stats.n_runs}",
         (
             f"feature (i)  equal settings give equal colors: "
-            f"{'HOLDS' if f1 else 'FAILS'} "
+            f"{'HOLDS' if check_feature_i(stats) else 'FAILS'} "
             f"({eq_diff} violations in {eq_same + eq_diff} equal-setting runs)"
         ),
         (
@@ -217,15 +212,15 @@ def _run_report_text(strategy_id, stats, failure_probability=DEFAULT_FAILURE_PRO
     return "\n".join(lines)
 
 
-def _stats_json_line(stats, failure_probability=DEFAULT_FAILURE_PROBABILITY) -> str:
+def _stats_json_line(stats) -> str:
     doc = stats.to_json_dict()
     doc["type"] = "stats"
-    doc["feature_i_holds"] = feature_i_from_stats(stats)
-    f2 = check_feature_ii(stats, failure_probability=failure_probability)
+    doc["feature_i_holds"] = check_feature_i(stats)
+    f2 = check_feature_ii(stats)
     doc["feature_ii_holds"] = f2.holds
     doc["feature_ii_tolerance"] = f2.tolerance
     doc["floor"] = str(CLASSICAL_FLOOR)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return canonical_json(doc)
 
 
 def _run_source(args, config: RunConfig, registry, seed: int, sink=None):
@@ -237,16 +232,13 @@ def _run_source(args, config: RunConfig, registry, seed: int, sink=None):
         strategy = _lookup_strategy(registry, args.strategy)
         return run_experiment(config, strategy, args.n, seed, sink=sink)
     except ExperimentAborted as aborted:
-        print(
-            _error_line(
-                "censor-violation",
-                strategy=args.strategy,
-                completed_runs=aborted.completed_runs,
-                violation=json.loads(aborted.violation.to_json()),
-            ),
-            file=sys.stderr,
+        _fail(
+            EXIT_VIOLATION,
+            "censor-violation",
+            strategy=args.strategy,
+            completed_runs=aborted.completed_runs,
+            violation=json.loads(aborted.violation.to_json()),
         )
-        raise SystemExit(EXIT_VIOLATION) from None
 
 
 def _cmd_run(args) -> int:
@@ -269,8 +261,7 @@ def _cmd_prove_bound(args) -> int:
     try:
         report = prove_bound()
     except RuntimeError as defect:
-        print(_error_line("bound-defect", detail=str(defect)), file=sys.stderr)
-        return 1
+        _fail(EXIT_DEFECT, "bound-defect", detail=str(defect))
     with _open_output(args) as out:
         if args.format == "jsonl":
             out.write(report.to_json() + "\n")
@@ -280,7 +271,7 @@ def _cmd_prove_bound(args) -> int:
                 out.write(f"{iset.label},{frac}\n")
         else:
             out.write(report.to_text() + "\n")
-    return EXIT_OK if report.minimum == CLASSICAL_FLOOR else 1
+    return EXIT_OK
 
 
 def _cmd_gap(args) -> int:
@@ -296,7 +287,7 @@ def _cmd_gap(args) -> int:
             out.write(f"classical strategy: {args.strategy}\n")
             out.write(report.to_text() + "\n")
     if report.warning:
-        print(_error_line("power-warning", detail=report.warning), file=sys.stderr)
+        print(canonical_json({"error": "power-warning", "detail": report.warning}), file=sys.stderr)
     return EXIT_OK
 
 
@@ -332,8 +323,7 @@ def _cmd_verify_censor(args) -> int:
             else:
                 out.write(f"{sid}: ok ({args.n} runs, transcripts setting-invariant)\n")
     if failures:
-        print(_error_line("noninterference-failure", strategies=failures), file=sys.stderr)
-        return EXIT_VIOLATION
+        _fail(EXIT_VIOLATION, "noninterference-failure", strategies=failures)
     return EXIT_OK
 
 
@@ -362,15 +352,14 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        try:
+            args = build_parser().parse_args(argv)
+            return _COMMANDS[args.command](args)
+        except ValueError as exc:
+            _fail(EXIT_CONFIG, "config", detail=str(exc))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
-    except ValueError as exc:
-        print(_error_line("config", detail=str(exc)), file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

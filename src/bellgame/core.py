@@ -29,7 +29,12 @@ __all__ = [
     "EMPTY_TRANSCRIPT",
     "RunRecord",
     "same_color_fraction",
+    "canonical_json",
 ]
+
+# The one JSON encoding of every machine-readable line: sorted keys, no
+# whitespace. Byte-identical to json.dumps with the same two options.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class Setting(IntEnum):
@@ -197,7 +202,7 @@ class RunRecord:
 
     def to_json_line(self) -> str:
         """One JSON object, stable key order, no whitespace."""
-        return json.dumps(
+        return canonical_json(
             {
                 "run": self.run_index,
                 "settings": [int(self.settings.left), int(self.settings.right)],
@@ -212,9 +217,7 @@ class RunRecord:
                     }
                     for m in self.transcript
                 ],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
     @classmethod

@@ -10,7 +10,6 @@ replay and byte-exact re-runs possible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import IO, Optional
 
@@ -18,12 +17,14 @@ from ._version import __version__
 from .analysis import ExperimentStats
 from .censor import CensorViolation, Violation, vet_emission
 from .core import (
+    SETTINGS,
     Message,
     RunRecord,
     Setting,
     SettingPair,
     Transcript,
     Wing,
+    canonical_json,
 )
 from .randomness import ByteStream, derive_run_seed
 
@@ -50,8 +51,6 @@ DEFAULT_SHARED_TAPE_BYTES = 64
 # wing consumes can never depend on its setting.
 PRIVATE_TAPE_BYTES = 64
 RANDOMNESS_SLICE_BYTES = 16
-
-_SETTING_BY_RESIDUE = (Setting.ONE, Setting.TWO, Setting.THREE)
 
 
 class ProtocolError(Exception):
@@ -102,7 +101,7 @@ def _draw_setting(stream: ByteStream) -> Setting:
     b = stream.u8()
     while b == 255:
         b = stream.u8()
-    return _SETTING_BY_RESIDUE[b % 3]
+    return SETTINGS[b % 3]
 
 
 def draw_settings(stream: ByteStream) -> SettingPair:
@@ -203,7 +202,7 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
             "seed_derivation": "splitmix64",
             "version": __version__,
         }
-        sink.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        sink.write(canonical_json(header) + "\n")
     stats = ExperimentStats.empty()
     record_stat = stats.record
     for i in range(n_runs):

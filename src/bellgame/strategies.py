@@ -105,12 +105,12 @@ def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
     whole exchange passes the censor, yet agreement is reached whether or
     not the settings happen to be equal.
     """
-    if payload_bytes < 3:
-        raise ValueError("negotiation needs payload frames of at least 3 bytes")
     filler = bytes(payload_bytes)
-    pad = bytes(payload_bytes - 3)
+    pad = bytes(max(payload_bytes - 3, 0))
 
     def init(wing_id, shared_tape, private_tape, run_index):
+        if payload_bytes < 3:
+            raise ValueError("negotiation needs payload frames of at least 3 bytes")
         if len(shared_tape) < 3:
             raise ValueError("negotiation needs at least 3 shared tape bytes")
         if wing_id is Wing.LEFT:

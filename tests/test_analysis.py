@@ -14,7 +14,6 @@ from bellgame.analysis import (
     bell_gap_report,
     check_feature_i,
     check_feature_ii,
-    feature_i_from_stats,
     hoeffding_radius,
     induced_instruction_set,
     prove_bound,
@@ -56,6 +55,13 @@ def _uniform_stats(p_same: float, n_per_pair: int):
         for l in (1, 2, 3)
         for r in (1, 2, 3)
     })
+
+
+def _tally(records):
+    stats = ExperimentStats.empty()
+    for r in records:
+        stats.record(r.settings, r.colors[0] is r.colors[1])
+    return stats
 
 
 def _oracle_record(run_index, left, right, color_left, color_right):
@@ -133,8 +139,7 @@ class TestFeatureI:
             for seed in range(30)
             for pair in ALL_SETTING_PAIRS
         ]
-        result = check_feature_i(records)
-        assert result.holds and result.violations == ()
+        assert check_feature_i(_tally(records))
 
     def test_detects_violation(self):
         records = [
@@ -142,18 +147,18 @@ class TestFeatureI:
             _oracle_record(1, 2, 2, "R", "G"),
             _oracle_record(2, 3, 3, "G", "G"),
         ]
-        result = check_feature_i(records)
-        assert not result.holds
-        assert result.violations == (1,)
+        assert not check_feature_i(_tally(records))
 
     def test_empty_stream_vacuously_holds(self):
-        assert check_feature_i([]).holds
+        assert check_feature_i(ExperimentStats.empty())
 
     def test_stats_level_check_agrees(self):
         good = _uniform_stats(0.5, 100)
-        assert feature_i_from_stats(good)
+        assert check_feature_i(good)
         bad = _stats({(2, 2): (5, 1)})
-        assert not feature_i_from_stats(bad)
+        assert not check_feature_i(bad)
+        # off-diagonal disagreement is not a feature (i) violation
+        assert check_feature_i(_stats({(1, 1): (3, 0), (1, 3): (0, 7)}))
 
 
 class TestFeatureII:
@@ -170,13 +175,9 @@ class TestFeatureII:
 
     def test_fails_for_agreed_set_strategies(self):
         stats = _uniform_stats(2 / 3, 11111)
-        result = check_feature_ii(stats, tolerance=0.01)
+        result = check_feature_ii(stats)
         assert not result.holds
         assert float(result.observed) >= 5 / 9 - 0.005
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            check_feature_ii(_uniform_stats(0.5, 10), tolerance=0.0)
 
 
 class TestGapReport:
@@ -207,6 +208,7 @@ class TestGapReport:
         report = bell_gap_report(_uniform_stats(2 / 3, 1000), _uniform_stats(0.25, 1000))
         doc = json.loads(report.to_json())
         assert doc["floor"] == "5/9"
+        assert doc["failure_probability"] == DEFAULT_FAILURE_PROBABILITY
         assert set(doc) >= {
             "classical_same", "quantum_same", "classical_radius",
             "quantum_radius", "disjoint", "sufficient_power", "verdict",
@@ -222,17 +224,6 @@ class TestStatsAlgebra:
     def test_empty_overall_raises(self):
         with pytest.raises(ValueError):
             ExperimentStats.empty().overall_same
-
-    def test_from_records_matches_incremental(self):
-        records = [
-            _oracle_record(i, 1 + i % 3, 1 + (i * 2) % 3, "R", "R" if i % 2 else "G")
-            for i in range(50)
-        ]
-        built = ExperimentStats.from_records(records)
-        manual = ExperimentStats.empty()
-        for r in records:
-            manual.record(r.settings, r.colors[0] is r.colors[1])
-        assert built == manual
 
     @given(
         st.lists(
@@ -327,3 +318,7 @@ class TestRenderers:
 
     def test_uses_stated_default_failure_probability(self):
         assert DEFAULT_FAILURE_PROBABILITY == 1e-6
+        stats = _uniform_stats(0.5, 100)
+        assert check_feature_ii(stats).tolerance == hoeffding_radius(900, 1e-6)
+        report = bell_gap_report(stats, _uniform_stats(0.25, 10))
+        assert report.quantum_radius == hoeffding_radius(90, 1e-6)

@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from bellgame.cli import (
     EXIT_CONFIG,
+    EXIT_DEFECT,
     EXIT_OK,
     EXIT_UNKNOWN_STRATEGY,
     EXIT_VIOLATION,
@@ -48,6 +51,19 @@ class TestProveBound:
         lines = out.strip().splitlines()
         assert lines[0] == "instruction_set,same_color_fraction"
         assert "RRR,1" in lines and "RRG,5/9" in lines
+
+    def test_enumeration_defect_exits_one(self, capsys, monkeypatch):
+        def broken():
+            raise RuntimeError("floor enumeration produced 1/2, not 5/9")
+
+        monkeypatch.setattr("bellgame.cli.prove_bound", broken)
+        code, out, err = run_cli(capsys, "prove-bound")
+        assert code == EXIT_DEFECT == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "bound-defect",
+            "detail": "floor enumeration produced 1/2, not 5/9",
+        }
 
 
 class TestRunCommand:
@@ -119,6 +135,25 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--strategy", "negotiation", "--n", "0")
         assert code == EXIT_CONFIG
         assert json.loads(err)["error"] == "config"
+
+    @pytest.mark.parametrize("strategy_id", ["fixed-RRR", "quantum-oracle"])
+    def test_two_byte_frames_accepted(self, capsys, strategy_id):
+        code, out, err = run_cli(
+            capsys, "run", "--strategy", strategy_id, "--payload-bytes", "2", "--n", "10"
+        )
+        assert code == EXIT_OK
+        assert err == ""
+        assert "runs: 10" in out
+
+    def test_negotiation_rejects_two_byte_frames(self, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--strategy", "negotiation", "--payload-bytes", "2", "--n", "10"
+        )
+        assert code == EXIT_CONFIG
+        assert json.loads(err) == {
+            "error": "config",
+            "detail": "negotiation needs payload frames of at least 3 bytes",
+        }
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         out_a = tmp_path / "a.jsonl"
@@ -228,6 +263,17 @@ class TestEnvironmentOverrides:
         assert code == EXIT_OK
         assert out == ""
         assert "minimum: 5/9" in target.read_text()
+
+
+@pytest.mark.parametrize(
+    "command", ["run", "prove-bound", "gap", "verify-censor", "list-strategies"]
+)
+def test_every_command_documents_output(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")  # one help line per option
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == EXIT_OK
+    line = next(l for l in out.splitlines() if l.strip().startswith("--output"))
+    assert line.endswith("output path, '-' for stdout (env BELLGAME_OUTPUT)")
 
 
 class TestUsageErrors:

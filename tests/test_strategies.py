@@ -120,8 +120,10 @@ class TestNegotiation:
         assert 0.62 <= stats.overall_same_float <= 0.71
 
     def test_rejects_tiny_frames(self):
-        with pytest.raises(ValueError):
-            negotiation_strategy(payload_bytes=2)
+        strategy = negotiation_strategy(payload_bytes=2)  # building it is fine
+        config = RunConfig(payload_bytes=2)
+        with pytest.raises(ValueError, match="at least 3 bytes"):
+            run_experiment(config, strategy, 1, 0)
 
 
 class TestFixedSets:
