@@ -38,6 +38,24 @@ FLOOR = Fraction(5, 9)
 RADIUS_100K = 0.0085
 CFG = RunConfig()
 
+# Exact (same, different) tallies of criterion 2, per setting pair in
+# ALL_SETTING_PAIRS order, at n = 100,000 and seed 2024 (default config,
+# censor on). A speed-up of the referee must leave every count unchanged.
+CRITERION_2_COUNTS = {
+    "negotiation": ((11136, 0), (5592, 5441), (5479, 5531), (5504, 5430), (11212, 0), (5527, 5768), (5650, 5564), (5620, 5469), (11077, 0)),
+    "fixed-RRG": ((11136, 0), (11033, 0), (0, 11010), (10934, 0), (11212, 0), (0, 11295), (0, 11214), (0, 11089), (11077, 0)),
+    "fixed-RGR": ((11136, 0), (0, 11033), (11010, 0), (0, 10934), (11212, 0), (0, 11295), (11214, 0), (0, 11089), (11077, 0)),
+    "fixed-GRR": ((11136, 0), (0, 11033), (0, 11010), (0, 10934), (11212, 0), (11295, 0), (0, 11214), (11089, 0), (11077, 0)),
+    "fixed-GGR": ((11136, 0), (11033, 0), (0, 11010), (10934, 0), (11212, 0), (0, 11295), (0, 11214), (0, 11089), (11077, 0)),
+    "fixed-GRG": ((11136, 0), (0, 11033), (11010, 0), (0, 10934), (11212, 0), (0, 11295), (11214, 0), (0, 11089), (11077, 0)),
+    "fixed-RGG": ((11136, 0), (0, 11033), (0, 11010), (0, 10934), (11212, 0), (11295, 0), (0, 11214), (11089, 0), (11077, 0)),
+    "fixed-RRR": ((11136, 0), (11033, 0), (11010, 0), (10934, 0), (11212, 0), (11295, 0), (11214, 0), (11089, 0), (11077, 0)),
+    "fixed-GGG": ((11136, 0), (11033, 0), (11010, 0), (10934, 0), (11212, 0), (11295, 0), (11214, 0), (11089, 0), (11077, 0)),
+    "clock-keyed": ((11136, 0), (5537, 5496), (5457, 5553), (5528, 5406), (11212, 0), (5688, 5607), (5607, 5607), (5576, 5513), (11077, 0)),
+    "tape-mixing": ((11136, 0), (5492, 5541), (5421, 5589), (5479, 5455), (11212, 0), (5635, 5660), (5673, 5541), (5582, 5507), (11077, 0)),
+    "max-random": ((11136, 0), (5592, 5441), (5479, 5531), (5504, 5430), (11212, 0), (5527, 5768), (5650, 5564), (5620, 5469), (11077, 0)),
+}
+
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
     suffix = f"  [{detail}]" if detail else ""
@@ -86,6 +104,7 @@ def test_criterion_2_classical_floor():
     agreed = [s for s in registry.values() if s.agreement_based]
     assert {s.strategy_id for s in agreed} >= {"negotiation", "clock-keyed"}
     assert sum(s.strategy_id.startswith("fixed-") for s in agreed) == 8
+    assert sorted(s.strategy_id for s in agreed) == sorted(CRITERION_2_COUNTS)
     floor = float(FLOOR) - RADIUS_100K
     all_ok = True
     for strategy in agreed:
@@ -93,11 +112,14 @@ def test_criterion_2_classical_floor():
         stats = run_experiment(CFG, strategy, N_FULL, ACCEPT_SEED)
         elapsed = time.perf_counter() - t0
         fraction = stats.overall_same_float
-        ok = fraction >= floor and elapsed < 10.0
+        counts = tuple(tuple(stats.counts[pair]) for pair in ALL_SETTING_PAIRS)
+        pinned = counts == CRITERION_2_COUNTS[strategy.strategy_id]
+        ok = fraction >= floor and elapsed < 10.0 and pinned
         all_ok &= ok
         print(
             f"  {strategy.strategy_id}: same={fraction:.5f} "
-            f"(floor {floor:.5f}), {elapsed:.1f}s -> {'ok' if ok else 'FAIL'}"
+            f"(floor {floor:.5f}), {elapsed:.1f}s, "
+            f"counts {'as pinned' if pinned else 'CHANGED'} -> {'ok' if ok else 'FAIL'}"
         )
     _report("2 (classical floor)", all_ok, f"{len(agreed)} strategies at n={N_FULL}")
 

@@ -2,7 +2,8 @@
 
 Each stream digest is the sha256 of the record stream that
 ``run_experiment`` (or ``quantum_experiment``) writes at n=2000, master seed
-2024, default config. The CLI digests are the sha256 of the stdout of one
+2024, default config, or at n=50 in the long-exchange shape (32 rounds of
+256-byte frames), where every stream spans several blake2b blocks. The CLI digests are the sha256 of the stdout of one
 command line each, and the CLI error lines are pinned byte for byte. A
 refactor or speed-up must leave all of them unchanged; a change that moves
 one has changed observable output and must say why.
@@ -41,6 +42,28 @@ STREAM_SHA256 = {
 }
 QUANTUM_SHA256 = "c0cb608f5c068297b1df1bef8164bd69a3ed2518d31eba98e68930fdf1855c6f"
 
+# The long-exchange shape: 32 rounds of 256-byte frames and a 256-byte shared
+# tape, so every tape and slice set spans several blake2b blocks; n=50, seed
+# 2024. Censor on for every compliant strategy; cheat runs with the censor off.
+LONG_N_RUNS = 50
+LONG_PAYLOAD_BYTES = 256
+LONG_STREAM_SHA256 = {
+    "negotiation": "44640a99763d7e9676c69bd0d2089055276d1e1971d0d7ac993a6cc40bd64543",
+    "fixed-RRG": "a5defaa22eb3b0430eab640b4c3d91ea2e12660b2c5f6eea1cef62f76066faf2",
+    "fixed-RGR": "079aed66cb947b37f72e57d49e56af3d41f0e0785fcd8b84d848eb006d75b5d2",
+    "fixed-GRR": "37517c7826636066130c8f09dde561ab087aac22b257709b0feb0f39d13caa89",
+    "fixed-GGR": "f710f1056b1ed9160936363704bbc6480d6f2bba0b2176c01991188156879808",
+    "fixed-GRG": "25563d1304198c09d1120aa6024dc0217cc188ff3d7100260ac620cd9e0bdd2d",
+    "fixed-RGG": "fb9e6daf0576d6a0088af78fe290c744e13b71aa108d2ee0d4f488357df4ccae",
+    "fixed-RRR": "c6ab5e881a89633b400f84bc13d2708ae1ca9637ee3472f4cfbf1012da410943",
+    "fixed-GGG": "f87d161a03e7a864c43de159fa64adf213a488a9e6cf3d86ed9fd4a65b7e5a57",
+    "clock-keyed": "13970142167bf3baf4db0607957b8ae721d04b4879f85f61064b2599a9d639bd",
+    "tape-mixing": "c3458091d494ddd204a26899eb05224b968d7fae0a57737eea477ac89e3fe3d6",
+    "max-random": "73408ee95e6e429597d31385520ba81f34e6cc6859521a0a6b9319fe98bf2aca",
+    "near-leak": "cb867bb16f9384b58f04f1ac3b81230bf8837057f388a3e9289862345a6207a3",
+    "cheat": "5f04144a9c6789f483958e5da8ea5d25fda16d5ed4f0ac6740bd9da81798f0dd",
+}
+
 # cheat with the censor on: Left's round-1 frame is its setting byte
 CHEAT_VIOLATION = {
     "payload_a": "01" + "00" * 31,
@@ -53,6 +76,7 @@ CHEAT_VIOLATION = {
 CHEAT_ABORT_STREAM_SHA256 = "a7d2813bfe7fcc3535f41b580db047eabbda0bd411d65d24d68cf42f7cbebc8c"
 
 REGISTRY = build_registry()
+LONG_REGISTRY = build_registry(LONG_PAYLOAD_BYTES)
 
 
 def _sha256(text: str) -> str:
@@ -60,7 +84,7 @@ def _sha256(text: str) -> str:
 
 
 def test_registry_ids_all_pinned():
-    assert sorted(REGISTRY) == sorted(STREAM_SHA256)
+    assert sorted(REGISTRY) == sorted(STREAM_SHA256) == sorted(LONG_STREAM_SHA256)
 
 
 @pytest.mark.parametrize("strategy_id", sorted(STREAM_SHA256))
@@ -70,6 +94,20 @@ def test_classical_stream(strategy_id):
     sink = io.StringIO()
     run_experiment(config, strategy, N_RUNS, MASTER_SEED, sink=sink)
     assert _sha256(sink.getvalue()) == STREAM_SHA256[strategy_id]
+
+
+@pytest.mark.parametrize("strategy_id", sorted(LONG_STREAM_SHA256))
+def test_long_exchange_stream(strategy_id):
+    strategy = LONG_REGISTRY[strategy_id]
+    config = RunConfig(
+        rounds=32,
+        payload_bytes=LONG_PAYLOAD_BYTES,
+        shared_tape_bytes=256,
+        censor_enabled=not strategy.requires_censor_off,
+    )
+    sink = io.StringIO()
+    run_experiment(config, strategy, LONG_N_RUNS, MASTER_SEED, sink=sink)
+    assert _sha256(sink.getvalue()) == LONG_STREAM_SHA256[strategy_id]
 
 
 def test_quantum_stream():
