@@ -23,6 +23,11 @@ __all__ = [
 ]
 
 
+# vet_emission runs three emits per frame; reading Setting.ONE off the Enum
+# class is a metaclass lookup, so it reads these module names instead
+_ONE, _TWO, _THREE = SETTINGS
+
+
 @dataclass(frozen=True)
 class Violation:
     """Diagnosis of a censored emission: the first two counterfactual
@@ -69,12 +74,11 @@ def vet_emission(strategy, wing: Wing, state, round: int, inbox, randomness_slic
     CensorViolation naming the first pair of settings whose payloads differ.
     """
     emit = strategy.emit
-    payloads = (
-        emit(state, round, inbox, randomness_slice, Setting.ONE),
-        emit(state, round, inbox, randomness_slice, Setting.TWO),
-        emit(state, round, inbox, randomness_slice, Setting.THREE),
+    payloads = p1, p2, p3 = (
+        emit(state, round, inbox, randomness_slice, _ONE),
+        emit(state, round, inbox, randomness_slice, _TWO),
+        emit(state, round, inbox, randomness_slice, _THREE),
     )
-    p1, p2, p3 = payloads
     if p1 == p2 == p3:
         return payloads[setting - 1]
     # pairs in the order (1, 2), (1, 3), (2, 3); with p1 == p2 the first

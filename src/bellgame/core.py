@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+from binascii import b2a_base64
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -105,11 +106,12 @@ class InstructionSet(NamedTuple):
 
     @classmethod
     def from_label(cls, label: str) -> "InstructionSet":
-        if len(label) != 3 or any(ch not in "RG" for ch in label):
+        iset = _BY_LABEL.get(label)
+        if iset is None:
             raise ValueError(
                 f"instruction set label must be three R/G letters, got {label!r}"
             )
-        return cls(Color(label[0]), Color(label[1]), Color(label[2]))
+        return iset
 
     def flipped(self) -> "InstructionSet":
         """Swap R and G at every setting."""
@@ -124,7 +126,10 @@ class InstructionSet(NamedTuple):
 
 
 _CANONICAL_LABELS = ("RRG", "RGR", "GRR", "GGR", "GRG", "RGG", "RRR", "GGG")
-INSTRUCTION_SETS = tuple(InstructionSet.from_label(s) for s in _CANONICAL_LABELS)
+INSTRUCTION_SETS = tuple(
+    InstructionSet(*(Color(ch) for ch in label)) for label in _CANONICAL_LABELS
+)
+_BY_LABEL = {iset.label: iset for iset in INSTRUCTION_SETS}
 
 
 def same_color_fraction(iset: InstructionSet) -> Fraction:
@@ -202,20 +207,22 @@ class RunRecord:
 
     def to_json_line(self) -> str:
         """One JSON object, stable key order, no whitespace."""
+        # _value_ is what the .value property returns, without its lookup
+        left, right = self.colors
         return canonical_json(
             {
                 "run": self.run_index,
                 "settings": [int(self.settings.left), int(self.settings.right)],
-                "colors": self.colors[0].value + self.colors[1].value,
+                "colors": left._value_ + right._value_,
                 "seed": str(self.seed),
                 "strategy": self.strategy_id,
                 "transcript": [
                     {
-                        "sender": m.sender.value,
-                        "round": m.round,
-                        "payload": base64.b64encode(m.payload).decode("ascii"),
+                        "sender": sender._value_,
+                        "round": rnd,
+                        "payload": b2a_base64(payload, newline=False).decode("ascii"),
                     }
-                    for m in self.transcript
+                    for sender, rnd, payload in self.transcript
                 ],
             }
         )

@@ -17,6 +17,8 @@ from ._version import __version__
 from .analysis import ExperimentStats
 from .censor import CensorViolation, Violation, vet_emission
 from .core import (
+    ALL_SETTING_PAIRS,
+    EMPTY_TRANSCRIPT,
     SETTINGS,
     Message,
     RunRecord,
@@ -26,7 +28,7 @@ from .core import (
     Wing,
     canonical_json,
 )
-from .randomness import ByteStream, derive_run_seed
+from .randomness import ByteStream, derive_run_seed, stream_bytes
 
 __all__ = [
     "DEFAULT_ROUNDS",
@@ -38,6 +40,7 @@ __all__ = [
     "ProtocolError",
     "ExperimentAborted",
     "draw_settings",
+    "run_settings",
     "execute_run",
     "run_experiment",
 ]
@@ -51,6 +54,11 @@ DEFAULT_SHARED_TAPE_BYTES = 64
 # wing consumes can never depend on its setting.
 PRIVATE_TAPE_BYTES = 64
 RANDOMNESS_SLICE_BYTES = 16
+
+# A Message from its field tuple in one C call: the frames of the referee
+# loop skip the keyword-capable constructor NamedTuple generates.
+_new_message = tuple.__new__
+_LEFT, _RIGHT = Wing.LEFT, Wing.RIGHT
 
 
 class ProtocolError(Exception):
@@ -109,65 +117,73 @@ def draw_settings(stream: ByteStream) -> SettingPair:
     return SettingPair(_draw_setting(stream), _draw_setting(stream))
 
 
-def _randomness_slices(seed: int, label: bytes, rounds: int) -> list[bytes]:
-    stream = ByteStream(seed, label)
-    return [stream.take(RANDOMNESS_SLICE_BYTES) for _ in range(rounds)]
+def run_settings(seed: int) -> SettingPair:
+    """The settings of the run with this seed, equal to
+    ``draw_settings(ByteStream(seed, b"settings"))``: the first two stream
+    bytes decide them unless one is a rejected 255."""
+    a, b = stream_bytes(seed, b"settings", 2)
+    if a == 255 or b == 255:
+        return draw_settings(ByteStream(seed, b"settings"))
+    return ALL_SETTING_PAIRS[3 * (a % 3) + b % 3]
 
 
-def _emission(strategy, wing: Wing, state, rnd: int, inbox, rand: bytes, setting: Setting, config: RunConfig) -> bytes:
-    if config.censor_enabled:
-        payload = vet_emission(strategy, wing, state, rnd, inbox, rand, setting)
-    else:
-        payload = strategy.emit(state, rnd, inbox, rand, setting)
-    if not isinstance(payload, bytes) or len(payload) != config.payload_bytes:
-        raise ProtocolError(
-            f"wing {wing.value}, round {rnd}: payload must be exactly "
-            f"{config.payload_bytes} bytes"
-        )
-    return payload
+def _frame_error(wing: Wing, rnd: int, payload_bytes: int) -> ProtocolError:
+    return ProtocolError(
+        f"wing {wing.value}, round {rnd}: payload must be exactly {payload_bytes} bytes"
+    )
 
 
 def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_index: int = 0):
     """The referee loop: ``(record, (state_l, inbox_l), (state_r, inbox_r))``, the
     final wing states and inboxes kept for counterfactual flash evaluation."""
-    shared = ByteStream(seed, b"tape/shared").take(config.shared_tape_bytes)
-    priv_l = ByteStream(seed, b"tape/private/L").take(PRIVATE_TAPE_BYTES)
-    priv_r = ByteStream(seed, b"tape/private/R").take(PRIVATE_TAPE_BYTES)
-    rand_l = _randomness_slices(seed, b"slices/L", config.rounds)
-    rand_r = _randomness_slices(seed, b"slices/R", config.rounds)
+    rounds = config.rounds
+    payload_bytes = config.payload_bytes
+    left, right = _LEFT, _RIGHT
+    shared = stream_bytes(seed, b"tape/shared", config.shared_tape_bytes)
+    # round r's randomness slice is bytes 16(r-1) to 16r of its wing's stream
+    rand_l = stream_bytes(seed, b"slices/L", rounds * RANDOMNESS_SLICE_BYTES)
+    rand_r = stream_bytes(seed, b"slices/R", rounds * RANDOMNESS_SLICE_BYTES)
 
-    state_l = strategy.init(Wing.LEFT, shared, priv_l, run_index)
-    state_r = strategy.init(Wing.RIGHT, shared, priv_r, run_index)
+    state_l = strategy.init(left, shared, stream_bytes(seed, b"tape/private/L", PRIVATE_TAPE_BYTES), run_index)
+    state_r = strategy.init(right, shared, stream_bytes(seed, b"tape/private/R", PRIVATE_TAPE_BYTES), run_index)
+
+    if config.censor_enabled:
+        emit = vet_emission  # the module name, looked up once per run
+    else:
+        unvetted = strategy.emit
+
+        def emit(strategy, wing, state, rnd, inbox, rand, setting):
+            return unvetted(state, rnd, inbox, rand, setting)
 
     transition = strategy.transition
     setting_l, setting_r = settings
-
     inbox_l: tuple[Message, ...] = ()
     inbox_r: tuple[Message, ...] = ()
+    got_l: list[Message] = []
+    got_r: list[Message] = []
     messages: list[Message] = []
-
-    for rnd in range(1, config.rounds + 1):
-        payload_l = _emission(strategy, Wing.LEFT, state_l, rnd, inbox_l, rand_l[rnd - 1], setting_l, config)
-        payload_r = _emission(strategy, Wing.RIGHT, state_r, rnd, inbox_r, rand_r[rnd - 1], setting_r, config)
-        msg_l = Message(Wing.LEFT, rnd, payload_l)
-        msg_r = Message(Wing.RIGHT, rnd, payload_r)
-        messages.append(msg_l)
-        messages.append(msg_r)
-        inbox_l = inbox_l + (msg_r,)
-        inbox_r = inbox_r + (msg_l,)
+    cut = 0
+    for rnd in range(1, rounds + 1):
+        end = cut + RANDOMNESS_SLICE_BYTES
+        payload_l = emit(strategy, left, state_l, rnd, inbox_l, rand_l[cut:end], setting_l)
+        if not isinstance(payload_l, bytes) or len(payload_l) != payload_bytes:
+            raise _frame_error(left, rnd, payload_bytes)
+        payload_r = emit(strategy, right, state_r, rnd, inbox_r, rand_r[cut:end], setting_r)
+        if not isinstance(payload_r, bytes) or len(payload_r) != payload_bytes:
+            raise _frame_error(right, rnd, payload_bytes)
+        cut = end
+        msg_l = _new_message(Message, (left, rnd, payload_l))
+        msg_r = _new_message(Message, (right, rnd, payload_r))
+        messages += (msg_l, msg_r)
+        got_l.append(msg_r)
+        got_r.append(msg_l)
+        inbox_l = tuple(got_l)
+        inbox_r = tuple(got_r)
         state_l = transition(state_l, rnd, inbox_l)
         state_r = transition(state_r, rnd, inbox_r)
 
-    color_l = strategy.flash(state_l, inbox_l, setting_l)
-    color_r = strategy.flash(state_r, inbox_r, setting_r)
-    record = RunRecord(
-        run_index=run_index,
-        settings=settings,
-        colors=(color_l, color_r),
-        transcript=Transcript(tuple(messages)),
-        seed=seed,
-        strategy_id=strategy.strategy_id,
-    )
+    colors = (strategy.flash(state_l, inbox_l, setting_l), strategy.flash(state_r, inbox_r, setting_r))
+    record = RunRecord(run_index, settings, colors, Transcript(tuple(messages)), seed, strategy.strategy_id)
     return record, (state_l, inbox_l), (state_r, inbox_r)
 
 
@@ -189,35 +205,42 @@ def execute_run(
 def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_seed: int, sink) -> ExperimentStats:
     """The run loop of classical and quantum experiments alike: per-run seeds
     off the master seed, settings, ``play(settings, seed, run_index) ->
-    (colors, transcript)``, the tally and, with a sink, the JSONL header and
-    one record line per run. A censor violation aborts the experiment."""
+    (colors, record)``, the tally and, with a sink, the JSONL header and one
+    record line per run. ``record`` is the run's ``RunRecord``, or None from a
+    source without a transcript, for which one is built only to be written.
+
+    The header goes out with the first record, or with the abort of run 0, so
+    a configuration error raised by run 0 leaves the sink empty. A censor
+    violation aborts the experiment."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    header = ""
     if sink is not None:
-        header = {
+        header = canonical_json({
             "type": "header",
             "config": config.to_json_dict(),
             "strategy": source_id,
             "master_seed": str(master_seed),
             "seed_derivation": "splitmix64",
             "version": __version__,
-        }
-        sink.write(canonical_json(header) + "\n")
-    stats = ExperimentStats.empty()
+        }) + "\n"
+    stats = ExperimentStats()
     record_stat = stats.record
     for i in range(n_runs):
         seed_i = derive_run_seed(master_seed, i)
-        settings = draw_settings(ByteStream(seed_i, b"settings"))
+        settings = run_settings(seed_i)
         try:
-            colors, transcript = play(settings, seed_i, i)
+            colors, record = play(settings, seed_i, i)
         except CensorViolation as exc:
+            if header:
+                sink.write(header)
             raise ExperimentAborted(exc.violation, stats, i) from exc
         record_stat(settings, colors[0] is colors[1])
-        # a record is built only to be written: the oracle's runs are cheap
-        # enough that building one per run would show in their throughput
         if sink is not None:
-            record = RunRecord(i, settings, colors, transcript, seed_i, source_id)
-            sink.write(record.to_json_line() + "\n")
+            if record is None:
+                record = RunRecord(i, settings, colors, EMPTY_TRANSCRIPT, seed_i, source_id)
+            sink.write(header + record.to_json_line() + "\n")
+            header = ""
     return stats
 
 
@@ -235,7 +258,7 @@ def run_experiment(
     """
 
     def play(settings, seed, run_index):
-        record = execute_run(config, strategy, settings, seed, run_index=run_index)
-        return record.colors, record.transcript
+        record = execute_run(config, strategy, settings, seed, run_index)
+        return record.colors, record
 
     return _experiment(config, strategy.strategy_id, play, n_runs, master_seed, sink)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import IO, Optional
 
 from .analysis import ExperimentStats
-from .core import ALL_SETTING_PAIRS, EMPTY_TRANSCRIPT, Color, SettingPair
+from .core import ALL_SETTING_PAIRS, Color, SettingPair
 from .protocol import RunConfig, _experiment
 from .randomness import ByteStream
 
@@ -90,6 +90,6 @@ def quantum_experiment(
     """
 
     def play(settings, seed, run_index):
-        return sample_quantum_run(settings, ByteStream(seed, b"oracle")), EMPTY_TRANSCRIPT
+        return sample_quantum_run(settings, ByteStream(seed, b"oracle")), None
 
     return _experiment(RunConfig() if config is None else config, QUANTUM_ORACLE_ID, play, n_runs, master_seed, sink)

@@ -4,15 +4,25 @@ Per-run seeds come from the splitmix64 output sequence; all working bytes of
 a run (tapes, randomness slices, referee draws) come from blake2b in counter
 mode, keyed by the run seed and separated by short labels. Identical seeds
 and labels produce identical bytes on every platform.
+
+Block ``i`` of a stream is ``blake2b(label || i, key=seed)``, 64 bytes. A
+stream read once from its start, up to 64 bytes, is therefore a prefix of
+its first block: ``stream_bytes`` computes that one digest and nothing
+else, and hands longer reads to ``ByteStream``. Every stream of a run in
+the default configuration (tapes of 64 bytes, four 16-byte slices per wing,
+the two setting bytes) is such a read.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-__all__ = ["MASK64", "mix64", "derive_run_seed", "ByteStream"]
+__all__ = ["MASK64", "mix64", "derive_run_seed", "ByteStream", "stream_bytes"]
 
 MASK64 = (1 << 64) - 1
+
+BLOCK_BYTES = 64
+_FIRST_BLOCK = (0).to_bytes(8, "little")  # the counter of block 0
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -51,7 +61,7 @@ class ByteStream:
         self._block = hashlib.blake2b(
             self._label + self._counter.to_bytes(8, "little"),
             key=self._key,
-            digest_size=64,
+            digest_size=BLOCK_BYTES,
         ).digest()
         self._counter += 1
         self._pos = 0
@@ -68,7 +78,7 @@ class ByteStream:
         need = n - len(parts[0])
         while need > 0:
             self._refill()
-            chunk = self._block[:need] if need < 64 else self._block
+            chunk = self._block[:need] if need < BLOCK_BYTES else self._block
             parts.append(chunk)
             self._pos = len(chunk)
             need -= len(chunk)
@@ -81,3 +91,15 @@ class ByteStream:
         b = self._block[self._pos]
         self._pos += 1
         return b
+
+
+def stream_bytes(seed: int, label: bytes, n: int) -> bytes:
+    """The first ``n`` bytes of ``ByteStream(seed, label)``: one blake2b
+    digest when ``n`` is at most one block, the stream itself beyond that."""
+    if 0 <= n <= BLOCK_BYTES:
+        return hashlib.blake2b(
+            label + _FIRST_BLOCK,
+            key=(seed & MASK64).to_bytes(8, "little"),
+            digest_size=BLOCK_BYTES,
+        ).digest()[:n]
+    return ByteStream(seed, label).take(n)

@@ -89,11 +89,15 @@ def validate_strategy(strategy: WingStrategy) -> None:
         )
 
 
+# Reading an Enum member off its class costs a metaclass lookup; the slots
+# below run once per frame or run, so they read these module names instead.
+_LEFT = Wing.LEFT
+_RED, _GREEN = Color.R, Color.G
+
+
 def _decode_instruction_set(raw: bytes) -> InstructionSet:
     # two-bit decode per setting: low bits 0..1 pick R, 2..3 pick G (uniform)
-    return InstructionSet(
-        *(Color.R if (b & 3) < 2 else Color.G for b in raw[:3])
-    )
+    return InstructionSet(*(_RED if (b & 3) < 2 else _GREEN for b in raw[:3]))
 
 
 def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrategy:
@@ -113,7 +117,7 @@ def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
             raise ValueError("negotiation needs payload frames of at least 3 bytes")
         if len(shared_tape) < 3:
             raise ValueError("negotiation needs at least 3 shared tape bytes")
-        if wing_id is Wing.LEFT:
+        if wing_id is _LEFT:
             proposal = _decode_instruction_set(shared_tape)
             return (wing_id, proposal, proposal.label.encode("ascii") + pad)
         return (wing_id, None, None)
@@ -127,7 +131,7 @@ def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
 
     def emit(state, round, inbox, randomness_slice, setting):
         wing_id, agreed, payload = state
-        if wing_id is Wing.LEFT:
+        if wing_id is _LEFT:
             return payload if round == 1 else filler
         return inbox[0].payload if inbox else filler
 
@@ -190,9 +194,9 @@ def cheat_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrategy:
     def flash(state, full_inbox, setting):
         wing_id, color_byte, same_byte = state
         peer_setting = full_inbox[0].payload[0]
-        left_color = Color.R if color_byte & 1 == 0 else Color.G
+        left_color = _RED if color_byte & 1 == 0 else _GREEN
         same = True if int(setting) == peer_setting else same_byte < 64
-        if wing_id is Wing.LEFT:
+        if wing_id is _LEFT:
             return left_color
         return left_color if same else left_color.flip()
 
@@ -251,7 +255,7 @@ def tape_mixing_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
         wing_id, proposal, mix, agreed = state
         if agreed is None and inbox:
             peer_value = inbox[0].payload[0] & 7
-            if wing_id is Wing.LEFT:
+            if wing_id is _LEFT:
                 idx = (proposal + peer_value) % 8
             else:
                 idx = (peer_value + mix) % 8
@@ -261,7 +265,7 @@ def tape_mixing_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
     def emit(state, round, inbox, randomness_slice, setting):
         wing_id, proposal, mix, agreed = state
         if round == 1:
-            value = proposal if wing_id is Wing.LEFT else mix
+            value = proposal if wing_id is _LEFT else mix
             return bytes([value]) + tail
         return filler
 
@@ -311,7 +315,7 @@ def near_leak_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrate
     """
 
     def init(wing_id, shared_tape, private_tape, run_index):
-        coin = Color.R if private_tape[0] & 1 == 0 else Color.G
+        coin = _RED if private_tape[0] & 1 == 0 else _GREEN
         return (wing_id, coin, run_index & 0xFF)
 
     def transition(state, round, inbox):
@@ -325,8 +329,8 @@ def near_leak_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrate
                 round & 0xFF,
                 clock,
                 last,
-                0 if wing_id is Wing.LEFT else 1,
-                0 if coin is Color.R else 1,
+                0 if wing_id is _LEFT else 1,
+                0 if coin is _RED else 1,
             )
         )
         return (head + randomness_slice * payload_bytes)[:payload_bytes]

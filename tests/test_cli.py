@@ -155,6 +155,24 @@ class TestRunCommand:
             "detail": "negotiation needs payload frames of at least 3 bytes",
         }
 
+    @pytest.mark.parametrize(
+        "option, detail",
+        [
+            ("--payload-bytes", "negotiation needs payload frames of at least 3 bytes"),
+            ("--tape-bytes", "negotiation needs at least 3 shared tape bytes"),
+        ],
+    )
+    def test_config_error_writes_no_stream(self, capsys, option, detail):
+        # the JSONL header waits for run 0, so a rejected config leaves no
+        # partial stream behind
+        code, out, err = run_cli(
+            capsys, "run", "--strategy", "negotiation", option, "2", "--n", "10",
+            "--format", "jsonl",
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert json.loads(err) == {"error": "config", "detail": detail}
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         out_a = tmp_path / "a.jsonl"
         out_b = tmp_path / "b.jsonl"
@@ -218,6 +236,28 @@ class TestVerifyCensor:
         assert code == EXIT_OK
         assert out == "quantum-oracle: color source, no wings; skipped\n"
         assert err == ""
+
+    def test_all_goes_on_past_a_rejected_frame_size(self, capsys):
+        code, out, err = run_cli(capsys, "verify-censor", "--payload-bytes", "2", "--n", "2")
+        assert code == EXIT_OK
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0] == "negotiation: negotiation needs payload frames of at least 3 bytes; skipped"
+        assert lines[-1] == "cheat: declared censor-off; skipped"
+        checked = lines[1:-1]
+        assert len(checked) == 12
+        assert all(line.endswith(": ok (2 runs, transcripts setting-invariant)") for line in checked)
+
+    def test_named_strategy_rejecting_the_frame_size_is_a_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify-censor", "--strategy", "negotiation", "--payload-bytes", "2", "--n", "2"
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "config",
+            "detail": "negotiation needs payload frames of at least 3 bytes",
+        }
 
     def test_rejects_bad_n(self, capsys):
         code, _, err = run_cli(capsys, "verify-censor", "--n", "0")
