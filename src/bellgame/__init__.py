@@ -31,7 +31,6 @@ from .censor import (
 )
 from .core import (
     ALL_SETTING_PAIRS,
-    EMPTY_TRANSCRIPT,
     INSTRUCTION_SETS,
     SETTINGS,
     Color,
@@ -40,9 +39,9 @@ from .core import (
     RunRecord,
     Setting,
     SettingPair,
-    Transcript,
     Wing,
     same_color_fraction,
+    validate_transcript,
 )
 from .protocol import (
     ExperimentAborted,
@@ -62,7 +61,6 @@ from .quantum import (
 from .randomness import ByteStream, derive_run_seed, mix64
 from .strategies import (
     WingStrategy,
-    adversarial_strategy_suite,
     build_registry,
     cheat_strategy,
     fixed_instruction_strategy,
@@ -73,7 +71,6 @@ from .strategies import (
 __all__ = [
     "__version__",
     "ALL_SETTING_PAIRS",
-    "EMPTY_TRANSCRIPT",
     "INSTRUCTION_SETS",
     "QUANTUM_ORACLE_ID",
     "SETTINGS",
@@ -92,11 +89,9 @@ __all__ = [
     "RunRecord",
     "Setting",
     "SettingPair",
-    "Transcript",
     "Violation",
     "Wing",
     "WingStrategy",
-    "adversarial_strategy_suite",
     "bell_gap_report",
     "build_registry",
     "cheat_strategy",
@@ -118,6 +113,7 @@ __all__ = [
     "singlet_joint",
     "state_transition_guard",
     "validate_strategy",
+    "validate_transcript",
     "verify_transcript_invariance",
     "vet_emission",
 ]

@@ -8,13 +8,11 @@ float comparison.
 
 from __future__ import annotations
 
-import base64
 import json
-from binascii import b2a_base64
-from dataclasses import dataclass
+from binascii import a2b_base64, b2a_base64
 from enum import Enum, IntEnum
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "Setting",
@@ -26,9 +24,8 @@ __all__ = [
     "SettingPair",
     "ALL_SETTING_PAIRS",
     "Message",
-    "Transcript",
-    "EMPTY_TRANSCRIPT",
     "RunRecord",
+    "validate_transcript",
     "same_color_fraction",
     "canonical_json",
 ]
@@ -68,9 +65,6 @@ class Wing(Enum):
 
     LEFT = "L"
     RIGHT = "R"
-
-    def other(self) -> "Wing":
-        return Wing.RIGHT if self is Wing.LEFT else Wing.LEFT
 
 
 class SettingPair(NamedTuple):
@@ -149,48 +143,36 @@ class Message(NamedTuple):
     payload: bytes
 
 
-@dataclass(frozen=True)
-class Transcript:
-    """The ordered record of every message exchanged in one run."""
-
-    messages: tuple[Message, ...]
-
-    def __len__(self) -> int:
-        return len(self.messages)
-
-    def __iter__(self) -> Iterator[Message]:
-        return iter(self.messages)
-
-    def __getitem__(self, i):
-        return self.messages[i]
-
-    def validate(self, rounds: int, payload_bytes: int) -> None:
-        """Check the frame discipline: 2*rounds messages, alternating
-        Left/Right within each round, every payload exactly payload_bytes."""
-        if len(self.messages) != 2 * rounds:
+def validate_transcript(transcript: tuple[Message, ...], rounds: int, payload_bytes: int) -> None:
+    """Check the frame discipline: 2*rounds messages, alternating
+    Left/Right within each round, every payload exactly payload_bytes."""
+    if len(transcript) != 2 * rounds:
+        raise ValueError(
+            f"expected {2 * rounds} messages, found {len(transcript)}"
+        )
+    for i, msg in enumerate(transcript):
+        want_round = i // 2 + 1
+        want_sender = Wing.LEFT if i % 2 == 0 else Wing.RIGHT
+        if msg.round != want_round or msg.sender is not want_sender:
             raise ValueError(
-                f"expected {2 * rounds} messages, found {len(self.messages)}"
+                f"message {i}: expected {want_sender.value} round {want_round}, "
+                f"found {msg.sender.value} round {msg.round}"
             )
-        for i, msg in enumerate(self.messages):
-            want_round = i // 2 + 1
-            want_sender = Wing.LEFT if i % 2 == 0 else Wing.RIGHT
-            if msg.round != want_round or msg.sender is not want_sender:
-                raise ValueError(
-                    f"message {i}: expected {want_sender.value} round {want_round}, "
-                    f"found {msg.sender.value} round {msg.round}"
-                )
-            if len(msg.payload) != payload_bytes:
-                raise ValueError(
-                    f"message {i}: payload is {len(msg.payload)} bytes, "
-                    f"expected {payload_bytes}"
-                )
+        if len(msg.payload) != payload_bytes:
+            raise ValueError(
+                f"message {i}: payload is {len(msg.payload)} bytes, "
+                f"expected {payload_bytes}"
+            )
 
 
-EMPTY_TRANSCRIPT = Transcript(())
+def _wire_int(value, low: int, high: float = float("inf")) -> int:
+    """A JSON integer in [low, high]; bools, floats and strings are rejected."""
+    if type(value) is not int or not low <= value <= high:
+        raise ValueError(f"expected an integer in [{low}, {high}], got {value!r}")
+    return value
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """Everything needed to replay and audit a single run.
 
     The record carries its own seed, so any run can be replayed in isolation:
@@ -201,7 +183,7 @@ class RunRecord:
     run_index: int
     settings: SettingPair
     colors: tuple[Color, Color]
-    transcript: Transcript
+    transcript: tuple[Message, ...]
     seed: int
     strategy_id: str
 
@@ -229,21 +211,38 @@ class RunRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "RunRecord":
+        """Parse one line written by ``to_json_line``. A malformed line (not
+        JSON, a missing key, or a value of the wrong type, length or range)
+        raises ValueError."""
         obj = json.loads(line)
-        messages = tuple(
-            Message(
-                Wing(m["sender"]),
-                int(m["round"]),
-                base64.b64decode(m["payload"]),
+        try:
+            (left, right), colors, seed = obj["settings"], obj["colors"], obj["seed"]
+            strategy_id, messages = obj["strategy"], obj["transcript"]
+            if type(messages) is not list:
+                raise ValueError(f"transcript must be a list, got {messages!r}")
+            transcript = tuple(
+                Message(
+                    Wing(m["sender"]),
+                    _wire_int(m["round"], 1),
+                    a2b_base64(m["payload"]),
+                )
+                for m in messages
             )
-            for m in obj["transcript"]
-        )
-        colors = obj["colors"]
+            run_index = _wire_int(obj["run"], 0)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed run record: {exc!r}") from None
+        if type(colors) is not str or len(colors) != 2:
+            raise ValueError(f"colors must be two R/G letters, got {colors!r}")
+        if type(seed) is not str or not (seed.isascii() and seed.isdigit()) or int(seed) >> 64:
+            raise ValueError(f"seed must be a 64-bit decimal string, got {seed!r}")
+        if type(strategy_id) is not str or not strategy_id:
+            raise ValueError(f"strategy must be a non-empty string, got {strategy_id!r}")
         return cls(
-            run_index=int(obj["run"]),
-            settings=SettingPair(Setting(obj["settings"][0]), Setting(obj["settings"][1])),
-            colors=(Color(colors[0]), Color(colors[1])),
-            transcript=Transcript(messages),
-            seed=int(obj["seed"]),
-            strategy_id=obj["strategy"],
+            run_index,
+            SettingPair(SETTINGS[_wire_int(left, 1, 3) - 1], SETTINGS[_wire_int(right, 1, 3) - 1]),
+            (Color(colors[0]), Color(colors[1])),
+            transcript,
+            int(seed),
+            strategy_id,
         )
+

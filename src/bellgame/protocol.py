@@ -18,13 +18,11 @@ from .analysis import ExperimentStats
 from .censor import CensorViolation, Violation, vet_emission
 from .core import (
     ALL_SETTING_PAIRS,
-    EMPTY_TRANSCRIPT,
     SETTINGS,
     Message,
     RunRecord,
     Setting,
     SettingPair,
-    Transcript,
     Wing,
     canonical_json,
 )
@@ -183,7 +181,7 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
         state_r = transition(state_r, rnd, inbox_r)
 
     colors = (strategy.flash(state_l, inbox_l, setting_l), strategy.flash(state_r, inbox_r, setting_r))
-    record = RunRecord(run_index, settings, colors, Transcript(tuple(messages)), seed, strategy.strategy_id)
+    record = RunRecord(run_index, settings, colors, tuple(messages), seed, strategy.strategy_id)
     return record, (state_l, inbox_l), (state_r, inbox_r)
 
 
@@ -238,7 +236,7 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
         record_stat(settings, colors[0] is colors[1])
         if sink is not None:
             if record is None:
-                record = RunRecord(i, settings, colors, EMPTY_TRANSCRIPT, seed_i, source_id)
+                record = RunRecord(i, settings, colors, (), seed_i, source_id)
             sink.write(header + record.to_json_line() + "\n")
             header = ""
     return stats

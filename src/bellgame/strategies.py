@@ -32,7 +32,6 @@ __all__ = [
     "tape_mixing_strategy",
     "max_randomness_strategy",
     "near_leak_strategy",
-    "adversarial_strategy_suite",
     "build_registry",
 ]
 
@@ -95,6 +94,16 @@ _LEFT = Wing.LEFT
 _RED, _GREEN = Color.R, Color.G
 
 
+def _keep_state(state, round, inbox):
+    """The identity transition, for strategies whose state never changes."""
+    return state
+
+
+def _agreed_flash(state, full_inbox, setting):
+    """Flash from the instruction set the state holds."""
+    return state.color_for(setting)
+
+
 def _decode_instruction_set(raw: bytes) -> InstructionSet:
     # two-bit decode per setting: low bits 0..1 pick R, 2..3 pick G (uniform)
     return InstructionSet(*(_RED if (b & 3) < 2 else _GREEN for b in raw[:3]))
@@ -152,17 +161,11 @@ def fixed_instruction_strategy(
     def init(wing_id, shared_tape, private_tape, run_index):
         return iset
 
-    def transition(state, round, inbox):
-        return state
-
     def emit(state, round, inbox, randomness_slice, setting):
         return filler
 
-    def flash(state, full_inbox, setting):
-        return state.color_for(setting)
-
     return WingStrategy(
-        f"fixed-{iset.label}", init, transition, emit, flash, agreement_based=True
+        f"fixed-{iset.label}", init, _keep_state, emit, _agreed_flash, agreement_based=True
     )
 
 
@@ -183,9 +186,6 @@ def cheat_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrategy:
             raise ValueError("cheat needs at least 2 shared tape bytes")
         return (wing_id, shared_tape[0], shared_tape[1])
 
-    def transition(state, round, inbox):
-        return state
-
     def emit(state, round, inbox, randomness_slice, setting):
         if round == 1:
             return bytes([setting]) + tail
@@ -201,7 +201,7 @@ def cheat_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrategy:
         return left_color if same else left_color.flip()
 
     return WingStrategy(
-        "cheat", init, transition, emit, flash, requires_censor_off=True
+        "cheat", init, _keep_state, emit, flash, requires_censor_off=True
     )
 
 
@@ -216,17 +216,11 @@ def clock_keyed_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
     def init(wing_id, shared_tape, private_tape, run_index):
         return INSTRUCTION_SETS[run_index % 8]
 
-    def transition(state, round, inbox):
-        return state
-
     def emit(state, round, inbox, randomness_slice, setting):
         return filler
 
-    def flash(state, full_inbox, setting):
-        return state.color_for(setting)
-
     return WingStrategy(
-        "clock-keyed", init, transition, emit, flash, agreement_based=True
+        "clock-keyed", init, _keep_state, emit, _agreed_flash, agreement_based=True
     )
 
 
@@ -287,21 +281,15 @@ def max_randomness_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingS
 
     def init(wing_id, shared_tape, private_tape, run_index):
         if len(shared_tape) < 3:
-            raise ValueError("needs at least 3 shared tape bytes")
+            raise ValueError("max-random needs at least 3 shared tape bytes")
         return _decode_instruction_set(shared_tape)
-
-    def transition(state, round, inbox):
-        return state
 
     def emit(state, round, inbox, randomness_slice, setting):
         reps = -(-payload_bytes // len(randomness_slice))
         return (randomness_slice * reps)[: payload_bytes - 1] + bytes([round & 0xFF])
 
-    def flash(state, full_inbox, setting):
-        return state.color_for(setting)
-
     return WingStrategy(
-        "max-random", init, transition, emit, flash, agreement_based=True
+        "max-random", init, _keep_state, emit, _agreed_flash, agreement_based=True
     )
 
 
@@ -317,9 +305,6 @@ def near_leak_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrate
     def init(wing_id, shared_tape, private_tape, run_index):
         coin = _RED if private_tape[0] & 1 == 0 else _GREEN
         return (wing_id, coin, run_index & 0xFF)
-
-    def transition(state, round, inbox):
-        return state
 
     def emit(state, round, inbox, randomness_slice, setting):
         wing_id, coin, clock = state
@@ -338,18 +323,7 @@ def near_leak_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrate
     def flash(state, full_inbox, setting):
         return state[1]
 
-    return WingStrategy("near-leak", init, transition, emit, flash)
-
-
-def adversarial_strategy_suite(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> list[WingStrategy]:
-    """Stress strategies: clock coordination, transcript-dependent
-    agreement, maximal randomness use, and near-leak payloads."""
-    return [
-        clock_keyed_strategy(payload_bytes),
-        tape_mixing_strategy(payload_bytes),
-        max_randomness_strategy(payload_bytes),
-        near_leak_strategy(payload_bytes),
-    ]
+    return WingStrategy("near-leak", init, _keep_state, emit, flash)
 
 
 def build_registry(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> dict[str, WingStrategy]:
@@ -358,8 +332,15 @@ def build_registry(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> dict[str, Wing
     strategies.extend(
         fixed_instruction_strategy(iset, payload_bytes) for iset in INSTRUCTION_SETS
     )
-    strategies.extend(adversarial_strategy_suite(payload_bytes))
-    strategies.append(cheat_strategy(payload_bytes))
+    strategies += [
+        # stress cases: clock coordination, transcript-dependent agreement,
+        # maximal randomness use, near-leak payloads and an open leak
+        clock_keyed_strategy(payload_bytes),
+        tape_mixing_strategy(payload_bytes),
+        max_randomness_strategy(payload_bytes),
+        near_leak_strategy(payload_bytes),
+        cheat_strategy(payload_bytes),
+    ]
     registry: dict[str, WingStrategy] = {}
     for strategy in strategies:
         validate_strategy(strategy)

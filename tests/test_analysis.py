@@ -22,14 +22,12 @@ from bellgame.analysis import (
 )
 from bellgame.core import (
     ALL_SETTING_PAIRS,
-    EMPTY_TRANSCRIPT,
     Color,
     InstructionSet,
     Message,
     RunRecord,
     Setting,
     SettingPair,
-    Transcript,
     Wing,
 )
 from bellgame.protocol import RunConfig, execute_run
@@ -69,7 +67,7 @@ def _oracle_record(run_index, left, right, color_left, color_right):
         run_index=run_index,
         settings=SettingPair(Setting(left), Setting(right)),
         colors=(Color(color_left), Color(color_right)),
-        transcript=EMPTY_TRANSCRIPT,
+        transcript=(),
         seed=0,
         strategy_id="synthetic",
     )
@@ -264,13 +262,13 @@ class TestInducedInstructionSet:
     def test_tampered_transcript_detected(self):
         strat = negotiation_strategy()
         rec = execute_run(CFG, strat, SettingPair(Setting.ONE, Setting.TWO), 23)
-        bad_messages = list(rec.transcript.messages)
+        bad_messages = list(rec.transcript)
         bad_messages[0] = Message(Wing.LEFT, 1, b"\xff" * 32)
         tampered = RunRecord(
             run_index=rec.run_index,
             settings=rec.settings,
             colors=rec.colors,
-            transcript=Transcript(tuple(bad_messages)),
+            transcript=tuple(bad_messages),
             seed=rec.seed,
             strategy_id=rec.strategy_id,
         )

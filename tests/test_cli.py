@@ -160,13 +160,14 @@ class TestRunCommand:
         [
             ("--payload-bytes", "negotiation needs payload frames of at least 3 bytes"),
             ("--tape-bytes", "negotiation needs at least 3 shared tape bytes"),
+            ("--tape-bytes", "max-random needs at least 3 shared tape bytes"),
         ],
     )
     def test_config_error_writes_no_stream(self, capsys, option, detail):
         # the JSONL header waits for run 0, so a rejected config leaves no
-        # partial stream behind
+        # partial stream behind; every detail starts with its strategy's id
         code, out, err = run_cli(
-            capsys, "run", "--strategy", "negotiation", option, "2", "--n", "10",
+            capsys, "run", "--strategy", detail.split()[0], option, "2", "--n", "10",
             "--format", "jsonl",
         )
         assert code == EXIT_CONFIG

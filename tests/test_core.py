@@ -1,6 +1,7 @@
 """Vocabulary types and the exact per-set fractions."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,9 @@ from bellgame.core import (
     RunRecord,
     Setting,
     SettingPair,
-    Transcript,
     Wing,
     same_color_fraction,
+    validate_transcript,
 )
 
 # Independent oracle: brute-force count over the 9 pairs, frozen by hand.
@@ -135,11 +136,9 @@ def test_permuted_rejects_non_permutation():
 
 class TestRunRecordSerialization:
     def _record(self):
-        transcript = Transcript(
-            (
-                Message(Wing.LEFT, 1, b"\x01" + bytes(31)),
-                Message(Wing.RIGHT, 1, bytes(32)),
-            )
+        transcript = (
+            Message(Wing.LEFT, 1, b"\x01" + bytes(31)),
+            Message(Wing.RIGHT, 1, bytes(32)),
         )
         return RunRecord(
             run_index=5,
@@ -172,6 +171,123 @@ class TestRunRecordSerialization:
     def test_single_line(self):
         assert "\n" not in self._record().to_json_line()
 
+    def test_plain_tuple_fields(self):
+        rec = self._record()
+        assert isinstance(rec, tuple)
+        assert RunRecord._fields == (
+            "run_index", "settings", "colors", "transcript", "seed", "strategy_id"
+        )
+        assert type(rec.transcript) is tuple
+
+
+def _negotiation_line():
+    """A real record line: run 0 of negotiation at the default config."""
+    import io
+
+    from bellgame.protocol import RunConfig, run_experiment
+    from bellgame.strategies import negotiation_strategy
+
+    sink = io.StringIO()
+    run_experiment(RunConfig(), negotiation_strategy(), 1, 7, sink=sink)
+    return sink.getvalue().splitlines()[1]
+
+
+REAL_LINE = _negotiation_line()
+REAL_OBJ = json.loads(REAL_LINE)
+
+
+def _key_paths(obj, path=()):
+    """The path to every key in a parsed record, nested ones included."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _key_paths(value, path + (i,))
+
+
+KEY_PATHS = list(_key_paths(REAL_OBJ))
+
+
+def _with(path, value=None, delete=False):
+    """The real record line with the value at ``path`` replaced or deleted."""
+    obj = json.loads(REAL_LINE)
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(obj)
+
+
+# Values to_json_line never writes: wrong type, length or range.
+CORRUPT_VALUES = [
+    (("transcript",), "not a list"),
+    (("transcript",), {}),
+    (("transcript",), None),
+    (("transcript", 0), "L"),
+    (("colors",), "RRG"),
+    (("colors",), "R"),
+    (("colors",), ["R", "G"]),
+    (("colors",), "RX"),
+    (("settings",), [2, 3, 1]),
+    (("settings",), [2]),
+    (("settings",), [2, 4]),
+    (("settings",), [True, 2]),
+    (("settings",), "23"),
+    (("run",), True),
+    (("run",), -1),
+    (("run",), "0"),
+    (("seed",), 5),
+    (("seed",), " 5"),
+    (("seed",), "-5"),
+    (("seed",), str(2**64)),
+    (("strategy",), ""),
+    (("strategy",), None),
+    (("transcript", 0, "round"), "1"),
+    (("transcript", 0, "round"), 1.0),
+    (("transcript", 0, "round"), 0),
+    (("transcript", 0, "sender"), "X"),
+    (("transcript", 0, "sender"), ["L"]),
+    (("transcript", 0, "payload"), 3),
+    (("transcript", 0, "payload"), "é"),
+    (("transcript", 0, "payload"), "AAA"),
+]
+
+
+class TestRunRecordParsing:
+    def test_real_line_parses_and_round_trips(self):
+        rec = RunRecord.from_json_line(REAL_LINE)
+        assert rec.to_json_line() == REAL_LINE
+        assert len(rec.transcript) == 8
+
+    @given(st.integers(min_value=0, max_value=len(REAL_LINE) - 1))
+    def test_every_truncation_rejected(self, cut):
+        with pytest.raises(ValueError):
+            RunRecord.from_json_line(REAL_LINE[:cut])
+
+    @given(st.sampled_from(KEY_PATHS))
+    def test_every_key_deletion_rejected(self, path):
+        with pytest.raises(ValueError):
+            RunRecord.from_json_line(_with(path, delete=True))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        CORRUPT_VALUES,
+        ids=[f"{'.'.join(map(str, p))}={json.dumps(v)}" for p, v in CORRUPT_VALUES],
+    )
+    def test_corrupt_value_rejected(self, path, value):
+        with pytest.raises(ValueError):
+            RunRecord.from_json_line(_with(path, value))
+
+    @pytest.mark.parametrize("line", ["[]", "null", "7", '"x"', "{}", ""])
+    def test_non_record_json_rejected(self, line):
+        with pytest.raises(ValueError):
+            RunRecord.from_json_line(line)
+
 
 class TestTranscriptValidation:
     def test_accepts_well_formed(self):
@@ -179,23 +295,37 @@ class TestTranscriptValidation:
         for rnd in (1, 2):
             msgs.append(Message(Wing.LEFT, rnd, bytes(4)))
             msgs.append(Message(Wing.RIGHT, rnd, bytes(4)))
-        Transcript(tuple(msgs)).validate(rounds=2, payload_bytes=4)
+        validate_transcript(tuple(msgs), rounds=2, payload_bytes=4)
 
     def test_rejects_wrong_count(self):
-        t = Transcript((Message(Wing.LEFT, 1, bytes(4)),))
-        with pytest.raises(ValueError, match="expected 4 messages"):
-            t.validate(rounds=2, payload_bytes=4)
+        t = (Message(Wing.LEFT, 1, bytes(4)),)
+        with pytest.raises(ValueError, match="expected 4 messages, found 1"):
+            validate_transcript(t, rounds=2, payload_bytes=4)
 
     def test_rejects_wrong_alternation(self):
-        t = Transcript(
-            (Message(Wing.RIGHT, 1, bytes(4)), Message(Wing.LEFT, 1, bytes(4)))
-        )
-        with pytest.raises(ValueError, match="expected L round 1"):
-            t.validate(rounds=1, payload_bytes=4)
+        t = (Message(Wing.RIGHT, 1, bytes(4)), Message(Wing.LEFT, 1, bytes(4)))
+        with pytest.raises(ValueError, match="message 0: expected L round 1, found R round 1"):
+            validate_transcript(t, rounds=1, payload_bytes=4)
 
     def test_rejects_wrong_frame_size(self):
-        t = Transcript(
-            (Message(Wing.LEFT, 1, bytes(3)), Message(Wing.RIGHT, 1, bytes(4)))
-        )
-        with pytest.raises(ValueError, match="payload is 3 bytes"):
-            t.validate(rounds=1, payload_bytes=4)
+        t = (Message(Wing.LEFT, 1, bytes(3)), Message(Wing.RIGHT, 1, bytes(4)))
+        with pytest.raises(ValueError, match="message 0: payload is 3 bytes, expected 4"):
+            validate_transcript(t, rounds=1, payload_bytes=4)
+
+
+class TestPublicExports:
+    def test_every_export_resolves(self):
+        import bellgame
+
+        assert len(set(bellgame.__all__)) == len(bellgame.__all__)
+        for name in bellgame.__all__:
+            assert getattr(bellgame, name, None) is not None, name
+
+    @pytest.mark.parametrize(
+        "name", ["Transcript", "EMPTY_TRANSCRIPT", "adversarial_strategy_suite"]
+    )
+    def test_removed_names_stay_removed(self, name):
+        import bellgame
+
+        assert name not in bellgame.__all__
+        assert not hasattr(bellgame, name)

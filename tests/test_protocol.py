@@ -13,6 +13,7 @@ from bellgame.core import (
     Setting,
     SettingPair,
     Wing,
+    validate_transcript,
 )
 from bellgame.protocol import (
     ExperimentAborted,
@@ -84,7 +85,8 @@ class TestExecuteRun:
             cfg = RunConfig(rounds=rounds, payload_bytes=16)
             strat = negotiation_strategy(payload_bytes=16)
             rec = execute_run(cfg, strat, SettingPair(Setting.ONE, Setting.ONE), 5)
-            rec.transcript.validate(rounds, 16)
+            assert type(rec.transcript) is tuple
+            validate_transcript(rec.transcript, rounds, 16)
             assert len(rec.transcript) == 2 * rounds
 
     def test_schedule_independent_of_settings(self):
