@@ -12,9 +12,9 @@ from bellgame import ALL_SETTING_PAIRS, quantum_experiment, singlet_joint
 joint = singlet_joint()
 print("exact joint law (probability both wings flash the same color):\n")
 for pair in ALL_SETTING_PAIRS:
-    print(f"  settings {int(pair.left)},{int(pair.right)}: {joint.probability_same(pair)}")
+    print(f"  settings {int(pair.left)},{int(pair.right)}: {joint[pair]}")
 
-mix = sum(joint.probability_same(p) for p in ALL_SETTING_PAIRS) / 9
+mix = sum(joint[p] for p in ALL_SETTING_PAIRS) / 9
 print(f"\nuniform mixture over the nine pairs: {mix} (exactly one half)")
 
 n = 100_000

@@ -19,13 +19,11 @@ from .analysis import (
     check_feature_i,
     check_feature_ii,
     hoeffding_radius,
-    induced_instruction_set,
     prove_bound,
 )
 from .censor import (
     CensorViolation,
     Violation,
-    state_transition_guard,
     verify_transcript_invariance,
     vet_emission,
 )
@@ -49,11 +47,11 @@ from .protocol import (
     RunConfig,
     draw_settings,
     execute_run,
+    induced_instruction_set,
     run_experiment,
 )
 from .quantum import (
     QUANTUM_ORACLE_ID,
-    QuantumJoint,
     quantum_experiment,
     sample_quantum_run,
     singlet_joint,
@@ -84,7 +82,6 @@ __all__ = [
     "InstructionSet",
     "Message",
     "ProtocolError",
-    "QuantumJoint",
     "RunConfig",
     "RunRecord",
     "Setting",
@@ -111,7 +108,6 @@ __all__ = [
     "same_color_fraction",
     "sample_quantum_run",
     "singlet_joint",
-    "state_transition_guard",
     "validate_strategy",
     "validate_transcript",
     "verify_transcript_invariance",

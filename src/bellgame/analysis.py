@@ -17,7 +17,6 @@ from .core import (
     INSTRUCTION_SETS,
     SETTINGS,
     InstructionSet,
-    RunRecord,
     SettingPair,
     canonical_json,
     same_color_fraction,
@@ -28,13 +27,11 @@ __all__ = [
     "BoundReport",
     "FeatureIIResult",
     "GapReport",
-    "ReplayMismatchError",
     "hoeffding_radius",
     "prove_bound",
     "check_feature_i",
     "check_feature_ii",
     "bell_gap_report",
-    "induced_instruction_set",
     "stats_to_csv",
     "render_stats_text",
 ]
@@ -44,13 +41,12 @@ DEFAULT_FAILURE_PROBABILITY = 1e-6
 CLASSICAL_FLOOR = Fraction(5, 9)
 
 
-def hoeffding_radius(n: int, failure_probability: float = DEFAULT_FAILURE_PROBABILITY) -> float:
-    """Two-sided Hoeffding confidence half-width for a mean of n coin flips."""
+def hoeffding_radius(n: int) -> float:
+    """Two-sided Hoeffding confidence half-width for a mean of n coin flips,
+    at failure probability ``DEFAULT_FAILURE_PROBABILITY``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0 < failure_probability < 1:
-        raise ValueError("failure_probability must be in (0, 1)")
-    return math.sqrt(math.log(2.0 / failure_probability) / (2.0 * n))
+    return math.sqrt(math.log(2.0 / DEFAULT_FAILURE_PROBABILITY) / (2.0 * n))
 
 
 class ExperimentStats:
@@ -304,40 +300,6 @@ def bell_gap_report(
         disjoint=disjoint,
         sufficient_power=sufficient,
     )
-
-
-class ReplayMismatchError(RuntimeError):
-    """A recorded run did not reproduce under replay: a determinism defect."""
-
-
-def induced_instruction_set(strategy, record: RunRecord, config) -> tuple[InstructionSet, InstructionSet]:
-    """Replay a run and read off each wing's instruction set.
-
-    With the transcript fixed (valid because censored emissions cannot
-    depend on settings), each wing's flash is a function of its local
-    setting alone; evaluating it at all three settings yields that wing's
-    instruction set for the run.
-    """
-    if strategy.requires_censor_off:
-        raise ValueError(
-            "induced sets are only defined for censor-compliant strategies"
-        )
-    from .protocol import _play  # analysis stays import-light
-
-    replayed, (state_l, inbox_l), (state_r, inbox_r) = _play(
-        config, strategy, record.settings, record.seed, run_index=record.run_index
-    )
-    if replayed.transcript != record.transcript:
-        raise ReplayMismatchError(
-            f"run {record.run_index}: replayed transcript differs from record"
-        )
-    if replayed.colors != record.colors:
-        raise ReplayMismatchError(
-            f"run {record.run_index}: replayed colors differ from record"
-        )
-    left = InstructionSet(*(strategy.flash(state_l, inbox_l, s) for s in SETTINGS))
-    right = InstructionSet(*(strategy.flash(state_r, inbox_r, s) for s in SETTINGS))
-    return left, right
 
 
 def stats_to_csv(stats: ExperimentStats) -> str:

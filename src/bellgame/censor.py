@@ -5,11 +5,19 @@ about the emitting wing's setting. Enforcement is exact counterfactual
 replay: every emission is recomputed under all three settings with every
 other input byte-identical, and must come out byte-identical. The censor
 never alters payloads; it only passes or aborts.
+
+Threat model: strategies are untrusted code that does not inspect or patch
+the interpreter. In scope is all a strategy can do through its slot
+arguments, its return values and the Python objects it captures (closures,
+module globals, a state object both wings share). ``flash`` must be a pure
+function of ``(state, full_inbox, setting)``, but the referee does not
+enforce this yet: a Left ``flash`` can leave its setting in a captured object
+for Right's ``flash`` (the strict xfail ``TestFlashSideChannel`` in
+``tests/test_censor.py``). Slot shapes are checked by ``validate_strategy``.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 from .core import SETTINGS, Setting, SettingPair, Wing, canonical_json
@@ -18,7 +26,6 @@ __all__ = [
     "Violation",
     "CensorViolation",
     "vet_emission",
-    "state_transition_guard",
     "verify_transcript_invariance",
 ]
 
@@ -87,28 +94,6 @@ def vet_emission(strategy, wing: Wing, state, round: int, inbox, randomness_slic
     raise CensorViolation(
         Violation(wing, round, SETTINGS[ia], SETTINGS[ib], payloads[ia], payloads[ib])
     )
-
-
-def _positional_parameters(fn) -> list[str]:
-    kinds = (
-        inspect.Parameter.POSITIONAL_ONLY,
-        inspect.Parameter.POSITIONAL_OR_KEYWORD,
-    )
-    return [
-        p.name
-        for p in inspect.signature(fn).parameters.values()
-        if p.kind in kinds and p.default is inspect.Parameter.empty
-    ]
-
-def state_transition_guard(strategy) -> bool:
-    """True when the strategy's state transition cannot receive a setting.
-
-    The transition slot takes exactly (state, round, inbox); the setting is
-    supplied only to the vetted emit slot and to the final flash. This shape
-    is what makes per-emission vetting imply whole-transcript invariance.
-    """
-    params = _positional_parameters(strategy.transition)
-    return len(params) == 3 and "setting" not in params
 
 
 def verify_transcript_invariance(config, strategy, settings: SettingPair, seed: int, run_index: int = 0) -> bool:

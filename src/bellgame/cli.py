@@ -150,13 +150,15 @@ def _resolve_seed(args) -> int:
 
 @contextlib.contextmanager
 def _open_output(args):
-    path = args.output
-    if path is None:
-        path = os.environ.get(OUTPUT_ENV)
-    if path is None or path == "-":
+    path = args.output if args.output is not None else os.environ.get(OUTPUT_ENV) or "-"
+    if path == "-":
         yield sys.stdout
         return
-    with open(path, "w", newline="\n") as fh:
+    try:
+        fh = open(path, "w", newline="\n")
+    except OSError as exc:
+        _fail(EXIT_CONFIG, "config", detail=str(exc))
+    with fh:
         yield fh
 
 

@@ -12,7 +12,7 @@ import json
 from binascii import a2b_base64, b2a_base64
 from enum import Enum, IntEnum
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 __all__ = [
     "Setting",
@@ -106,17 +106,6 @@ class InstructionSet(NamedTuple):
                 f"instruction set label must be three R/G letters, got {label!r}"
             )
         return iset
-
-    def flipped(self) -> "InstructionSet":
-        """Swap R and G at every setting."""
-        return InstructionSet(self.s1.flip(), self.s2.flip(), self.s3.flip())
-
-    def permuted(self, perm: Sequence[Setting]) -> "InstructionSet":
-        """Relabel the settings: the new color at setting i is the old color
-        at ``perm[i-1]``. ``perm`` must be a permutation of the settings."""
-        if sorted(perm) != list(SETTINGS):
-            raise ValueError(f"not a permutation of the settings: {perm!r}")
-        return InstructionSet(*(self.color_for(s) for s in perm))
 
 
 _CANONICAL_LABELS = ("RRG", "RGR", "GRR", "GGR", "GRG", "RGG", "RRR", "GGG")

@@ -19,9 +19,9 @@ from .censor import CensorViolation, Violation, vet_emission
 from .core import (
     ALL_SETTING_PAIRS,
     SETTINGS,
+    InstructionSet,
     Message,
     RunRecord,
-    Setting,
     SettingPair,
     Wing,
     canonical_json,
@@ -37,9 +37,11 @@ __all__ = [
     "RunConfig",
     "ProtocolError",
     "ExperimentAborted",
+    "ReplayMismatchError",
     "draw_settings",
     "run_settings",
     "execute_run",
+    "induced_instruction_set",
     "run_experiment",
 ]
 
@@ -102,17 +104,15 @@ class ExperimentAborted(RuntimeError):
         )
 
 
-def _draw_setting(stream: ByteStream) -> Setting:
-    # rejection-free would bias 256 % 3; reject the single overflow byte
-    b = stream.u8()
-    while b == 255:
-        b = stream.u8()
-    return SETTINGS[b % 3]
-
-
 def draw_settings(stream: ByteStream) -> SettingPair:
-    """Independent uniform settings for the two wings."""
-    return SettingPair(_draw_setting(stream), _draw_setting(stream))
+    """Independent uniform settings for the two wings, one stream byte each;
+    a 255 is skipped, as 256 % 3 would bias the draw."""
+    drawn = []
+    while len(drawn) < 2:
+        b = stream.u8()
+        if b != 255:
+            drawn.append(SETTINGS[b % 3])
+    return SettingPair(*drawn)
 
 
 def run_settings(seed: int) -> SettingPair:
@@ -198,6 +198,36 @@ def execute_run(
     Raises CensorViolation if any emission depends on the local setting.
     """
     return _play(config, strategy, settings, seed, run_index)[0]
+
+
+class ReplayMismatchError(RuntimeError):
+    """A recorded run did not reproduce under replay: a determinism defect."""
+
+
+def induced_instruction_set(strategy, record: RunRecord, config: RunConfig) -> tuple[InstructionSet, InstructionSet]:
+    """Replay a run and read off each wing's instruction set.
+
+    With the transcript fixed (valid because censored emissions cannot
+    depend on settings), each wing's flash is a function of its local
+    setting alone; evaluating it at all three settings yields that wing's
+    instruction set for the run.
+    """
+    if strategy.requires_censor_off:
+        raise ValueError("induced sets are only defined for censor-compliant strategies")
+    replayed, (state_l, inbox_l), (state_r, inbox_r) = _play(
+        config, strategy, record.settings, record.seed, run_index=record.run_index
+    )
+    if replayed.transcript != record.transcript:
+        raise ReplayMismatchError(
+            f"run {record.run_index}: replayed transcript differs from record"
+        )
+    if replayed.colors != record.colors:
+        raise ReplayMismatchError(
+            f"run {record.run_index}: replayed colors differ from record"
+        )
+    left = InstructionSet(*(strategy.flash(state_l, inbox_l, s) for s in SETTINGS))
+    right = InstructionSet(*(strategy.flash(state_r, inbox_r, s) for s in SETTINGS))
+    return left, right
 
 
 def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_seed: int, sink) -> ExperimentStats:

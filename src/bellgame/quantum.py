@@ -9,7 +9,6 @@ against what censored classical strategies can do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Optional
 
@@ -20,7 +19,6 @@ from .randomness import ByteStream
 
 __all__ = [
     "QUANTUM_ORACLE_ID",
-    "QuantumJoint",
     "singlet_joint",
     "sample_quantum_run",
     "quantum_experiment",
@@ -29,28 +27,9 @@ __all__ = [
 QUANTUM_ORACLE_ID = "quantum-oracle"
 
 
-@dataclass(frozen=True)
-class QuantumJoint:
-    """Probability that both wings flash the same color, per setting pair."""
-
-    p_same: dict[SettingPair, Fraction]
-
-    def probability_same(self, pair: SettingPair) -> Fraction:
-        return self.p_same[pair]
-
-    def validate(self) -> None:
-        for pair, p in self.p_same.items():
-            if pair.left is pair.right and p != 1:
-                raise ValueError(f"equal settings must always agree, got {p}")
-            if self.p_same[SettingPair(pair.right, pair.left)] != p:
-                raise ValueError(f"p_same must be symmetric, differs at {pair}")
-        mixture = sum(self.p_same[pair] for pair in ALL_SETTING_PAIRS) / 9
-        if mixture != Fraction(1, 2):
-            raise ValueError(f"overall agreement must be exactly 1/2, got {mixture}")
-
-
-def singlet_joint() -> QuantumJoint:
-    """Agreement probabilities for the singlet geometry.
+def singlet_joint() -> dict[SettingPair, Fraction]:
+    """Probability that both wings flash the same color, per setting pair,
+    for the singlet geometry.
 
     The off-diagonal value 1/4 is forced by consistency: equal settings
     (probability 1/3) always agree and overall agreement is exactly 1/2,
@@ -61,9 +40,10 @@ def singlet_joint() -> QuantumJoint:
         pair: Fraction(1) if pair.left is pair.right else Fraction(1, 4)
         for pair in ALL_SETTING_PAIRS
     }
-    joint = QuantumJoint(p)
-    joint.validate()
-    return joint
+    mixture = sum(p.values()) / 9
+    if mixture != Fraction(1, 2):
+        raise ValueError(f"overall agreement must be exactly 1/2, got {mixture}")
+    return p
 
 
 def sample_quantum_run(settings: SettingPair, stream: ByteStream) -> tuple[Color, Color]:

@@ -10,14 +10,19 @@ A strategy is four deterministic slots behind one frozen interface:
 Only ``emit`` (vetted by the censor) and the final ``flash`` (deliberately
 not vetted) ever receive the setting; ``transition`` cannot, by shape. The
 ``run_index`` argument is the synchronized clock both wings share.
+
+Strategies are untrusted but do not inspect or patch the interpreter.
+``flash`` must be a pure function of ``(state, full_inbox, setting)``; the
+referee does not enforce this yet (the strict xfail ``TestFlashSideChannel``
+in ``tests/test_censor.py``; the threat model is in ``censor``).
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
-from .censor import _positional_parameters, state_transition_guard
 from .core import INSTRUCTION_SETS, Color, InstructionSet, Wing
 from .protocol import DEFAULT_PAYLOAD_BYTES
 
@@ -58,34 +63,35 @@ class StrategyError(Exception):
     """A strategy does not fit the slot interface."""
 
 
+# (slot, parameter count, index of the setting parameter or None, required shape)
+_SLOT_SHAPES = (
+    ("init", 4, None, "init must take (wing_id, shared_tape, private_tape, run_index)"),
+    ("transition", 3, None, "transition must take exactly (state, round, inbox), never a setting"),
+    ("emit", 5, 4, "emit must take (state, round, inbox, randomness_slice, setting)"),
+    ("flash", 3, 2, "flash must take (state, full_inbox, setting)"),
+)
+
+
 def validate_strategy(strategy: WingStrategy) -> None:
     """Reject malformed strategies at registration time.
 
-    The decisive check is the transition shape: a strategy that tried to
-    store its setting in public state simply has nowhere to receive it.
+    The decisive check is the transition shape, exactly (state, round,
+    inbox): a strategy that tried to store its setting in public state has
+    nowhere to receive it. This shape is what makes per-emission vetting
+    imply whole-transcript invariance.
     """
     sid = strategy.strategy_id
     if not sid:
         raise StrategyError("strategy id must be non-empty")
-    init_params = _positional_parameters(strategy.init)
-    if len(init_params) != 4 or "setting" in init_params:
-        raise StrategyError(
-            f"{sid}: init must take (wing_id, shared_tape, private_tape, run_index)"
-        )
-    if not state_transition_guard(strategy):
-        raise StrategyError(
-            f"{sid}: transition must take exactly (state, round, inbox), never a setting"
-        )
-    emit_params = _positional_parameters(strategy.emit)
-    if len(emit_params) != 5 or emit_params[-1] != "setting":
-        raise StrategyError(
-            f"{sid}: emit must take (state, round, inbox, randomness_slice, setting)"
-        )
-    flash_params = _positional_parameters(strategy.flash)
-    if len(flash_params) != 3 or flash_params[-1] != "setting":
-        raise StrategyError(
-            f"{sid}: flash must take (state, full_inbox, setting)"
-        )
+    for slot, arity, setting_at, shape in _SLOT_SHAPES:
+        params = [
+            p.name
+            for p in inspect.signature(getattr(strategy, slot)).parameters.values()
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) and p.default is p.empty
+        ]
+        found_at = params.index("setting") if "setting" in params else None
+        if len(params) != arity or found_at != setting_at:
+            raise StrategyError(f"{sid}: {shape}")
 
 
 # Reading an Enum member off its class costs a metaclass lookup; the slots

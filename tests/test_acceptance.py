@@ -14,7 +14,6 @@ import pytest
 from bellgame.analysis import (
     bell_gap_report,
     hoeffding_radius,
-    induced_instruction_set,
     prove_bound,
     same_color_fraction,
 )
@@ -25,6 +24,7 @@ from bellgame.protocol import (
     RunConfig,
     draw_settings,
     execute_run,
+    induced_instruction_set,
     run_experiment,
 )
 from bellgame.quantum import quantum_experiment

@@ -10,12 +10,10 @@ from hypothesis import given, strategies as st
 from bellgame.analysis import (
     DEFAULT_FAILURE_PROBABILITY,
     ExperimentStats,
-    ReplayMismatchError,
     bell_gap_report,
     check_feature_i,
     check_feature_ii,
     hoeffding_radius,
-    induced_instruction_set,
     prove_bound,
     render_stats_text,
     stats_to_csv,
@@ -30,7 +28,7 @@ from bellgame.core import (
     SettingPair,
     Wing,
 )
-from bellgame.protocol import RunConfig, execute_run
+from bellgame.protocol import ReplayMismatchError, RunConfig, execute_run, induced_instruction_set
 from bellgame.strategies import fixed_instruction_strategy, negotiation_strategy
 
 CFG = RunConfig()
@@ -112,21 +110,18 @@ class TestProveBound:
 class TestHoeffdingRadius:
     def test_reference_value(self):
         # sqrt(ln(2/1e-6) / (2 * 100000))
-        assert hoeffding_radius(100_000, 1e-6) == pytest.approx(0.0085172, abs=1e-6)
+        assert hoeffding_radius(100_000) == pytest.approx(0.0085172, abs=1e-6)
 
     def test_formula(self):
-        n, fp = 12345, 1e-4
-        assert hoeffding_radius(n, fp) == pytest.approx(
-            math.sqrt(math.log(2 / fp) / (2 * n))
+        n = 12345
+        assert hoeffding_radius(n) == pytest.approx(
+            math.sqrt(math.log(2 / DEFAULT_FAILURE_PROBABILITY) / (2 * n))
         )
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            hoeffding_radius(0)
-        with pytest.raises(ValueError):
-            hoeffding_radius(10, 0.0)
-        with pytest.raises(ValueError):
-            hoeffding_radius(10, 1.5)
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                hoeffding_radius(n)
 
 
 class TestFeatureI:
@@ -317,6 +312,6 @@ class TestRenderers:
     def test_uses_stated_default_failure_probability(self):
         assert DEFAULT_FAILURE_PROBABILITY == 1e-6
         stats = _uniform_stats(0.5, 100)
-        assert check_feature_ii(stats).tolerance == hoeffding_radius(900, 1e-6)
+        assert check_feature_ii(stats).tolerance == math.sqrt(math.log(2 / 1e-6) / (2 * 900))
         report = bell_gap_report(stats, _uniform_stats(0.25, 10))
-        assert report.quantum_radius == hoeffding_radius(90, 1e-6)
+        assert report.quantum_radius == math.sqrt(math.log(2 / 1e-6) / (2 * 90))

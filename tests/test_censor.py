@@ -5,14 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from bellgame.censor import (
-    CensorViolation,
-    state_transition_guard,
-    verify_transcript_invariance,
-    vet_emission,
-)
+from bellgame.censor import CensorViolation, verify_transcript_invariance, vet_emission
 from bellgame.core import INSTRUCTION_SETS, Color, Setting, SettingPair, Wing
-from bellgame.protocol import RunConfig, execute_run
+from bellgame.protocol import ExperimentAborted, RunConfig, execute_run, run_experiment
 from bellgame.strategies import (
     StrategyError,
     WingStrategy,
@@ -100,7 +95,7 @@ class TestVetEmission:
 class TestTransitionGuard:
     def test_all_registered_strategies_pass(self):
         for strategy in build_registry().values():
-            assert state_transition_guard(strategy)
+            validate_strategy(strategy)
 
     def test_transition_with_setting_parameter_rejected(self):
         def init(wing_id, shared_tape, private_tape, run_index):
@@ -116,7 +111,6 @@ class TestTransitionGuard:
             return Color.R
 
         smuggler = WingStrategy("smuggler", init, transition, emit, flash)
-        assert not state_transition_guard(smuggler)
         with pytest.raises(StrategyError, match="never a setting"):
             validate_strategy(smuggler)
 
@@ -135,6 +129,47 @@ class TestTransitionGuard:
 
         with pytest.raises(StrategyError, match="emit must take"):
             validate_strategy(WingStrategy("short-emit", init, transition, emit, flash))
+
+
+def _stash_strategy():
+    """Every frame is filler, so the censor sees nothing; Left's ``flash``
+    leaves its setting in a dict that Right's ``flash`` reads, and the
+    flashes are then cheat's."""
+    filler = bytes(CFG.payload_bytes)
+    stash = {}
+
+    def init(wing_id, shared_tape, private_tape, run_index):
+        return (wing_id, shared_tape[0], shared_tape[1])
+
+    def transition(state, round, inbox):
+        return state
+
+    def emit(state, round, inbox, randomness_slice, setting):
+        return filler
+
+    def flash(state, full_inbox, setting):
+        wing_id, color_byte, same_byte = state
+        left_color = Color.R if color_byte & 1 == 0 else Color.G
+        if wing_id is Wing.LEFT:
+            stash["left"] = setting
+            return left_color
+        same = setting is stash["left"] or same_byte < 64
+        return left_color if same else left_color.flip()
+
+    return WingStrategy("stash", init, transition, emit, flash)
+
+
+class TestFlashSideChannel:
+    # only "DID NOT RAISE" counts as the expected failure, so a stash that
+    # stopped fitting the slot interface would fail this test outright
+    @pytest.mark.xfail(strict=True, reason="ROADMAP known defect 1", raises=pytest.fail.Exception)
+    def test_stash_run_aborts(self):
+        stash = _stash_strategy()
+        validate_strategy(stash)
+        # today the run completes with no violation, satisfies feature (i)
+        # and lands at 497/1000, below the 5/9 floor
+        with pytest.raises(ExperimentAborted):
+            run_experiment(RunConfig(), stash, 2000, 2024)
 
 
 class TestLeakTiming:

@@ -174,6 +174,19 @@ class TestRunCommand:
         assert out == ""
         assert json.loads(err) == {"error": "config", "detail": detail}
 
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unwritable_output_is_a_config_error(self, capsys, tmp_path, where):
+        target = tmp_path / "missing" / "x.txt" if where == "missing-directory" else tmp_path
+        code, out, err = run_cli(
+            capsys, "run", "--strategy", "fixed-RRR", "--n", "5", "--output", str(target)
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.count("\n") == 1
+        diag = json.loads(err)
+        assert diag["error"] == "config"
+        assert str(target) in diag["detail"]
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         out_a = tmp_path / "a.jsonl"
         out_b = tmp_path / "b.jsonl"
@@ -304,6 +317,13 @@ class TestEnvironmentOverrides:
         assert code == EXIT_OK
         assert out == ""
         assert "minimum: 5/9" in target.read_text()
+
+    def test_empty_output_env_means_stdout(self, capsys, monkeypatch):
+        monkeypatch.setenv("BELLGAME_OUTPUT", "")
+        code, out, err = run_cli(capsys, "prove-bound")
+        assert code == EXIT_OK
+        assert "minimum: 5/9" in out
+        assert err == ""
 
 
 @pytest.mark.parametrize(

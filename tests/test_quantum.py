@@ -20,30 +20,28 @@ class TestJointLaw:
     def test_diagonal_is_one(self):
         joint = singlet_joint()
         for s in SETTINGS:
-            assert joint.probability_same(SettingPair(s, s)) == 1
+            assert joint[SettingPair(s, s)] == 1
 
     def test_off_diagonal_is_quarter(self):
         joint = singlet_joint()
-        assert joint.probability_same(SettingPair(Setting.ONE, Setting.THREE)) == Fraction(1, 4)
-        assert joint.probability_same(SettingPair(Setting.TWO, Setting.ONE)) == Fraction(1, 4)
+        assert joint[SettingPair(Setting.ONE, Setting.THREE)] == Fraction(1, 4)
+        assert joint[SettingPair(Setting.TWO, Setting.ONE)] == Fraction(1, 4)
 
     def test_quarter_forced_by_consistency(self):
         # the off-diagonal value is pinned by: equal settings (prob 1/3)
         # always agree, overall agreement is exactly 1/2
-        p = singlet_joint().probability_same(SettingPair(Setting.ONE, Setting.TWO))
+        p = singlet_joint()[SettingPair(Setting.ONE, Setting.TWO)]
         assert Fraction(1, 3) * 1 + Fraction(2, 3) * p == Fraction(1, 2)
 
     def test_uniform_mixture_is_half(self):
         joint = singlet_joint()
-        total = sum(joint.probability_same(pair) for pair in ALL_SETTING_PAIRS)
+        total = sum(joint[pair] for pair in ALL_SETTING_PAIRS)
         assert total / 9 == Fraction(1, 2)
 
     def test_symmetric(self):
         joint = singlet_joint()
         for pair in ALL_SETTING_PAIRS:
-            assert joint.probability_same(pair) == joint.probability_same(
-                SettingPair(pair.right, pair.left)
-            )
+            assert joint[pair] == joint[SettingPair(pair.right, pair.left)]
 
     def test_sits_strictly_below_every_instruction_set(self):
         # the whole point: 1/2 is under the best any instruction set can do

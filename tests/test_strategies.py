@@ -2,7 +2,6 @@
 
 import pytest
 
-from bellgame.analysis import induced_instruction_set
 from bellgame.censor import CensorViolation
 from bellgame.core import (
     INSTRUCTION_SETS,
@@ -11,7 +10,13 @@ from bellgame.core import (
     Setting,
     SettingPair,
 )
-from bellgame.protocol import RunConfig, draw_settings, execute_run, run_experiment
+from bellgame.protocol import (
+    RunConfig,
+    draw_settings,
+    execute_run,
+    induced_instruction_set,
+    run_experiment,
+)
 from bellgame.randomness import ByteStream, derive_run_seed
 from bellgame.strategies import (
     StrategyError,
