@@ -279,10 +279,10 @@ def _cmd_prove_bound(args) -> int:
 def _cmd_gap(args) -> int:
     seed = _resolve_seed(args)
     config = _config_from(args)
-    classical = _run_source(args, config, build_registry(config.payload_bytes), seed)
-    quantum = quantum_experiment(args.n, seed, config=config)
-    report = bell_gap_report(classical, quantum)
     with _open_output(args) as out:
+        classical = _run_source(args, config, build_registry(config.payload_bytes), seed)
+        quantum = quantum_experiment(args.n, seed, config=config)
+        report = bell_gap_report(classical, quantum)
         if args.format == "jsonl":
             out.write(report.to_json() + "\n")
         else:

@@ -137,13 +137,21 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
     rounds = config.rounds
     payload_bytes = config.payload_bytes
     left, right = _LEFT, _RIGHT
-    shared = stream_bytes(seed, b"tape/shared", config.shared_tape_bytes)
-    # round r's randomness slice is bytes 16(r-1) to 16r of its wing's stream
-    rand_l = stream_bytes(seed, b"slices/L", rounds * RANDOMNESS_SLICE_BYTES)
-    rand_r = stream_bytes(seed, b"slices/R", rounds * RANDOMNESS_SLICE_BYTES)
+    # only the streams the strategy declares are computed; the others are b""
+    reads = strategy.reads
+    shared = private_l = private_r = rand_l = rand_r = b""
+    if "shared" in reads:
+        shared = stream_bytes(seed, b"tape/shared", config.shared_tape_bytes)
+    if "private" in reads:
+        private_l = stream_bytes(seed, b"tape/private/L", PRIVATE_TAPE_BYTES)
+        private_r = stream_bytes(seed, b"tape/private/R", PRIVATE_TAPE_BYTES)
+    if "slices" in reads:
+        # round r's randomness slice is bytes 16(r-1) to 16r of its wing's stream
+        rand_l = stream_bytes(seed, b"slices/L", rounds * RANDOMNESS_SLICE_BYTES)
+        rand_r = stream_bytes(seed, b"slices/R", rounds * RANDOMNESS_SLICE_BYTES)
 
-    state_l = strategy.init(left, shared, stream_bytes(seed, b"tape/private/L", PRIVATE_TAPE_BYTES), run_index)
-    state_r = strategy.init(right, shared, stream_bytes(seed, b"tape/private/R", PRIVATE_TAPE_BYTES), run_index)
+    state_l = strategy.init(left, shared, private_l, run_index)
+    state_r = strategy.init(right, shared, private_r, run_index)
 
     if config.censor_enabled:
         emit = vet_emission  # the module name, looked up once per run

@@ -11,6 +11,13 @@ Only ``emit`` (vetted by the censor) and the final ``flash`` (deliberately
 not vetted) ever receive the setting; ``transition`` cannot, by shape. The
 ``run_index`` argument is the synchronized clock both wings share.
 
+``reads`` names the randomness a strategy uses: ``"shared"`` (the shared
+tape), ``"private"`` (each wing's private tape) and ``"slices"`` (the
+per-round randomness slices); the default is all three. The referee computes
+only the declared streams and passes ``b""`` for the others, so a
+declaration that is too narrow changes what the strategy sees, never what
+the censor checks: randomness never carries a setting.
+
 Strategies are untrusted but do not inspect or patch the interpreter.
 ``flash`` must be a pure function of ``(state, full_inbox, setting)``; the
 referee does not enforce this yet (the strict xfail ``TestFlashSideChannel``
@@ -41,6 +48,10 @@ __all__ = [
 ]
 
 
+# The randomness streams a strategy may declare in ``reads``.
+_READABLE = ("shared", "private", "slices")
+
+
 @dataclass(frozen=True)
 class WingStrategy:
     """Behavioral slots plus metadata. Instances are immutable; per-run
@@ -57,6 +68,7 @@ class WingStrategy:
     flash: Callable
     requires_censor_off: bool = False
     agreement_based: bool = False
+    reads: tuple[str, ...] = _READABLE
 
 
 class StrategyError(Exception):
@@ -83,6 +95,9 @@ def validate_strategy(strategy: WingStrategy) -> None:
     sid = strategy.strategy_id
     if not sid:
         raise StrategyError("strategy id must be non-empty")
+    for name in strategy.reads:
+        if name not in _READABLE:
+            raise StrategyError(f"{sid}: reads names {name!r}, not one of {', '.join(_READABLE)}")
     for slot, arity, setting_at, shape in _SLOT_SHAPES:
         params = [
             p.name
@@ -154,7 +169,7 @@ def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
         return state[1].color_for(setting)
 
     return WingStrategy(
-        "negotiation", init, transition, emit, flash, agreement_based=True
+        "negotiation", init, transition, emit, flash, agreement_based=True, reads=("shared",)
     )
 
 
@@ -171,7 +186,7 @@ def fixed_instruction_strategy(
         return filler
 
     return WingStrategy(
-        f"fixed-{iset.label}", init, _keep_state, emit, _agreed_flash, agreement_based=True
+        f"fixed-{iset.label}", init, _keep_state, emit, _agreed_flash, agreement_based=True, reads=()
     )
 
 
@@ -207,7 +222,7 @@ def cheat_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrategy:
         return left_color if same else left_color.flip()
 
     return WingStrategy(
-        "cheat", init, _keep_state, emit, flash, requires_censor_off=True
+        "cheat", init, _keep_state, emit, flash, requires_censor_off=True, reads=("shared",)
     )
 
 
@@ -226,7 +241,7 @@ def clock_keyed_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
         return filler
 
     return WingStrategy(
-        "clock-keyed", init, _keep_state, emit, _agreed_flash, agreement_based=True
+        "clock-keyed", init, _keep_state, emit, _agreed_flash, agreement_based=True, reads=()
     )
 
 
@@ -273,7 +288,7 @@ def tape_mixing_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
         return state[3].color_for(setting)
 
     return WingStrategy(
-        "tape-mixing", init, transition, emit, flash, agreement_based=True
+        "tape-mixing", init, transition, emit, flash, agreement_based=True, reads=("shared",)
     )
 
 
@@ -295,7 +310,8 @@ def max_randomness_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingS
         return (randomness_slice * reps)[: payload_bytes - 1] + bytes([round & 0xFF])
 
     return WingStrategy(
-        "max-random", init, _keep_state, emit, _agreed_flash, agreement_based=True
+        "max-random", init, _keep_state, emit, _agreed_flash, agreement_based=True,
+        reads=("shared", "slices"),
     )
 
 
@@ -329,7 +345,7 @@ def near_leak_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrate
     def flash(state, full_inbox, setting):
         return state[1]
 
-    return WingStrategy("near-leak", init, _keep_state, emit, flash)
+    return WingStrategy("near-leak", init, _keep_state, emit, flash, reads=("private", "slices"))
 
 
 def build_registry(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> dict[str, WingStrategy]:

@@ -1,11 +1,14 @@
 """Command-line behavior: exit codes, formats, determinism, diagnostics."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from bellgame import cli
 from bellgame.cli import (
     EXIT_CONFIG,
     EXIT_DEFECT,
@@ -226,6 +229,21 @@ class TestGapCommand:
         assert code == EXIT_CONFIG
         assert json.loads(err)["error"] == "config"
 
+    def test_unwritable_output_fails_before_any_run(self, capsys, tmp_path, monkeypatch):
+        def no_experiment(*args, **kwargs):
+            pytest.fail("gap ran an experiment before opening --output")
+
+        monkeypatch.setattr(cli, "run_experiment", no_experiment)
+        monkeypatch.setattr(cli, "quantum_experiment", no_experiment)
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run_cli(capsys, "gap", "--output", str(target))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.count("\n") == 1
+        diag = json.loads(err)
+        assert diag["error"] == "config"
+        assert str(target) in diag["detail"]
+
     def test_cheat_classical_side_violates(self, capsys):
         code, _, err = run_cli(capsys, "gap", "--strategy", "cheat", "--n", "10")
         assert code == EXIT_VIOLATION
@@ -351,10 +369,15 @@ class TestUsageErrors:
 
 
 def test_module_entry_point():
+    # the child interpreter does not see pytest's pythonpath setting
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bellgame", "list-strategies"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "negotiation" in proc.stdout

@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from bellgame import protocol
 from bellgame.core import (
     ALL_SETTING_PAIRS,
     Color,
@@ -180,6 +181,51 @@ class TestIsolation:
         execute_run(CFG, probe, SettingPair(Setting.THREE, Setting.ONE), 1234)
         assert captured[Wing.LEFT][0] == captured[Wing.RIGHT][0]
         assert captured[Wing.LEFT][1] != captured[Wing.RIGHT][1]
+
+    def test_undeclared_randomness_is_empty(self):
+        captured = {}
+
+        def init(wing_id, shared_tape, private_tape, run_index):
+            captured[wing_id] = [shared_tape, private_tape]
+            return wing_id
+
+        def emit(state, round, inbox, randomness_slice, setting):
+            captured[state].append(randomness_slice)
+            return bytes(32)
+
+        def flash(state, full_inbox, setting):
+            return Color.G
+
+        probe = WingStrategy("probe", init, lambda state, round, inbox: state, emit, flash, reads=("shared",))
+        execute_run(CFG, probe, SettingPair(Setting.TWO, Setting.THREE), 99)
+        for wing in Wing:
+            shared, private, *slices = captured[wing]
+            assert len(shared) == CFG.shared_tape_bytes
+            assert private == b""
+            assert len(slices) == 3 * CFG.rounds  # the censor emits under every setting
+            assert set(slices) == {b""}
+
+
+class TestStreamsDrawn:
+    """The referee computes only the streams a strategy declares."""
+
+    def _labels(self, monkeypatch, strategy):
+        labels = []
+        real = protocol.stream_bytes
+
+        def recording(seed, label, n):
+            labels.append(label)
+            return real(seed, label, n)
+
+        monkeypatch.setattr(protocol, "stream_bytes", recording)
+        run_experiment(CFG, strategy, 1, 5)
+        return set(labels)
+
+    def test_fixed_draws_settings_only(self, monkeypatch):
+        assert self._labels(monkeypatch, RRR) == {b"settings"}
+
+    def test_negotiation_draws_settings_and_shared_tape(self, monkeypatch):
+        assert self._labels(monkeypatch, negotiation_strategy()) == {b"settings", b"tape/shared"}
 
 
 class TestRunExperiment:

@@ -1,5 +1,9 @@
 """Behavior of every shipped strategy."""
 
+import dataclasses
+import hashlib
+import io
+
 import pytest
 
 from bellgame.censor import CensorViolation
@@ -80,6 +84,47 @@ class TestRegistry:
         )
         with pytest.raises(StrategyError):
             validate_strategy(broken)
+
+    def test_rejects_unknown_read(self):
+        broken = dataclasses.replace(negotiation_strategy(), reads=("slice",))
+        with pytest.raises(StrategyError, match="'slice'"):
+            validate_strategy(broken)
+
+
+ALL_READS = ("shared", "private", "slices")
+LONG_EXCHANGE = RunConfig(rounds=32, payload_bytes=256, shared_tape_bytes=256)
+
+
+def _jsonl_sha256(config, strategy, n, master_seed):
+    sink = io.StringIO()
+    run_experiment(config, strategy, n, master_seed, sink=sink)
+    return hashlib.sha256(sink.getvalue().encode()).hexdigest()
+
+
+class TestReadsDeclarations:
+    """Each shipped ``reads`` is exact: computing every stream instead gives
+    the same record stream, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "config, payload_bytes",
+        [(CFG, CFG.payload_bytes), (LONG_EXCHANGE, 256)],
+        ids=["default", "long-exchange"],
+    )
+    @pytest.mark.parametrize("sid", list(build_registry()))
+    def test_declaration_changes_no_byte(self, config, payload_bytes, sid):
+        strategy = build_registry(payload_bytes)[sid]
+        if strategy.requires_censor_off:
+            config = dataclasses.replace(config, censor_enabled=False)
+        reads_all = dataclasses.replace(strategy, reads=ALL_READS)
+        assert _jsonl_sha256(config, strategy, 50, 8) == _jsonl_sha256(config, reads_all, 50, 8)
+
+    def test_declared_reads(self):
+        reads = {sid: s.reads for sid, s in build_registry().items()}
+        assert reads.pop("max-random") == ("shared", "slices")
+        assert reads.pop("near-leak") == ("private", "slices")
+        for sid in ("negotiation", "tape-mixing", "cheat"):
+            assert reads.pop(sid) == ("shared",), sid
+        assert set(reads.values()) == {()}  # the fixed sets and clock-keyed
 
 
 class TestNegotiation:
