@@ -23,9 +23,10 @@ settings = SettingPair(Setting.ONE, Setting.THREE)
 record = execute_run(config, strategy, settings, seed=90125)
 
 print(f"one run with settings {tuple(int(s) for s in record.settings)}:\n")
-for msg in record.transcript:
-    head = msg.payload[:6].hex()
-    print(f"  round {msg.round}, wing {msg.sender.value}: {head}... ({len(msg.payload)} bytes)")
+# payload i was sent by Left when i is even, in round i // 2 + 1
+for i, payload in enumerate(record.transcript):
+    wing = "R" if i % 2 else "L"
+    print(f"  round {i // 2 + 1}, wing {wing}: {payload[:6].hex()}... ({len(payload)} bytes)")
 
 left_set, right_set = induced_instruction_set(strategy, record, config)
 print(f"\nboth wings settled on: {left_set.label} (left) / {right_set.label} (right)")

@@ -33,7 +33,6 @@ from .core import (
     SETTINGS,
     Color,
     InstructionSet,
-    Message,
     RunRecord,
     Setting,
     SettingPair,
@@ -80,7 +79,6 @@ __all__ = [
     "ExperimentStats",
     "GapReport",
     "InstructionSet",
-    "Message",
     "ProtocolError",
     "RunConfig",
     "RunRecord",

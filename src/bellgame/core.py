@@ -1,6 +1,6 @@
 """Domain vocabulary for the two-wing flash game.
 
-Settings, colors, instruction sets, setting pairs, message transcripts and
+Settings, colors, instruction sets, setting pairs, transcripts and
 replayable run records. All probabilities that matter here are exact
 rationals (``fractions.Fraction``); the 5/9 floor is a theorem check, not a
 float comparison.
@@ -23,7 +23,6 @@ __all__ = [
     "INSTRUCTION_SETS",
     "SettingPair",
     "ALL_SETTING_PAIRS",
-    "Message",
     "RunRecord",
     "validate_transcript",
     "same_color_fraction",
@@ -124,34 +123,15 @@ def same_color_fraction(iset: InstructionSet) -> Fraction:
     return Fraction(matches, 9)
 
 
-class Message(NamedTuple):
-    """One fixed-size frame sent by a wing in a given round."""
-
-    sender: Wing
-    round: int
-    payload: bytes
-
-
-def validate_transcript(transcript: tuple[Message, ...], rounds: int, payload_bytes: int) -> None:
-    """Check the frame discipline: 2*rounds messages, alternating
-    Left/Right within each round, every payload exactly payload_bytes."""
+def validate_transcript(transcript: tuple[bytes, ...], rounds: int, payload_bytes: int) -> None:
+    """Check the frame discipline: 2*rounds payloads, every one exactly
+    payload_bytes. Sender and round are fixed by position, so a tuple of
+    payloads cannot be out of order."""
     if len(transcript) != 2 * rounds:
-        raise ValueError(
-            f"expected {2 * rounds} messages, found {len(transcript)}"
-        )
-    for i, msg in enumerate(transcript):
-        want_round = i // 2 + 1
-        want_sender = Wing.LEFT if i % 2 == 0 else Wing.RIGHT
-        if msg.round != want_round or msg.sender is not want_sender:
-            raise ValueError(
-                f"message {i}: expected {want_sender.value} round {want_round}, "
-                f"found {msg.sender.value} round {msg.round}"
-            )
-        if len(msg.payload) != payload_bytes:
-            raise ValueError(
-                f"message {i}: payload is {len(msg.payload)} bytes, "
-                f"expected {payload_bytes}"
-            )
+        raise ValueError(f"expected {2 * rounds} messages, found {len(transcript)}")
+    for i, payload in enumerate(transcript):
+        if len(payload) != payload_bytes:
+            raise ValueError(f"message {i}: payload is {len(payload)} bytes, expected {payload_bytes}")
 
 
 def _wire_int(value, low: int, high: float = float("inf")) -> int:
@@ -166,18 +146,30 @@ class RunRecord(NamedTuple):
 
     The record carries its own seed, so any run can be replayed in isolation:
     the same (strategy, settings, seed) reproduces colors and transcript
-    byte for byte.
+    byte for byte. ``transcript`` is the tuple of payloads in the order sent:
+    payload ``i`` was sent by Left when ``i`` is even, in round ``i // 2 + 1``.
     """
 
     run_index: int
     settings: SettingPair
     colors: tuple[Color, Color]
-    transcript: tuple[Message, ...]
+    transcript: tuple[bytes, ...]
     seed: int
     strategy_id: str
 
     def to_json_line(self) -> str:
-        """One JSON object, stable key order, no whitespace."""
+        """One JSON object, stable key order, no whitespace. Each transcript
+        entry names the sender and round its position fixes."""
+        transcript = self.transcript
+        if len(transcript) % 2:
+            raise ValueError(f"a transcript holds whole rounds, got {len(transcript)} payloads")
+        frames = []
+        pairs = iter(transcript)
+        for rnd, (payload_l, payload_r) in enumerate(zip(pairs, pairs), 1):
+            frames += (
+                {"sender": "L", "round": rnd, "payload": b2a_base64(payload_l, newline=False).decode("ascii")},
+                {"sender": "R", "round": rnd, "payload": b2a_base64(payload_r, newline=False).decode("ascii")},
+            )
         # _value_ is what the .value property returns, without its lookup
         left, right = self.colors
         return canonical_json(
@@ -187,51 +179,48 @@ class RunRecord(NamedTuple):
                 "colors": left._value_ + right._value_,
                 "seed": str(self.seed),
                 "strategy": self.strategy_id,
-                "transcript": [
-                    {
-                        "sender": sender._value_,
-                        "round": rnd,
-                        "payload": b2a_base64(payload, newline=False).decode("ascii"),
-                    }
-                    for sender, rnd, payload in self.transcript
-                ],
+                "transcript": frames,
             }
         )
 
     @classmethod
     def from_json_line(cls, line: str) -> "RunRecord":
         """Parse one line written by ``to_json_line``. A malformed line (not
-        JSON, a missing key, or a value of the wrong type, length or range)
-        raises ValueError."""
+        JSON, a missing key, a value of the wrong type, length or range, a
+        transcript entry out of place, or a payload or seed not written the
+        one way ``to_json_line`` writes it) raises ValueError."""
         obj = json.loads(line)
         try:
             (left, right), colors, seed = obj["settings"], obj["colors"], obj["seed"]
-            strategy_id, messages = obj["strategy"], obj["transcript"]
-            if type(messages) is not list:
-                raise ValueError(f"transcript must be a list, got {messages!r}")
-            transcript = tuple(
-                Message(
-                    Wing(m["sender"]),
-                    _wire_int(m["round"], 1),
-                    a2b_base64(m["payload"]),
-                )
-                for m in messages
-            )
+            strategy_id, entries = obj["strategy"], obj["transcript"]
+            if type(entries) is not list or len(entries) % 2:
+                raise ValueError(f"transcript must be a list of whole rounds, got {entries!r:.80}")
+            payloads = []
+            for i, entry in enumerate(entries):
+                sender, rnd, text = entry["sender"], entry["round"], entry["payload"]
+                if sender != ("R" if i & 1 else "L") or type(rnd) is not int or rnd != i // 2 + 1:
+                    raise ValueError(
+                        f"transcript entry {i} must be sent by {'R' if i & 1 else 'L'} "
+                        f"in round {i // 2 + 1}, got {sender!r} in round {rnd!r}"
+                    )
+                raw = a2b_base64(text)
+                if b2a_base64(raw, newline=False).decode("ascii") != text:
+                    raise ValueError(f"transcript entry {i}: payload is not canonical base64: {text!r}")
+                payloads.append(raw)
             run_index = _wire_int(obj["run"], 0)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed run record: {exc!r}") from None
         if type(colors) is not str or len(colors) != 2:
             raise ValueError(f"colors must be two R/G letters, got {colors!r}")
-        if type(seed) is not str or not (seed.isascii() and seed.isdigit()) or int(seed) >> 64:
-            raise ValueError(f"seed must be a 64-bit decimal string, got {seed!r}")
+        if type(seed) is not str or not seed.isdigit() or str(int(seed)) != seed or int(seed) >> 64:
+            raise ValueError(f"seed must be a 64-bit decimal string without leading zeros, got {seed!r}")
         if type(strategy_id) is not str or not strategy_id:
             raise ValueError(f"strategy must be a non-empty string, got {strategy_id!r}")
         return cls(
             run_index,
             SettingPair(SETTINGS[_wire_int(left, 1, 3) - 1], SETTINGS[_wire_int(right, 1, 3) - 1]),
             (Color(colors[0]), Color(colors[1])),
-            transcript,
+            tuple(payloads),
             int(seed),
             strategy_id,
         )
-

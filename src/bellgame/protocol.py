@@ -1,7 +1,7 @@
 """The referee: setting assignment, phased message exchange, flash collection.
 
 A run is strictly sequential: T rounds of (Left emits, Right emits, both
-delivered at round end), then one flash per wing. Message frames have a
+delivered at round end), then one flash per wing. Frames have a
 fixed size every round in both directions, so neither length, count, nor
 timing can carry setting information. Everything is a pure function of
 (config, strategy, settings, seed), which is what makes counterfactual
@@ -20,7 +20,6 @@ from .core import (
     ALL_SETTING_PAIRS,
     SETTINGS,
     InstructionSet,
-    Message,
     RunRecord,
     SettingPair,
     Wing,
@@ -55,9 +54,6 @@ DEFAULT_SHARED_TAPE_BYTES = 64
 PRIVATE_TAPE_BYTES = 64
 RANDOMNESS_SLICE_BYTES = 16
 
-# A Message from its field tuple in one C call: the frames of the referee
-# loop skip the keyword-capable constructor NamedTuple generates.
-_new_message = tuple.__new__
 _LEFT, _RIGHT = Wing.LEFT, Wing.RIGHT
 
 
@@ -163,11 +159,9 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
 
     transition = strategy.transition
     setting_l, setting_r = settings
-    inbox_l: tuple[Message, ...] = ()
-    inbox_r: tuple[Message, ...] = ()
-    got_l: list[Message] = []
-    got_r: list[Message] = []
-    messages: list[Message] = []
+    # every payload in the order sent, and each wing's inbox of its peer's
+    # payloads, where index r - 1 holds round r
+    transcript = inbox_l = inbox_r = ()
     cut = 0
     for rnd in range(1, rounds + 1):
         end = cut + RANDOMNESS_SLICE_BYTES
@@ -178,18 +172,14 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
         if not isinstance(payload_r, bytes) or len(payload_r) != payload_bytes:
             raise _frame_error(right, rnd, payload_bytes)
         cut = end
-        msg_l = _new_message(Message, (left, rnd, payload_l))
-        msg_r = _new_message(Message, (right, rnd, payload_r))
-        messages += (msg_l, msg_r)
-        got_l.append(msg_r)
-        got_r.append(msg_l)
-        inbox_l = tuple(got_l)
-        inbox_r = tuple(got_r)
+        transcript += (payload_l, payload_r)
+        inbox_l += (payload_r,)
+        inbox_r += (payload_l,)
         state_l = transition(state_l, rnd, inbox_l)
         state_r = transition(state_r, rnd, inbox_r)
 
     colors = (strategy.flash(state_l, inbox_l, setting_l), strategy.flash(state_r, inbox_r, setting_r))
-    record = RunRecord(run_index, settings, colors, tuple(messages), seed, strategy.strategy_id)
+    record = RunRecord(run_index, settings, colors, transcript, seed, strategy.strategy_id)
     return record, (state_l, inbox_l), (state_r, inbox_r)
 
 

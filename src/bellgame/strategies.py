@@ -11,6 +11,13 @@ Only ``emit`` (vetted by the censor) and the final ``flash`` (deliberately
 not vetted) ever receive the setting; ``transition`` cannot, by shape. The
 ``run_index`` argument is the synchronized clock both wings share.
 
+A payload is a ``bytes`` frame. ``inbox`` is the tuple of the peer's
+payloads delivered so far (a round's two payloads are delivered at its end),
+and ``full_inbox`` all of them: index ``r - 1`` holds round ``r``. A run's
+transcript is every payload in the order sent, Left's before Right's in each
+round, so payload ``i`` was sent by Left when ``i`` is even, in round
+``i // 2 + 1``.
+
 ``reads`` names the randomness a strategy uses: ``"shared"`` (the shared
 tape), ``"private"`` (each wing's private tape) and ``"slices"`` (the
 per-round randomness slices); the default is all three. The referee computes
@@ -155,7 +162,7 @@ def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
     def transition(state, round, inbox):
         wing_id, agreed, payload = state
         if agreed is None and inbox:
-            label = inbox[0].payload[:3].decode("ascii")
+            label = inbox[0][:3].decode("ascii")
             return (wing_id, InstructionSet.from_label(label), None)
         return state
 
@@ -163,7 +170,7 @@ def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
         wing_id, agreed, payload = state
         if wing_id is _LEFT:
             return payload if round == 1 else filler
-        return inbox[0].payload if inbox else filler
+        return inbox[0] if inbox else filler
 
     def flash(state, full_inbox, setting):
         return state[1].color_for(setting)
@@ -214,7 +221,7 @@ def cheat_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrategy:
 
     def flash(state, full_inbox, setting):
         wing_id, color_byte, same_byte = state
-        peer_setting = full_inbox[0].payload[0]
+        peer_setting = full_inbox[0][0]
         left_color = _RED if color_byte & 1 == 0 else _GREEN
         same = True if int(setting) == peer_setting else same_byte < 64
         if wing_id is _LEFT:
@@ -269,7 +276,7 @@ def tape_mixing_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
     def transition(state, round, inbox):
         wing_id, proposal, mix, agreed = state
         if agreed is None and inbox:
-            peer_value = inbox[0].payload[0] & 7
+            peer_value = inbox[0][0] & 7
             if wing_id is _LEFT:
                 idx = (proposal + peer_value) % 8
             else:
@@ -330,7 +337,7 @@ def near_leak_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrate
 
     def emit(state, round, inbox, randomness_slice, setting):
         wing_id, coin, clock = state
-        last = inbox[-1].payload[0] if inbox else 0
+        last = inbox[-1][0] if inbox else 0
         head = bytes(
             (
                 round & 0xFF,

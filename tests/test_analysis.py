@@ -22,11 +22,9 @@ from bellgame.core import (
     ALL_SETTING_PAIRS,
     Color,
     InstructionSet,
-    Message,
     RunRecord,
     Setting,
     SettingPair,
-    Wing,
 )
 from bellgame.protocol import ReplayMismatchError, RunConfig, execute_run, induced_instruction_set
 from bellgame.strategies import fixed_instruction_strategy, negotiation_strategy
@@ -258,7 +256,7 @@ class TestInducedInstructionSet:
         strat = negotiation_strategy()
         rec = execute_run(CFG, strat, SettingPair(Setting.ONE, Setting.TWO), 23)
         bad_messages = list(rec.transcript)
-        bad_messages[0] = Message(Wing.LEFT, 1, b"\xff" * 32)
+        bad_messages[0] = b"\xff" * 32
         tampered = RunRecord(
             run_index=rec.run_index,
             settings=rec.settings,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from bellgame.censor import CensorViolation, verify_transcript_invariance, vet_emission
-from bellgame.core import INSTRUCTION_SETS, Color, Setting, SettingPair, Wing
+from bellgame.core import INSTRUCTION_SETS, SETTINGS, Color, Setting, SettingPair, Wing
 from bellgame.protocol import ExperimentAborted, RunConfig, execute_run, run_experiment
 from bellgame.strategies import (
     StrategyError,
@@ -170,6 +170,56 @@ class TestFlashSideChannel:
         # and lands at 497/1000, below the 5/9 floor
         with pytest.raises(ExperimentAborted):
             run_experiment(RunConfig(), stash, 2000, 2024)
+
+
+def _emit_stash_strategy():
+    """Every frame is filler; Left's ``emit`` leaves its setting in a dict in
+    the factory's closure, and Right's ``flash`` reads it: Right flashes R
+    when its setting equals the stashed one, G otherwise."""
+    filler = bytes(CFG.payload_bytes)
+    stash = {}
+
+    def init(wing_id, shared_tape, private_tape, run_index):
+        return wing_id
+
+    def transition(state, round, inbox):
+        return state
+
+    def emit(state, round, inbox, randomness_slice, setting):
+        if state is Wing.LEFT:
+            stash["left"] = setting
+        return filler
+
+    def flash(state, full_inbox, setting):
+        if state is Wing.LEFT:
+            return Color.R
+        return Color.R if setting is stash["left"] else Color.G
+
+    return WingStrategy("emit-stash", init, transition, emit, flash)
+
+
+class TestEmitSideState:
+    """State a strategy keeps inside ``emit`` cannot reach the peer: the
+    censor calls ``emit`` under all three settings, setting 3 last, so a
+    stash written there never holds the actual setting."""
+
+    def _right_colors(self, config, seed, right):
+        strategy = _emit_stash_strategy()
+        validate_strategy(strategy)
+        return {
+            execute_run(config, strategy, SettingPair(left, right), seed).colors[1]
+            for left in SETTINGS
+        }
+
+    @pytest.mark.parametrize("right", SETTINGS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_censor_on_right_color_ignores_left_setting(self, seed, right):
+        assert len(self._right_colors(CFG, seed, right)) == 1
+
+    @pytest.mark.parametrize("right", SETTINGS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_censor_off_the_stash_is_a_channel(self, seed, right):
+        assert self._right_colors(RunConfig(censor_enabled=False), seed, right) == {Color.R, Color.G}
 
 
 class TestLeakTiming:

@@ -1,5 +1,6 @@
 """Vocabulary types and the exact per-set fractions."""
 
+import base64
 import itertools
 import json
 from fractions import Fraction
@@ -13,11 +14,10 @@ from bellgame.core import (
     SETTINGS,
     Color,
     InstructionSet,
-    Message,
     RunRecord,
     Setting,
     SettingPair,
-    Wing,
+    canonical_json,
     same_color_fraction,
     validate_transcript,
 )
@@ -133,10 +133,7 @@ def test_instruction_set_rejects_bad_labels(bad):
 
 class TestRunRecordSerialization:
     def _record(self):
-        transcript = (
-            Message(Wing.LEFT, 1, b"\x01" + bytes(31)),
-            Message(Wing.RIGHT, 1, bytes(32)),
-        )
+        transcript = (b"\x01" + bytes(31), bytes(32))
         return RunRecord(
             run_index=5,
             settings=SettingPair(Setting.ONE, Setting.THREE),
@@ -191,6 +188,9 @@ def _negotiation_line():
 
 REAL_LINE = _negotiation_line()
 REAL_OBJ = json.loads(REAL_LINE)
+# Left's round-1 proposal and Right's round-1 filler, as written
+PAYLOAD_L1 = REAL_OBJ["transcript"][0]["payload"]
+PAYLOAD_R1 = REAL_OBJ["transcript"][1]["payload"]
 
 
 def _key_paths(obj, path=()):
@@ -220,7 +220,8 @@ def _with(path, value=None, delete=False):
     return json.dumps(obj)
 
 
-# Values to_json_line never writes: wrong type, length or range.
+# Values to_json_line never writes: wrong type, length or range, an entry
+# out of its place, or a payload or seed not in its one canonical form.
 CORRUPT_VALUES = [
     (("transcript",), "not a list"),
     (("transcript",), {}),
@@ -242,6 +243,8 @@ CORRUPT_VALUES = [
     (("seed",), " 5"),
     (("seed",), "-5"),
     (("seed",), str(2**64)),
+    (("seed",), "000" + REAL_OBJ["seed"]),
+    (("seed",), "0" + REAL_OBJ["seed"]),
     (("strategy",), ""),
     (("strategy",), None),
     (("transcript", 0, "round"), "1"),
@@ -252,6 +255,16 @@ CORRUPT_VALUES = [
     (("transcript", 0, "payload"), 3),
     (("transcript", 0, "payload"), "é"),
     (("transcript", 0, "payload"), "AAA"),
+    (("transcript", 0, "sender"), "R"),
+    (("transcript", 1, "sender"), "L"),
+    (("transcript", 2, "round"), 1),
+    (("transcript", 1, "round"), 2),
+    (("transcript", 1, "round"), True),
+    (("transcript", 0, "payload"), PAYLOAD_L1[:4] + "!*" + PAYLOAD_L1[4:]),
+    (("transcript", 0, "payload"), PAYLOAD_L1[:8] + " " + PAYLOAD_L1[8:]),
+    (("transcript", 0, "payload"), PAYLOAD_L1[:8] + "\n" + PAYLOAD_L1[8:]),
+    (("transcript", 0, "payload"), PAYLOAD_L1 + "!*"),
+    (("transcript", 1, "payload"), PAYLOAD_R1[:-2] + "B="),
 ]
 
 
@@ -285,29 +298,45 @@ class TestRunRecordParsing:
         with pytest.raises(ValueError):
             RunRecord.from_json_line(line)
 
+    def test_rejects_wrong_alternation(self):
+        obj = json.loads(REAL_LINE)
+        entries = obj["transcript"]
+        entries[0], entries[1] = entries[1], entries[0]
+        with pytest.raises(ValueError, match="transcript entry 0 must be sent by L in round 1, got 'R' in round 1"):
+            RunRecord.from_json_line(json.dumps(obj))
+
+    def test_rejects_odd_entry_count(self):
+        obj = json.loads(REAL_LINE)
+        del obj["transcript"][-1]
+        with pytest.raises(ValueError, match="transcript must be a list of whole rounds"):
+            RunRecord.from_json_line(json.dumps(obj))
+
+    def test_writer_rejects_odd_payload_count(self):
+        rec = RunRecord.from_json_line(REAL_LINE)._replace(transcript=(bytes(32),))
+        with pytest.raises(ValueError, match="a transcript holds whole rounds, got 1 payloads"):
+            rec.to_json_line()
+
+    @pytest.mark.parametrize("payload_bytes", range(1, 7))
+    def test_every_frame_size_round_trips(self, payload_bytes):
+        # every base64 tail: no padding, one "=" and two "=", with all pad bits zero
+        obj = json.loads(REAL_LINE)
+        for i, entry in enumerate(obj["transcript"]):
+            entry["payload"] = base64.b64encode(bytes([0xFF - i]) * payload_bytes).decode("ascii")
+        line = canonical_json(obj)
+        assert RunRecord.from_json_line(line).to_json_line() == line
+
 
 class TestTranscriptValidation:
     def test_accepts_well_formed(self):
-        msgs = []
-        for rnd in (1, 2):
-            msgs.append(Message(Wing.LEFT, rnd, bytes(4)))
-            msgs.append(Message(Wing.RIGHT, rnd, bytes(4)))
-        validate_transcript(tuple(msgs), rounds=2, payload_bytes=4)
+        validate_transcript((bytes(4),) * 4, rounds=2, payload_bytes=4)
 
     def test_rejects_wrong_count(self):
-        t = (Message(Wing.LEFT, 1, bytes(4)),)
         with pytest.raises(ValueError, match="expected 4 messages, found 1"):
-            validate_transcript(t, rounds=2, payload_bytes=4)
-
-    def test_rejects_wrong_alternation(self):
-        t = (Message(Wing.RIGHT, 1, bytes(4)), Message(Wing.LEFT, 1, bytes(4)))
-        with pytest.raises(ValueError, match="message 0: expected L round 1, found R round 1"):
-            validate_transcript(t, rounds=1, payload_bytes=4)
+            validate_transcript((bytes(4),), rounds=2, payload_bytes=4)
 
     def test_rejects_wrong_frame_size(self):
-        t = (Message(Wing.LEFT, 1, bytes(3)), Message(Wing.RIGHT, 1, bytes(4)))
         with pytest.raises(ValueError, match="message 0: payload is 3 bytes, expected 4"):
-            validate_transcript(t, rounds=1, payload_bytes=4)
+            validate_transcript((bytes(3), bytes(4)), rounds=1, payload_bytes=4)
 
 
 class TestPublicExports:
@@ -326,6 +355,7 @@ class TestPublicExports:
             "adversarial_strategy_suite",
             "QuantumJoint",
             "state_transition_guard",
+            "Message",
         ],
     )
     def test_removed_names_stay_removed(self, name):

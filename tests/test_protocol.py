@@ -1,5 +1,6 @@
 """Referee state machine: determinism, framing, isolation, distribution."""
 
+import dataclasses
 import io
 import json
 
@@ -11,6 +12,7 @@ from bellgame.core import (
     ALL_SETTING_PAIRS,
     Color,
     InstructionSet,
+    RunRecord,
     Setting,
     SettingPair,
     Wing,
@@ -24,15 +26,18 @@ from bellgame.protocol import (
     execute_run,
     run_experiment,
 )
+from bellgame.quantum import QUANTUM_ORACLE_ID, quantum_experiment, sample_quantum_run
 from bellgame.randomness import ByteStream, derive_run_seed
 from bellgame.strategies import (
     WingStrategy,
+    build_registry,
     cheat_strategy,
     fixed_instruction_strategy,
     negotiation_strategy,
 )
 
 CFG = RunConfig()
+LONG_EXCHANGE = RunConfig(rounds=32, payload_bytes=256, shared_tape_bytes=256)
 RRR = fixed_instruction_strategy(InstructionSet.from_label("RRR"))
 
 
@@ -91,12 +96,25 @@ class TestExecuteRun:
             assert len(rec.transcript) == 2 * rounds
 
     def test_schedule_independent_of_settings(self):
-        strat = negotiation_strategy()
-        schedules = set()
+        # sender and round are fixed by a payload's position, so what is left
+        # to check is delivery: under every setting pair, each wing's inbox
+        # in round r is its peer's first r payloads, round 1 first
+        base = negotiation_strategy()
+        seen = []
+
+        def transition(state, round, inbox):
+            seen.append((state[0], round, inbox))
+            return base.transition(state, round, inbox)
+
+        strat = dataclasses.replace(base, transition=transition)
         for pair in ALL_SETTING_PAIRS:
-            rec = execute_run(CFG, strat, pair, 31)
-            schedules.add(tuple((m.sender, m.round) for m in rec.transcript))
-        assert len(schedules) == 1
+            seen.clear()
+            t = execute_run(CFG, strat, pair, 31).transcript
+            assert seen == [
+                step
+                for rnd in range(1, CFG.rounds + 1)
+                for step in ((Wing.LEFT, rnd, t[1:2 * rnd:2]), (Wing.RIGHT, rnd, t[0:2 * rnd:2]))
+            ]
 
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.sampled_from(ALL_SETTING_PAIRS))
     @hsettings(max_examples=30, deadline=None)
@@ -271,6 +289,39 @@ class TestRunExperiment:
         run_experiment(CFG, RRR, 5, 11, sink=sink)
         runs = [json.loads(l)["run"] for l in sink.getvalue().splitlines()[1:]]
         assert runs == [0, 1, 2, 3, 4]
+
+
+class TestWireRoundTrip:
+    """Every record line parses back to a record that writes the same line
+    and equals the run a replay of it produces."""
+
+    @pytest.mark.parametrize("config, payload_bytes", [(CFG, 32), (LONG_EXCHANGE, 256)], ids=["default", "long-exchange"])
+    @pytest.mark.parametrize("sid", list(build_registry()))
+    def test_registry_lines_round_trip(self, config, payload_bytes, sid):
+        strategy = build_registry(payload_bytes)[sid]
+        if strategy.requires_censor_off:
+            config = dataclasses.replace(config, censor_enabled=False)
+        sink = io.StringIO()
+        run_experiment(config, strategy, 50, 19, sink=sink)
+        lines = sink.getvalue().splitlines()[1:]
+        assert len(lines) == 50
+        for line in lines:
+            rec = RunRecord.from_json_line(line)
+            assert rec.to_json_line() == line
+            assert rec == execute_run(config, strategy, rec.settings, rec.seed, run_index=rec.run_index)
+            validate_transcript(rec.transcript, config.rounds, payload_bytes)
+
+    def test_oracle_lines_round_trip(self):
+        sink = io.StringIO()
+        quantum_experiment(50, 19, sink=sink)
+        lines = sink.getvalue().splitlines()[1:]
+        assert len(lines) == 50
+        for i, line in enumerate(lines):
+            rec = RunRecord.from_json_line(line)
+            assert rec.to_json_line() == line
+            assert (rec.run_index, rec.seed, rec.strategy_id) == (i, derive_run_seed(19, i), QUANTUM_ORACLE_ID)
+            assert rec.transcript == ()
+            assert rec.colors == sample_quantum_run(rec.settings, ByteStream(rec.seed, b"oracle"))
 
 
 def test_config_validation():
