@@ -38,7 +38,6 @@ from .core import (
     SettingPair,
     Wing,
     same_color_fraction,
-    validate_transcript,
 )
 from .protocol import (
     ExperimentAborted,
@@ -107,7 +106,6 @@ __all__ = [
     "sample_quantum_run",
     "singlet_joint",
     "validate_strategy",
-    "validate_transcript",
     "verify_transcript_invariance",
     "vet_emission",
 ]

@@ -9,11 +9,12 @@ never alters payloads; it only passes or aborts.
 Threat model: strategies are untrusted code that does not inspect or patch
 the interpreter. In scope is all a strategy can do through its slot
 arguments, its return values and the Python objects it captures (closures,
-module globals, a state object both wings share). ``flash`` must be a pure
-function of ``(state, full_inbox, setting)``, but the referee does not
-enforce this yet: a Left ``flash`` can leave its setting in a captured object
-for Right's ``flash`` (the strict xfail ``TestFlashSideChannel`` in
-``tests/test_censor.py``). Slot shapes are checked by ``validate_strategy``.
+module globals, a state object both wings share). With the censor on, no
+strategy call depends on the actual settings: ``vet_emission`` delivers the
+setting-1 payload object, and the referee calls each ``flash`` under all
+three settings in a fixed order. A setting stashed in a captured object is
+never the actual one, so a strategy relying on it loses feature (i). Slot
+shapes are checked by ``validate_strategy``.
 """
 
 from __future__ import annotations
@@ -72,22 +73,22 @@ class CensorViolation(Exception):
         )
 
 
-def vet_emission(strategy, wing: Wing, state, round: int, inbox, randomness_slice: bytes, setting: Setting) -> bytes:
-    """Recompute the emission under each counterfactual setting.
+def vet_emission(strategy, wing: Wing, state, round: int, inbox, randomness_slice: bytes) -> bytes:
+    """Compute the emission under each of the three settings.
 
     All other inputs (public state, inbox, randomness slice) are passed
-    byte-identical. Returns the actual-setting payload, cleared for
-    delivery, when the three payloads agree; otherwise raises
+    byte-identical. Returns the setting-1 payload, cleared for delivery,
+    when the three payloads agree, so neither the bytes nor the object
+    delivered depends on the actual setting; otherwise raises
     CensorViolation naming the first pair of settings whose payloads differ.
     """
     emit = strategy.emit
-    payloads = p1, p2, p3 = (
-        emit(state, round, inbox, randomness_slice, _ONE),
-        emit(state, round, inbox, randomness_slice, _TWO),
-        emit(state, round, inbox, randomness_slice, _THREE),
-    )
+    p1 = emit(state, round, inbox, randomness_slice, _ONE)
+    p2 = emit(state, round, inbox, randomness_slice, _TWO)
+    p3 = emit(state, round, inbox, randomness_slice, _THREE)
     if p1 == p2 == p3:
-        return payloads[setting - 1]
+        return p1
+    payloads = (p1, p2, p3)
     # pairs in the order (1, 2), (1, 3), (2, 3); with p1 == p2 the first
     # differing pair is always (1, 3)
     ia, ib = (0, 1) if p1 != p2 else (0, 2)

@@ -1,11 +1,11 @@
 """The referee: setting assignment, phased message exchange, flash collection.
 
 A run is strictly sequential: T rounds of (Left emits, Right emits, both
-delivered at round end), then one flash per wing. Frames have a
-fixed size every round in both directions, so neither length, count, nor
-timing can carry setting information. Everything is a pure function of
-(config, strategy, settings, seed), which is what makes counterfactual
-replay and byte-exact re-runs possible.
+delivered at round end), then each wing's flash under all three settings.
+Frames have a fixed size every round in both directions, so neither length,
+count, nor timing can carry setting information. Everything is a pure
+function of (config, strategy, settings, seed), which is what makes
+counterfactual replay and byte-exact re-runs possible.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ PRIVATE_TAPE_BYTES = 64
 RANDOMNESS_SLICE_BYTES = 16
 
 _LEFT, _RIGHT = Wing.LEFT, Wing.RIGHT
+_ONE, _TWO, _THREE = SETTINGS
 
 
 class ProtocolError(Exception):
@@ -128,11 +129,12 @@ def _frame_error(wing: Wing, rnd: int, payload_bytes: int) -> ProtocolError:
 
 
 def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_index: int = 0):
-    """The referee loop: ``(record, (state_l, inbox_l), (state_r, inbox_r))``, the
-    final wing states and inboxes kept for counterfactual flash evaluation."""
+    """The referee loop: ``(record, colors_l, colors_r)``, where ``colors_l``
+    and ``colors_r`` are each wing's flashes under settings 1, 2 and 3."""
     rounds = config.rounds
     payload_bytes = config.payload_bytes
     left, right = _LEFT, _RIGHT
+    setting_l, setting_r = settings
     # only the streams the strategy declares are computed; the others are b""
     reads = strategy.reads
     shared = private_l = private_r = rand_l = rand_r = b""
@@ -154,21 +156,20 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
     else:
         unvetted = strategy.emit
 
-        def emit(strategy, wing, state, rnd, inbox, rand, setting):
-            return unvetted(state, rnd, inbox, rand, setting)
+        def emit(strategy, wing, state, rnd, inbox, rand):
+            return unvetted(state, rnd, inbox, rand, setting_l if wing is left else setting_r)
 
     transition = strategy.transition
-    setting_l, setting_r = settings
     # every payload in the order sent, and each wing's inbox of its peer's
     # payloads, where index r - 1 holds round r
     transcript = inbox_l = inbox_r = ()
     cut = 0
     for rnd in range(1, rounds + 1):
         end = cut + RANDOMNESS_SLICE_BYTES
-        payload_l = emit(strategy, left, state_l, rnd, inbox_l, rand_l[cut:end], setting_l)
+        payload_l = emit(strategy, left, state_l, rnd, inbox_l, rand_l[cut:end])
         if not isinstance(payload_l, bytes) or len(payload_l) != payload_bytes:
             raise _frame_error(left, rnd, payload_bytes)
-        payload_r = emit(strategy, right, state_r, rnd, inbox_r, rand_r[cut:end], setting_r)
+        payload_r = emit(strategy, right, state_r, rnd, inbox_r, rand_r[cut:end])
         if not isinstance(payload_r, bytes) or len(payload_r) != payload_bytes:
             raise _frame_error(right, rnd, payload_bytes)
         cut = end
@@ -178,9 +179,14 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
         state_l = transition(state_l, rnd, inbox_l)
         state_r = transition(state_r, rnd, inbox_r)
 
-    colors = (strategy.flash(state_l, inbox_l, setting_l), strategy.flash(state_r, inbox_r, setting_r))
+    # every flash under every setting, in a fixed order, so that no strategy
+    # call depends on the actual settings; those only pick the colors
+    flash = strategy.flash
+    colors_l = (flash(state_l, inbox_l, _ONE), flash(state_l, inbox_l, _TWO), flash(state_l, inbox_l, _THREE))
+    colors_r = (flash(state_r, inbox_r, _ONE), flash(state_r, inbox_r, _TWO), flash(state_r, inbox_r, _THREE))
+    colors = (colors_l[setting_l - 1], colors_r[setting_r - 1])
     record = RunRecord(run_index, settings, colors, transcript, seed, strategy.strategy_id)
-    return record, (state_l, inbox_l), (state_r, inbox_r)
+    return record, colors_l, colors_r
 
 
 def execute_run(
@@ -190,7 +196,7 @@ def execute_run(
     seed: int,
     run_index: int = 0,
 ) -> RunRecord:
-    """One complete run: T censored exchange rounds, then both flashes.
+    """One complete run: T censored exchange rounds, then the flashes.
 
     Byte-for-byte deterministic in (config, strategy, settings, seed).
     Raises CensorViolation if any emission depends on the local setting.
@@ -207,12 +213,12 @@ def induced_instruction_set(strategy, record: RunRecord, config: RunConfig) -> t
 
     With the transcript fixed (valid because censored emissions cannot
     depend on settings), each wing's flash is a function of its local
-    setting alone; evaluating it at all three settings yields that wing's
-    instruction set for the run.
+    setting alone; the referee evaluates it at all three settings, which
+    yields that wing's instruction set for the run.
     """
     if strategy.requires_censor_off:
         raise ValueError("induced sets are only defined for censor-compliant strategies")
-    replayed, (state_l, inbox_l), (state_r, inbox_r) = _play(
+    replayed, colors_l, colors_r = _play(
         config, strategy, record.settings, record.seed, run_index=record.run_index
     )
     if replayed.transcript != record.transcript:
@@ -223,9 +229,7 @@ def induced_instruction_set(strategy, record: RunRecord, config: RunConfig) -> t
         raise ReplayMismatchError(
             f"run {record.run_index}: replayed colors differ from record"
         )
-    left = InstructionSet(*(strategy.flash(state_l, inbox_l, s) for s in SETTINGS))
-    right = InstructionSet(*(strategy.flash(state_r, inbox_r, s) for s in SETTINGS))
-    return left, right
+    return InstructionSet(*colors_l), InstructionSet(*colors_r)
 
 
 def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_seed: int, sink) -> ExperimentStats:

@@ -8,7 +8,7 @@ A strategy is four deterministic slots behind one frozen interface:
     flash(state, full_inbox, setting) -> Color
 
 Only ``emit`` (vetted by the censor) and the final ``flash`` (deliberately
-not vetted) ever receive the setting; ``transition`` cannot, by shape. The
+not vetted) ever receive a setting; ``transition`` cannot, by shape. The
 ``run_index`` argument is the synchronized clock both wings share.
 
 A payload is a ``bytes`` frame. ``inbox`` is the tuple of the peer's
@@ -25,10 +25,11 @@ only the declared streams and passes ``b""`` for the others, so a
 declaration that is too narrow changes what the strategy sees, never what
 the censor checks: randomness never carries a setting.
 
-Strategies are untrusted but do not inspect or patch the interpreter.
-``flash`` must be a pure function of ``(state, full_inbox, setting)``; the
-referee does not enforce this yet (the strict xfail ``TestFlashSideChannel``
-in ``tests/test_censor.py``; the threat model is in ``censor``).
+Strategies are untrusted but do not inspect or patch the interpreter (the
+threat model is in ``censor``). With the censor on, ``emit`` and ``flash``
+are each called under settings 1, 2 and 3 in a fixed order, so no strategy
+call depends on the actual settings, and a ``flash`` that passes its setting
+to the peer through side state loses feature (i).
 """
 
 from __future__ import annotations
@@ -128,8 +129,9 @@ def _keep_state(state, round, inbox):
 
 
 def _agreed_flash(state, full_inbox, setting):
-    """Flash from the instruction set the state holds."""
-    return state.color_for(setting)
+    """Flash from the instruction set the state holds: its ``color_for``
+    without the method call, as the referee flashes six times a run."""
+    return state[setting - 1]
 
 
 def _decode_instruction_set(raw: bytes) -> InstructionSet:

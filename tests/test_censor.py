@@ -5,9 +5,10 @@ import json
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from bellgame.analysis import check_feature_i
 from bellgame.censor import CensorViolation, verify_transcript_invariance, vet_emission
 from bellgame.core import INSTRUCTION_SETS, SETTINGS, Color, Setting, SettingPair, Wing
-from bellgame.protocol import ExperimentAborted, RunConfig, execute_run, run_experiment
+from bellgame.protocol import RunConfig, execute_run, run_experiment
 from bellgame.strategies import (
     StrategyError,
     WingStrategy,
@@ -20,8 +21,8 @@ from bellgame.strategies import (
 CFG = RunConfig()
 
 
-def _vet(strategy, round=1, setting=Setting.ONE, state=None, inbox=(), rand=bytes(16)):
-    return vet_emission(strategy, Wing.LEFT, state, round, inbox, rand, setting)
+def _vet(strategy, round=1, state=None, inbox=(), rand=bytes(16)):
+    return vet_emission(strategy, Wing.LEFT, state, round, inbox, rand)
 
 
 def _strategy(emit, strategy_id="test"):
@@ -42,11 +43,12 @@ class TestVetEmission:
         strat = _strategy(lambda state, round, inbox, rand, setting: bytes(32))
         assert _vet(strat) == bytes(32)
 
-    def test_delivered_payload_is_actual_setting(self):
-        # all three counterfactuals agree, so any of them can be delivered;
-        # check it is the actual-setting one by using a setting-free emit
-        strat = _strategy(lambda state, round, inbox, rand, setting: rand)
-        assert _vet(strat, round=2, rand=b"z" * 16) == b"z" * 16
+    def test_delivered_payload_is_the_setting_one_object(self):
+        # three equal frames, one object per setting: the one delivered is
+        # the setting-1 object, so its identity cannot carry the setting
+        frames = tuple(bytes(bytearray(32)) for _ in SETTINGS)
+        strat = _strategy(lambda state, round, inbox, rand, setting: frames[setting - 1])
+        assert _vet(strat, round=2) is frames[0]
 
     def test_first_byte_leak_flagged_one_vs_two(self):
         strat = _strategy(
@@ -76,7 +78,7 @@ class TestVetEmission:
     def test_negotiation_round_one_passes(self):
         strat = negotiation_strategy()
         state = strat.init(Wing.LEFT, bytes(range(64)), bytes(64), 0)
-        payload = _vet(strat, setting=Setting.TWO, state=state)
+        payload = _vet(strat, state=state)
         assert payload[:3].decode("ascii") in {i.label for i in INSTRUCTION_SETS}
 
     def test_violation_json_has_hex_payloads(self):
@@ -131,45 +133,87 @@ class TestTransitionGuard:
             validate_strategy(WingStrategy("short-emit", init, transition, emit, flash))
 
 
-def _stash_strategy():
-    """Every frame is filler, so the censor sees nothing; Left's ``flash``
-    leaves its setting in a dict that Right's ``flash`` reads, and the
-    flashes are then cheat's."""
+_GLOBAL_STASH = {}
+
+
+def _flash_stash(kind):
+    """A strategy that tries to pass Left's setting to Right's ``flash``
+    through a side channel, and flashes cheat's colors with what it finds.
+
+    ``kind`` names the channel:
+
+    - ``closure``: Left's ``flash`` writes a dict in the factory's closure;
+    - ``global``: it writes a module global;
+    - ``shared-state``: both ``init`` calls put one mutable dict in the state;
+    - ``first-call``: it writes only on its first call of each run;
+    - ``identity``: Left emits one equal-bytes frame object per setting, and
+      Right's ``flash`` reads no side state but finds its round-1 frame by
+      ``is``.
+
+    Every frame is equal under all three settings, so the censor passes
+    every emission."""
     filler = bytes(CFG.payload_bytes)
-    stash = {}
+    frames = tuple(bytes(bytearray(CFG.payload_bytes)) for _ in SETTINGS)
+    stash = _GLOBAL_STASH if kind == "global" else {}
 
     def init(wing_id, shared_tape, private_tape, run_index):
-        return (wing_id, shared_tape[0], shared_tape[1])
+        return (wing_id, shared_tape[0], shared_tape[1], run_index, stash)
 
     def transition(state, round, inbox):
         return state
 
     def emit(state, round, inbox, randomness_slice, setting):
+        if kind == "identity" and state[0] is Wing.LEFT:
+            return frames[setting - 1]
         return filler
 
     def flash(state, full_inbox, setting):
-        wing_id, color_byte, same_byte = state
+        wing_id, color_byte, same_byte, run_index, box = state
         left_color = Color.R if color_byte & 1 == 0 else Color.G
         if wing_id is Wing.LEFT:
-            stash["left"] = setting
+            if kind in ("closure", "global"):
+                stash["left"] = setting
+            elif kind == "shared-state":
+                box["left"] = setting
+            elif kind == "first-call":
+                stash.setdefault(run_index, setting)
             return left_color
-        same = setting is stash["left"] or same_byte < 64
+        if kind == "identity":
+            left = next(s for s, frame in zip(SETTINGS, frames) if frame is full_inbox[0])
+        elif kind == "shared-state":
+            left = box["left"]
+        else:
+            left = stash[run_index if kind == "first-call" else "left"]
+        same = setting is left or same_byte < 64
         return left_color if same else left_color.flip()
 
-    return WingStrategy("stash", init, transition, emit, flash)
+    strategy = WingStrategy(f"{kind}-stash", init, transition, emit, flash, reads=("shared",))
+    validate_strategy(strategy)
+    return strategy
+
+
+_STASH_KINDS = ("closure", "global", "shared-state", "first-call", "identity")
 
 
 class TestFlashSideChannel:
-    # only "DID NOT RAISE" counts as the expected failure, so a stash that
-    # stopped fitting the slot interface would fail this test outright
-    @pytest.mark.xfail(strict=True, reason="ROADMAP known defect 1", raises=pytest.fail.Exception)
-    def test_stash_run_aborts(self):
-        stash = _stash_strategy()
-        validate_strategy(stash)
-        # today the run completes with no violation, satisfies feature (i)
-        # and lands at 497/1000, below the 5/9 floor
-        with pytest.raises(ExperimentAborted):
-            run_experiment(RunConfig(), stash, 2000, 2024)
+    """No call into strategy code depends on the actual settings, so a
+    setting passed through a side channel is never the actual one: Right's
+    color ignores Left's setting, and the strategy loses feature (i)."""
+
+    @pytest.mark.parametrize("right", SETTINGS)
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", _STASH_KINDS)
+    def test_right_color_ignores_left_setting(self, kind, seed, right):
+        colors = {
+            execute_run(CFG, _flash_stash(kind), SettingPair(left, right), seed).colors[1]
+            for left in SETTINGS
+        }
+        assert len(colors) == 1
+
+    @pytest.mark.parametrize("kind", _STASH_KINDS)
+    def test_stash_fails_feature_i(self, kind):
+        # at 2,000 runs a working channel holds feature (i) and lands near 1/2
+        assert not check_feature_i(run_experiment(CFG, _flash_stash(kind), 2000, 2024))
 
 
 def _emit_stash_strategy():

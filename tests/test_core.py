@@ -19,7 +19,6 @@ from bellgame.core import (
     SettingPair,
     canonical_json,
     same_color_fraction,
-    validate_transcript,
 )
 
 # Independent oracle: brute-force count over the 9 pairs, frozen by hand.
@@ -208,7 +207,7 @@ KEY_PATHS = list(_key_paths(REAL_OBJ))
 
 
 def _with(path, value=None, delete=False):
-    """The real record line with the value at ``path`` replaced or deleted."""
+    """The real record line with the value at ``path`` set or deleted."""
     obj = json.loads(REAL_LINE)
     parent = obj
     for step in path[:-1]:
@@ -221,7 +220,8 @@ def _with(path, value=None, delete=False):
 
 
 # Values to_json_line never writes: wrong type, length or range, an entry
-# out of its place, or a payload or seed not in its one canonical form.
+# out of its place, a payload or seed not in its one canonical form, or a
+# key it never writes.
 CORRUPT_VALUES = [
     (("transcript",), "not a list"),
     (("transcript",), {}),
@@ -265,6 +265,8 @@ CORRUPT_VALUES = [
     (("transcript", 0, "payload"), PAYLOAD_L1[:8] + "\n" + PAYLOAD_L1[8:]),
     (("transcript", 0, "payload"), PAYLOAD_L1 + "!*"),
     (("transcript", 1, "payload"), PAYLOAD_R1[:-2] + "B="),
+    (("extra",), 1),
+    (("transcript", 0, "x"), 1),
 ]
 
 
@@ -326,19 +328,6 @@ class TestRunRecordParsing:
         assert RunRecord.from_json_line(line).to_json_line() == line
 
 
-class TestTranscriptValidation:
-    def test_accepts_well_formed(self):
-        validate_transcript((bytes(4),) * 4, rounds=2, payload_bytes=4)
-
-    def test_rejects_wrong_count(self):
-        with pytest.raises(ValueError, match="expected 4 messages, found 1"):
-            validate_transcript((bytes(4),), rounds=2, payload_bytes=4)
-
-    def test_rejects_wrong_frame_size(self):
-        with pytest.raises(ValueError, match="message 0: payload is 3 bytes, expected 4"):
-            validate_transcript((bytes(3), bytes(4)), rounds=1, payload_bytes=4)
-
-
 class TestPublicExports:
     def test_every_export_resolves(self):
         import bellgame
@@ -356,6 +345,7 @@ class TestPublicExports:
             "QuantumJoint",
             "state_transition_guard",
             "Message",
+            "validate_transcript",
         ],
     )
     def test_removed_names_stay_removed(self, name):
