@@ -12,6 +12,7 @@ import json
 from binascii import a2b_base64, b2a_base64
 from enum import Enum, IntEnum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 __all__ = [
@@ -113,6 +114,10 @@ INSTRUCTION_SETS = tuple(
 _BY_LABEL = {iset.label: iset for iset in INSTRUCTION_SETS}
 
 
+# A run record's two color letters -> its pair of colors
+_COLOR_PAIRS = {a.value + b.value: (a, b) for a in Color for b in Color}
+
+
 def same_color_fraction(iset: InstructionSet) -> Fraction:
     """Exact fraction of the nine equally likely setting pairs on which two
     wings following ``iset`` flash the same color."""
@@ -127,6 +132,18 @@ def _wire_int(value, low: int, high: float = float("inf")) -> int:
     if type(value) is not int or not low <= value <= high:
         raise ValueError(f"expected an integer in [{low}, {high}], got {value!r}")
     return value
+
+
+def _misplaced_entry(entries: list) -> str:
+    """The message naming the first parsed transcript entry out of place, or ""."""
+    for i, entry in enumerate(entries):
+        sender, rnd = entry.get("sender"), entry.get("round")
+        if sender != ("R" if i & 1 else "L") or type(rnd) is not int or rnd != i // 2 + 1:
+            return (
+                f"transcript entry {i} must be sent by {'R' if i & 1 else 'L'} "
+                f"in round {i // 2 + 1}, got {sender!r} in round {rnd!r}"
+            )
+    return ""
 
 
 class RunRecord(NamedTuple):
@@ -148,73 +165,75 @@ class RunRecord(NamedTuple):
     def to_json_line(self) -> str:
         """One JSON object, stable key order, no whitespace. Each transcript
         entry names the sender and round its position fixes."""
-        transcript = self.transcript
-        if len(transcript) % 2:
-            raise ValueError(f"a transcript holds whole rounds, got {len(transcript)} payloads")
-        frames = []
-        pairs = iter(transcript)
-        for rnd, (payload_l, payload_r) in enumerate(zip(pairs, pairs), 1):
-            frames += (
-                {"sender": "L", "round": rnd, "payload": b2a_base64(payload_l, newline=False).decode("ascii")},
-                {"sender": "R", "round": rnd, "payload": b2a_base64(payload_r, newline=False).decode("ascii")},
-            )
-        # _value_ is what the .value property returns, without its lookup
-        left, right = self.colors
-        return canonical_json(
-            {
-                "run": self.run_index,
-                "settings": [int(self.settings.left), int(self.settings.right)],
-                "colors": left._value_ + right._value_,
-                "seed": str(self.seed),
-                "strategy": self.strategy_id,
-                "transcript": frames,
-            }
-        )
+        return _record_line(self)
 
     @classmethod
     def from_json_line(cls, line: str) -> "RunRecord":
-        """Parse one line written by ``to_json_line``. A malformed line (not
-        JSON, a missing or unknown key, a value of the wrong type, length or
-        range, a transcript entry out of place, or a payload or seed not
-        written the one way ``to_json_line`` writes it) raises ValueError.
-        Whitespace and key order are not checked: re-encoding the parsed
-        object to compare would cost about 15 µs per record."""
+        """Parse one line written by ``to_json_line``. A line that is not
+        JSON, misses a key or holds a value of the wrong type, length or
+        range, or a transcript entry out of place, raises ValueError. So
+        does any line that ``to_json_line`` would not write for the record it
+        holds: whitespace, another key order, an unknown or repeated key, or
+        a payload or seed spelled another way."""
         obj = json.loads(line)
         try:
-            if len(obj) != 6:
-                raise ValueError(f"a run record has 6 keys, got {len(obj)}")
-            (left, right), colors, seed = obj["settings"], obj["colors"], obj["seed"]
+            (left, right), letters, seed = obj["settings"], obj["colors"], obj["seed"]
             strategy_id, entries = obj["strategy"], obj["transcript"]
             if type(entries) is not list or len(entries) % 2:
                 raise ValueError(f"transcript must be a list of whole rounds, got {entries!r:.80}")
-            payloads = []
-            for i, entry in enumerate(entries):
-                if len(entry) != 3:
-                    raise ValueError(f"transcript entry {i} has 3 keys, got {len(entry)}")
-                sender, rnd, text = entry["sender"], entry["round"], entry["payload"]
-                if sender != ("R" if i & 1 else "L") or type(rnd) is not int or rnd != i // 2 + 1:
-                    raise ValueError(
-                        f"transcript entry {i} must be sent by {'R' if i & 1 else 'L'} "
-                        f"in round {i // 2 + 1}, got {sender!r} in round {rnd!r}"
-                    )
-                raw = a2b_base64(text)
-                if b2a_base64(raw, newline=False).decode("ascii") != text:
-                    raise ValueError(f"transcript entry {i}: payload is not canonical base64: {text!r}")
-                payloads.append(raw)
+            # senders and rounds are checked by the round trip below
+            payloads = tuple([a2b_base64(entry["payload"]) for entry in entries])
             run_index = _wire_int(obj["run"], 0)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed run record: {exc!r}") from None
-        if type(colors) is not str or len(colors) != 2:
-            raise ValueError(f"colors must be two R/G letters, got {colors!r}")
-        if type(seed) is not str or not seed.isdigit() or str(int(seed)) != seed or int(seed) >> 64:
-            raise ValueError(f"seed must be a 64-bit decimal string without leading zeros, got {seed!r}")
+        colors = _COLOR_PAIRS.get(letters) if type(letters) is str else None
+        if colors is None:
+            raise ValueError(f"colors must be two R/G letters, got {letters!r}")
+        if type(seed) is not str or not seed.isdigit() or int(seed) >> 64:
+            raise ValueError(f"seed must be a 64-bit decimal string, got {seed!r}")
         if type(strategy_id) is not str or not strategy_id:
             raise ValueError(f"strategy must be a non-empty string, got {strategy_id!r}")
-        return cls(
+        record = cls(
             run_index,
-            SettingPair(SETTINGS[_wire_int(left, 1, 3) - 1], SETTINGS[_wire_int(right, 1, 3) - 1]),
-            (Color(colors[0]), Color(colors[1])),
-            tuple(payloads),
+            ALL_SETTING_PAIRS[3 * _wire_int(left, 1, 3) + _wire_int(right, 1, 3) - 4],
+            colors,
+            payloads,
             int(seed),
             strategy_id,
         )
+        if _record_line(record) != line:
+            raise ValueError(
+                _misplaced_entry(entries) or f"run record is not the line to_json_line writes for it: {line!r:.80}"
+            )
+        return record
+
+
+# The one spelling of a record line, byte-identical to canonical_json of the
+# record as a dict: sorted keys, no whitespace, the strategy id ASCII-escaped.
+_LINE = '{"colors":"%s%s","run":%d,"seed":"%d","settings":[%d,%d],"strategy":%s,"transcript":[%s]}'
+# payload count -> the transcript entries of that many payloads, as a bytes
+# template of '{"payload":"%s","round":r,"sender":"L"}' entries with the round
+# and sender each position fixes; it holds one template per round count used
+_ENTRIES: dict[int, bytes] = {}
+
+
+def _record_line(record: RunRecord) -> str:
+    """The line ``to_json_line`` writes: the record filled into templates."""
+    transcript = record.transcript
+    count = len(transcript)
+    entries = _ENTRIES.get(count)
+    if entries is None:
+        if count % 2:
+            raise ValueError(f"a transcript holds whole rounds, got {count} payloads")
+        entries = _ENTRIES[count] = b",".join(
+            b'{"payload":"%%s","round":%d,"sender":"%s"}' % (i // 2 + 1, b"R" if i & 1 else b"L")
+            for i in range(count)
+        )
+    # _value_ is what the .value property returns, without its lookup
+    left, right = record.colors
+    setting_l, setting_r = record.settings
+    return _LINE % (
+        left._value_, right._value_, record.run_index, record.seed, setting_l, setting_r,
+        encode_basestring_ascii(record.strategy_id),
+        (entries % tuple([b2a_base64(payload, newline=False) for payload in transcript])).decode("ascii"),
+    )

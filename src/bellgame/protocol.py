@@ -19,6 +19,7 @@ from .censor import CensorViolation, Violation, vet_emission
 from .core import (
     ALL_SETTING_PAIRS,
     SETTINGS,
+    Color,
     InstructionSet,
     RunRecord,
     SettingPair,
@@ -55,11 +56,14 @@ PRIVATE_TAPE_BYTES = 64
 RANDOMNESS_SLICE_BYTES = 16
 
 _LEFT, _RIGHT = Wing.LEFT, Wing.RIGHT
+_RED, _GREEN = Color.R, Color.G
+_new_tuple = tuple.__new__
 _ONE, _TWO, _THREE = SETTINGS
 
 
 class ProtocolError(Exception):
-    """A strategy broke the framing contract (payload type or size)."""
+    """A strategy broke the framing contract: a payload of the wrong type or
+    size, or a flash that is not a Color."""
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,19 @@ def _frame_error(wing: Wing, rnd: int, payload_bytes: int) -> ProtocolError:
     )
 
 
+def _flash_error(colors_l, colors_r) -> ProtocolError:
+    """The error naming the first of the six flashes that is not a Color."""
+    wing, setting, color = next(
+        (wing, setting, color)
+        for wing, colors in ((_LEFT, colors_l), (_RIGHT, colors_r))
+        for setting, color in zip(SETTINGS, colors)
+        if color is not _RED and color is not _GREEN
+    )
+    return ProtocolError(
+        f"wing {wing.value}, setting {int(setting)}: flash must return Color.R or Color.G, got {color!r}"
+    )
+
+
 def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_index: int = 0):
     """The referee loop: ``(record, colors_l, colors_r)``, where ``colors_l``
     and ``colors_r`` are each wing's flashes under settings 1, 2 and 3."""
@@ -184,8 +201,18 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
     flash = strategy.flash
     colors_l = (flash(state_l, inbox_l, _ONE), flash(state_l, inbox_l, _TWO), flash(state_l, inbox_l, _THREE))
     colors_r = (flash(state_r, inbox_r, _ONE), flash(state_r, inbox_r, _TWO), flash(state_r, inbox_r, _THREE))
+    # unrolled `is` tests: a loop costs twice as much, and a set lookup more,
+    # as Color.__hash__ runs Python code
+    l1, l2, l3 = colors_l
+    r1, r2, r3 = colors_r
+    if not (
+        (l1 is _RED or l1 is _GREEN) and (l2 is _RED or l2 is _GREEN) and (l3 is _RED or l3 is _GREEN)
+        and (r1 is _RED or r1 is _GREEN) and (r2 is _RED or r2 is _GREEN) and (r3 is _RED or r3 is _GREEN)
+    ):
+        raise _flash_error(colors_l, colors_r)
     colors = (colors_l[setting_l - 1], colors_r[setting_r - 1])
-    record = RunRecord(run_index, settings, colors, transcript, seed, strategy.strategy_id)
+    # the tuple RunRecord(...) builds, without its Python-level __new__
+    record = _new_tuple(RunRecord, (run_index, settings, colors, transcript, seed, strategy.strategy_id))
     return record, colors_l, colors_r
 
 

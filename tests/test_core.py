@@ -130,6 +130,53 @@ def test_instruction_set_rejects_bad_labels(bad):
         InstructionSet.from_label(bad)
 
 
+def _dict_line(record):
+    """The dict-building encoder that ``to_json_line`` replaced, kept as the
+    reference: the record as nested dicts, through ``canonical_json``."""
+    frames = [
+        {"sender": "R" if i & 1 else "L", "round": i // 2 + 1, "payload": base64.b64encode(p).decode("ascii")}
+        for i, p in enumerate(record.transcript)
+    ]
+    return canonical_json(
+        {
+            "run": record.run_index,
+            "settings": [int(record.settings.left), int(record.settings.right)],
+            "colors": record.colors[0].value + record.colors[1].value,
+            "seed": str(record.seed),
+            "strategy": record.strategy_id,
+            "transcript": frames,
+        }
+    )
+
+
+# Any record: 0-40 rounds of 0-300-byte payloads (every base64 tail), seeds
+# over the whole 64-bit range, large run indices, every color and setting
+# pair, and strategy ids with quotes, backslashes, control characters,
+# non-ASCII and lone surrogates
+PAYLOADS = st.one_of(
+    st.binary(max_size=300),
+    # hypothesis keeps binaries short, so long payloads also come from a length
+    st.builds(lambda n, b: bytes((b + 83 * i) & 0xFF for i in range(n)), st.integers(0, 300), st.integers(0, 255)),
+)
+RECORDS = st.builds(
+    RunRecord,
+    run_index=st.one_of(st.integers(min_value=0), st.integers(min_value=2**31, max_value=2**80)),
+    settings=st.sampled_from(ALL_SETTING_PAIRS),
+    colors=st.tuples(st.sampled_from(Color), st.sampled_from(Color)),
+    transcript=st.integers(0, 40)
+    .flatmap(lambda rounds: st.lists(PAYLOADS, min_size=2 * rounds, max_size=2 * rounds))
+    .map(tuple),
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63, 2**64 - 1)),
+    strategy_id=st.text(
+        st.one_of(
+            st.sampled_from('"\\\n\x00\x1f\x7fé'),
+            st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+            st.characters(exclude_categories=()),
+        )
+    ),
+)
+
+
 class TestRunRecordSerialization:
     def _record(self):
         transcript = (b"\x01" + bytes(31), bytes(32))
@@ -160,6 +207,10 @@ class TestRunRecordSerialization:
         import base64
 
         assert base64.b64decode(obj["transcript"][0]["payload"])[0] == 1
+
+    @given(RECORDS)
+    def test_same_line_as_the_dict_encoder(self, rec):
+        assert rec.to_json_line() == _dict_line(rec)
 
     def test_single_line(self):
         assert "\n" not in self._record().to_json_line()
@@ -216,7 +267,7 @@ def _with(path, value=None, delete=False):
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
-    return json.dumps(obj)
+    return canonical_json(obj)
 
 
 # Values to_json_line never writes: wrong type, length or range, an entry
@@ -270,6 +321,16 @@ CORRUPT_VALUES = [
 ]
 
 
+# Lines holding a valid record in a spelling to_json_line never writes
+FORGED_LINES = {
+    "duplicate-key": REAL_LINE[:-1] + ',"run":5}',
+    "whitespace": json.dumps(REAL_OBJ, sort_keys=True),
+    "key-order": json.dumps(dict(reversed(REAL_OBJ.items())), separators=(",", ":")),
+    "escaped-letter": REAL_LINE.replace('"strategy":"negotiation"', '"strategy":"\\u006eegotiation"'),
+    "trailing-newline": REAL_LINE + "\n",
+}
+
+
 class TestRunRecordParsing:
     def test_real_line_parses_and_round_trips(self):
         rec = RunRecord.from_json_line(REAL_LINE)
@@ -295,6 +356,13 @@ class TestRunRecordParsing:
         with pytest.raises(ValueError):
             RunRecord.from_json_line(_with(path, value))
 
+    @pytest.mark.parametrize("kind", sorted(FORGED_LINES))
+    def test_forged_spelling_rejected(self, kind):
+        line = FORGED_LINES[kind]
+        assert line != REAL_LINE
+        with pytest.raises(ValueError, match="not the line to_json_line writes for it"):
+            RunRecord.from_json_line(line)
+
     @pytest.mark.parametrize("line", ["[]", "null", "7", '"x"', "{}", ""])
     def test_non_record_json_rejected(self, line):
         with pytest.raises(ValueError):
@@ -305,13 +373,13 @@ class TestRunRecordParsing:
         entries = obj["transcript"]
         entries[0], entries[1] = entries[1], entries[0]
         with pytest.raises(ValueError, match="transcript entry 0 must be sent by L in round 1, got 'R' in round 1"):
-            RunRecord.from_json_line(json.dumps(obj))
+            RunRecord.from_json_line(canonical_json(obj))
 
     def test_rejects_odd_entry_count(self):
         obj = json.loads(REAL_LINE)
         del obj["transcript"][-1]
         with pytest.raises(ValueError, match="transcript must be a list of whole rounds"):
-            RunRecord.from_json_line(json.dumps(obj))
+            RunRecord.from_json_line(canonical_json(obj))
 
     def test_writer_rejects_odd_payload_count(self):
         rec = RunRecord.from_json_line(REAL_LINE)._replace(transcript=(bytes(32),))

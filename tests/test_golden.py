@@ -9,6 +9,7 @@ refactor or speed-up must leave all of them unchanged; a change that moves
 one has changed observable output and must say why.
 """
 
+import functools
 import hashlib
 import io
 import json
@@ -16,8 +17,9 @@ import json
 import pytest
 
 from bellgame.cli import main
+from bellgame.core import RunRecord
 from bellgame.protocol import ExperimentAborted, RunConfig, run_experiment
-from bellgame.quantum import quantum_experiment
+from bellgame.quantum import QUANTUM_ORACLE_ID, quantum_experiment
 from bellgame.strategies import build_registry
 
 N_RUNS = 2000
@@ -87,33 +89,54 @@ def test_registry_ids_all_pinned():
     assert sorted(REGISTRY) == sorted(STREAM_SHA256) == sorted(LONG_STREAM_SHA256)
 
 
+@functools.cache
+def _stream(strategy_id: str, long: bool = False) -> str:
+    """The pinned record stream of a registry id or of the quantum oracle."""
+    if strategy_id == QUANTUM_ORACLE_ID:
+        sink = io.StringIO()
+        quantum_experiment(N_RUNS, MASTER_SEED, sink=sink)
+        return sink.getvalue()
+    strategy = (LONG_REGISTRY if long else REGISTRY)[strategy_id]
+    censor = not strategy.requires_censor_off
+    if long:
+        config = RunConfig(rounds=32, payload_bytes=LONG_PAYLOAD_BYTES, shared_tape_bytes=256, censor_enabled=censor)
+    else:
+        config = RunConfig(censor_enabled=censor)
+    sink = io.StringIO()
+    run_experiment(config, strategy, LONG_N_RUNS if long else N_RUNS, MASTER_SEED, sink=sink)
+    return sink.getvalue()
+
+
 @pytest.mark.parametrize("strategy_id", sorted(STREAM_SHA256))
 def test_classical_stream(strategy_id):
-    strategy = REGISTRY[strategy_id]
-    config = RunConfig(censor_enabled=not strategy.requires_censor_off)
-    sink = io.StringIO()
-    run_experiment(config, strategy, N_RUNS, MASTER_SEED, sink=sink)
-    assert _sha256(sink.getvalue()) == STREAM_SHA256[strategy_id]
+    assert _sha256(_stream(strategy_id)) == STREAM_SHA256[strategy_id]
 
 
 @pytest.mark.parametrize("strategy_id", sorted(LONG_STREAM_SHA256))
 def test_long_exchange_stream(strategy_id):
-    strategy = LONG_REGISTRY[strategy_id]
-    config = RunConfig(
-        rounds=32,
-        payload_bytes=LONG_PAYLOAD_BYTES,
-        shared_tape_bytes=256,
-        censor_enabled=not strategy.requires_censor_off,
-    )
-    sink = io.StringIO()
-    run_experiment(config, strategy, LONG_N_RUNS, MASTER_SEED, sink=sink)
-    assert _sha256(sink.getvalue()) == LONG_STREAM_SHA256[strategy_id]
+    assert _sha256(_stream(strategy_id, long=True)) == LONG_STREAM_SHA256[strategy_id]
 
 
 def test_quantum_stream():
-    sink = io.StringIO()
-    quantum_experiment(N_RUNS, MASTER_SEED, sink=sink)
-    assert _sha256(sink.getvalue()) == QUANTUM_SHA256
+    assert _sha256(_stream(QUANTUM_ORACLE_ID)) == QUANTUM_SHA256
+
+
+# every pinned stream: each registry id at both shapes, and the oracle
+PINNED_STREAMS = [(sid, False) for sid in sorted(STREAM_SHA256)] + [
+    (sid, True) for sid in sorted(LONG_STREAM_SHA256)
+] + [(QUANTUM_ORACLE_ID, False)]
+
+
+@pytest.mark.parametrize(
+    "strategy_id, long",
+    PINNED_STREAMS,
+    ids=[f"{sid}-{'long' if long else 'default'}" for sid, long in PINNED_STREAMS],
+)
+def test_record_lines_round_trip(strategy_id, long):
+    lines = _stream(strategy_id, long).splitlines()[1:]
+    assert len(lines) == (LONG_N_RUNS if long else N_RUNS)
+    for line in lines:
+        assert RunRecord.from_json_line(line).to_json_line() == line
 
 
 def test_cheat_abort_diagnostic():

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
@@ -176,6 +177,39 @@ class TestExecuteRun:
         broken = WingStrategy("bad-frames", init, transition, emit, flash)
         with pytest.raises(ProtocolError, match="exactly 32 bytes"):
             execute_run(CFG, broken, SettingPair(Setting.ONE, Setting.ONE), 1)
+
+
+    @pytest.mark.parametrize("sink", [None, io.StringIO()], ids=["no-sink", "sink"])
+    def test_flash_must_return_a_color(self, sink):
+        # the tally compares colors with `is`, so without the check the
+        # interned letter would be tallied as a color
+        rrg = build_registry()["fixed-RRG"]
+        broken = dataclasses.replace(rrg, flash=lambda state, full_inbox, setting: "R")
+        message = "wing L, setting 1: flash must return Color.R or Color.G, got 'R'"
+        with pytest.raises(ProtocolError, match=re.escape(message)):
+            run_experiment(CFG, broken, 100, 1, sink=sink)
+        if sink is not None:
+            assert sink.getvalue() == ""
+
+    @pytest.mark.parametrize("wing", [Wing.LEFT, Wing.RIGHT])
+    @pytest.mark.parametrize("bad_setting", list(Setting))
+    def test_every_flash_is_checked(self, wing, bad_setting):
+        def init(wing_id, shared_tape, private_tape, run_index):
+            return wing_id
+
+        def transition(state, round, inbox):
+            return state
+
+        def emit(state, round, inbox, randomness_slice, setting):
+            return bytes(32)
+
+        def flash(state, full_inbox, setting):
+            return None if (state, setting) == (wing, bad_setting) else Color.G
+
+        strategy = WingStrategy("bad-flash", init, transition, emit, flash)
+        message = f"wing {wing.value}, setting {int(bad_setting)}: flash must return Color.R or Color.G, got None"
+        with pytest.raises(ProtocolError, match=re.escape(message)):
+            execute_run(CFG, strategy, SettingPair(Setting.ONE, Setting.ONE), 1)
 
 
 class TestIsolation:
