@@ -63,7 +63,13 @@ _ONE, _TWO, _THREE = SETTINGS
 
 class ProtocolError(Exception):
     """A strategy broke the framing contract: a payload of the wrong type or
-    size, or a flash that is not a Color."""
+    size, or a flash that is not a Color.
+
+    Raised out of an experiment, it carries the number of runs completed
+    before it and their tallies; raised by a bare run, both are None."""
+
+    completed_runs: Optional[int] = None
+    partial_stats: Optional[ExperimentStats] = None
 
 
 @dataclass(frozen=True)
@@ -268,7 +274,8 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
 
     The header goes out with the first record, or with the abort of run 0, so
     a configuration error raised by run 0 leaves the sink empty. A censor
-    violation aborts the experiment."""
+    violation aborts the experiment; a ProtocolError propagates with the
+    completed runs and their tallies attached."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     header = ""
@@ -292,10 +299,14 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
             if header:
                 sink.write(header)
             raise ExperimentAborted(exc.violation, stats, i) from exc
+        except ProtocolError as exc:
+            exc.completed_runs = i
+            exc.partial_stats = stats
+            raise
         record_stat(settings, colors[0] is colors[1])
         if sink is not None:
             if record is None:
-                record = RunRecord(i, settings, colors, (), seed_i, source_id)
+                record = _new_tuple(RunRecord, (i, settings, colors, (), seed_i, source_id))
             sink.write(header + record.to_json_line() + "\n")
             header = ""
     return stats

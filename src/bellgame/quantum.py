@@ -5,6 +5,11 @@ directly (no state vectors): perfect agreement on equal settings,
 agreement probability exactly 1/4 otherwise, uniform marginals. This
 source bypasses wings and censor entirely; it exists to be compared
 against what censored classical strategies can do.
+
+A run's outcome comes from the first two bytes of its ``b"oracle"``
+stream, which one blake2b digest yields: the first byte's parity picks the
+left color, and on unequal settings a second byte below 64 makes the right
+color equal it. On equal settings the second byte is never used.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import IO, Optional
 from .analysis import ExperimentStats
 from .core import ALL_SETTING_PAIRS, Color, SettingPair
 from .protocol import RunConfig, _experiment
-from .randomness import ByteStream
+from .randomness import ByteStream, stream_bytes
 
 __all__ = [
     "QUANTUM_ORACLE_ID",
@@ -25,6 +30,13 @@ __all__ = [
 ]
 
 QUANTUM_ORACLE_ID = "quantum-oracle"
+
+# The joint outcome at index 2 * (first byte & 1) + same, where ``same``
+# says whether the right color equals the left one. A tuple, not a dict keyed
+# by Color, whose __hash__ runs Python code.
+_OUTCOMES = ((Color.R, Color.G), (Color.R, Color.R), (Color.G, Color.R), (Color.G, Color.G))
+# a byte is below this with probability exactly 1/4
+_AGREE_BELOW = 64
 
 
 def singlet_joint() -> dict[SettingPair, Fraction]:
@@ -48,13 +60,9 @@ def singlet_joint() -> dict[SettingPair, Fraction]:
 
 def sample_quantum_run(settings: SettingPair, stream: ByteStream) -> tuple[Color, Color]:
     """One joint outcome: uniform left color; right equals left always on
-    equal settings, with probability exactly 1/4 (byte < 64) otherwise."""
-    left = Color.R if stream.u8() & 1 == 0 else Color.G
-    if settings.left is settings.right:
-        return (left, left)
-    if stream.u8() < 64:
-        return (left, left)
-    return (left, left.flip())
+    equal settings, with probability exactly 1/4 (byte < 64) otherwise.
+    Reads one stream byte on equal settings and two otherwise."""
+    return _OUTCOMES[2 * (stream.u8() & 1) + (settings[0] is settings[1] or stream.u8() < _AGREE_BELOW)]
 
 
 def quantum_experiment(
@@ -70,6 +78,8 @@ def quantum_experiment(
     """
 
     def play(settings, seed, run_index):
-        return sample_quantum_run(settings, ByteStream(seed, b"oracle")), None
+        # sample_quantum_run on ByteStream(seed, b"oracle"), from one digest
+        first, second = stream_bytes(seed, b"oracle", 2)
+        return _OUTCOMES[2 * (first & 1) + (settings[0] is settings[1] or second < _AGREE_BELOW)], None
 
     return _experiment(RunConfig() if config is None else config, QUANTUM_ORACLE_ID, play, n_runs, master_seed, sink)

@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from bellgame import protocol
+from bellgame import protocol, quantum
 from bellgame.core import (
     ALL_SETTING_PAIRS,
     Color,
@@ -191,6 +191,28 @@ class TestExecuteRun:
         if sink is not None:
             assert sink.getvalue() == ""
 
+    def test_protocol_error_carries_the_completed_runs(self):
+        # a copy of fixed-RRG whose flash breaks the contract from run 5 on
+        rrg = build_registry()["fixed-RRG"]
+        broken = dataclasses.replace(
+            rrg,
+            init=lambda wing, shared, private, run_index: (run_index, rrg.init(wing, shared, private, run_index)),
+            flash=lambda state, full_inbox, setting: "R" if state[0] >= 5 else rrg.flash(state[1], full_inbox, setting),
+        )
+        sink = io.StringIO()
+        with pytest.raises(ProtocolError) as excinfo:
+            run_experiment(CFG, broken, 100, 1, sink=sink)
+        assert excinfo.value.completed_runs == 5
+        assert excinfo.value.partial_stats == run_experiment(CFG, rrg, 5, 1)
+        assert len(sink.getvalue().splitlines()) == 6  # the header and runs 0 to 4
+
+    def test_bare_run_protocol_error_carries_nothing(self):
+        broken = dataclasses.replace(RRR, flash=lambda state, full_inbox, setting: "R")
+        with pytest.raises(ProtocolError) as excinfo:
+            execute_run(CFG, broken, SettingPair(Setting.ONE, Setting.TWO), 1)
+        assert excinfo.value.completed_runs is None
+        assert excinfo.value.partial_stats is None
+
     @pytest.mark.parametrize("wing", [Wing.LEFT, Wing.RIGHT])
     @pytest.mark.parametrize("bad_setting", list(Setting))
     def test_every_flash_is_checked(self, wing, bad_setting):
@@ -315,6 +337,36 @@ class TestStreamsDrawn:
 
     def test_negotiation_draws_settings_and_shared_tape(self, monkeypatch):
         assert self._labels(monkeypatch, negotiation_strategy()) == {b"settings", b"tape/shared"}
+
+
+class TestOracleDraws:
+    """The oracle takes each run's two bytes from one digest and builds no
+    ByteStream; the stream sampler reads only the bytes it needs."""
+
+    @pytest.mark.parametrize("sink", [None, io.StringIO()], ids=["no-sink", "sink"])
+    def test_one_digest_per_run(self, monkeypatch, sink):
+        draws = []
+        real = quantum.stream_bytes
+
+        def recording(seed, label, n):
+            draws.append((label, n))
+            return real(seed, label, n)
+
+        def no_stream(seed, label):
+            raise AssertionError("the oracle built a ByteStream")
+
+        monkeypatch.setattr(quantum, "stream_bytes", recording)
+        monkeypatch.setattr(quantum, "ByteStream", no_stream)
+        quantum_experiment(7, 3, sink=sink)
+        assert draws == [(b"oracle", 2)] * 7
+
+    @pytest.mark.parametrize("pair", ALL_SETTING_PAIRS, ids=lambda p: f"{int(p.left)}{int(p.right)}")
+    def test_sampler_reads_one_byte_on_equal_settings_two_otherwise(self, pair):
+        seed = derive_run_seed(9, 0)
+        stream = ByteStream(seed, b"oracle")
+        sample_quantum_run(pair, stream)
+        used = 1 if pair.left is pair.right else 2
+        assert stream.u8() == ByteStream(seed, b"oracle").take(3)[used]
 
 
 class TestRunExperiment:

@@ -1,12 +1,15 @@
 """The oracle's exact joint law and its sampled statistics."""
 
 import io
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings as hsettings, strategies as st
 
-from bellgame.core import ALL_SETTING_PAIRS, SETTINGS, Setting, SettingPair
+from bellgame.core import ALL_SETTING_PAIRS, SETTINGS, Color, RunRecord, Setting, SettingPair
+from bellgame.protocol import run_settings
 from bellgame.quantum import (
     QUANTUM_ORACLE_ID,
     quantum_experiment,
@@ -14,6 +17,40 @@ from bellgame.quantum import (
     singlet_joint,
 )
 from bellgame.randomness import ByteStream, derive_run_seed
+
+
+def _first_master_seed(wanted) -> int:
+    """The least master seed whose run 0 has settings and first two oracle
+    bytes for which ``wanted(settings, first, second)`` holds."""
+    for master in itertools.count():
+        seed = derive_run_seed(master, 0)
+        settings = run_settings(seed)
+        first, second = ByteStream(seed, b"oracle").take(2)
+        if wanted(settings, first, second):
+            return master
+
+
+# run 0 of each of these master seeds sits on one edge of the oracle's law
+SECOND_BYTE_63 = _first_master_seed(lambda s, first, second: s.left is not s.right and second == 63)
+SECOND_BYTE_64 = _first_master_seed(lambda s, first, second: s.left is not s.right and second == 64)
+FIRST_BYTE_EVEN = _first_master_seed(lambda s, first, second: first % 2 == 0)
+FIRST_BYTE_ODD = _first_master_seed(lambda s, first, second: first % 2 == 1)
+
+
+def _oracle_records(n_runs: int, master_seed: int) -> list[RunRecord]:
+    sink = io.StringIO()
+    quantum_experiment(n_runs, master_seed, sink=sink)
+    return [RunRecord.from_json_line(line) for line in sink.getvalue().splitlines()[1:]]
+
+
+class _Bytes:
+    """A stand-in stream that hands out the given bytes, then fails."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def u8(self):
+        return next(self._values)
 
 
 class TestJointLaw:
@@ -71,7 +108,6 @@ class TestSampling:
         assert abs(same / n - 0.25) <= 0.01
 
     def test_left_marginal_uniform_over_mixed_settings(self):
-        from bellgame.core import Color
         from bellgame.protocol import draw_settings
 
         reds = 0
@@ -90,8 +126,6 @@ class TestSampling:
         assert a == b
 
     def test_both_marginals_uniform_at_fixed_pair(self):
-        from bellgame.core import Color
-
         pair = SettingPair(Setting.ONE, Setting.TWO)
         n = 40_000
         reds = [0, 0]
@@ -102,6 +136,49 @@ class TestSampling:
             reds[1] += colors[1] is Color.R
         assert abs(reds[0] / n - 0.5) <= 0.015
         assert abs(reds[1] / n - 0.5) <= 0.015
+
+
+    @pytest.mark.parametrize("pair", ALL_SETTING_PAIRS, ids=lambda p: f"{int(p.left)}{int(p.right)}")
+    def test_every_byte_pair_gives_the_exact_law(self, pair):
+        # over all 256 first bytes (and, on unequal settings, all 256 second
+        # bytes) the sampler's agreement is exactly the joint law, the left
+        # color is exactly uniform, and equal settings read one byte only
+        equal = pair.left is pair.right
+        byte_pairs = [(first,) for first in range(256)] if equal else itertools.product(range(256), repeat=2)
+        outcomes = [sample_quantum_run(pair, _Bytes(*bytes_)) for bytes_ in byte_pairs]
+        agree = sum(left is right for left, right in outcomes)
+        reds = sum(left is Color.R for left, _ in outcomes)
+        assert Fraction(agree, len(outcomes)) == singlet_joint()[pair]
+        assert Fraction(reds, len(outcomes)) == Fraction(1, 2)
+
+
+class TestOracleEquivalence:
+    """quantum_experiment draws each run from one digest; its records must
+    hold what sample_quantum_run makes of the same run's ByteStream."""
+
+    @given(master_seed=st.integers(0, 2**64 - 1), n_runs=st.integers(1, 12))
+    @example(master_seed=SECOND_BYTE_63, n_runs=1)
+    @example(master_seed=SECOND_BYTE_64, n_runs=1)
+    @example(master_seed=FIRST_BYTE_EVEN, n_runs=1)
+    @example(master_seed=FIRST_BYTE_ODD, n_runs=1)
+    @hsettings(max_examples=60, deadline=None)
+    def test_records_match_the_stream_sampler(self, master_seed, n_runs):
+        records = _oracle_records(n_runs, master_seed)
+        assert len(records) == n_runs
+        for rec in records:
+            assert rec.colors == sample_quantum_run(rec.settings, ByteStream(rec.seed, b"oracle"))
+
+    def test_second_byte_63_agrees_and_64_differs(self):
+        (agreed,) = _oracle_records(1, SECOND_BYTE_63)
+        (differed,) = _oracle_records(1, SECOND_BYTE_64)
+        assert agreed.colors[0] is agreed.colors[1]
+        assert differed.colors[0] is not differed.colors[1]
+
+    def test_first_byte_parity_picks_the_left_color(self):
+        (even,) = _oracle_records(1, FIRST_BYTE_EVEN)
+        (odd,) = _oracle_records(1, FIRST_BYTE_ODD)
+        assert even.colors[0] is Color.R
+        assert odd.colors[0] is Color.G
 
 
 class TestQuantumExperiment:
