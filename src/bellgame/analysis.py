@@ -8,9 +8,8 @@ probability, 1e-6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     ALL_SETTING_PAIRS,
@@ -137,8 +136,7 @@ class ExperimentStats:
         return out
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """The eight exact same-color fractions, their minimum and minimizers."""
 
     per_set_fractions: dict[InstructionSet, Fraction]
@@ -194,8 +192,7 @@ def check_feature_i(stats: ExperimentStats) -> bool:
     return stats.equal_setting_counts()[1] == 0
 
 
-@dataclass(frozen=True)
-class FeatureIIResult:
+class FeatureIIResult(NamedTuple):
     """Is the overall same-color fraction consistent with exactly 1/2?"""
 
     holds: bool
@@ -211,8 +208,7 @@ def check_feature_ii(stats: ExperimentStats) -> FeatureIIResult:
     return FeatureIIResult(holds=holds, observed=observed, tolerance=tolerance)
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Classical floor vs target statistics, with confidence intervals."""
 
     classical_same: Fraction

@@ -19,7 +19,7 @@ shapes are checked by ``validate_strategy``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import SETTINGS, Setting, SettingPair, Wing, canonical_json
 
@@ -36,8 +36,7 @@ __all__ = [
 _ONE, _TWO, _THREE = SETTINGS
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """Diagnosis of a censored emission: the first two counterfactual
     settings whose payloads differ."""
 

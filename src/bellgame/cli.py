@@ -225,13 +225,14 @@ def _stats_json_line(stats) -> str:
     return canonical_json(doc)
 
 
-def _run_source(args, config: RunConfig, registry, seed: int, sink=None):
+def _run_source(args, config: RunConfig, seed: int, sink=None):
     """Stats of ``--n`` runs of ``--strategy``, the quantum oracle or a registry
-    strategy. A censor violation prints one diagnostic line and exits 4."""
+    strategy; the registry is built only for the latter. A censor violation
+    prints one diagnostic line and exits 4."""
     try:
         if args.strategy == QUANTUM_ORACLE_ID:
             return quantum_experiment(args.n, seed, config=config, sink=sink)
-        strategy = _lookup_strategy(registry, args.strategy)
+        strategy = _lookup_strategy(build_registry(config.payload_bytes), args.strategy)
         return run_experiment(config, strategy, args.n, seed, sink=sink)
     except ExperimentAborted as aborted:
         _fail(
@@ -246,10 +247,8 @@ def _run_source(args, config: RunConfig, registry, seed: int, sink=None):
 def _cmd_run(args) -> int:
     seed = _resolve_seed(args)
     config = _config_from(args, censor_enabled=args.censor == "on")
-    registry = build_registry(config.payload_bytes)
-
     with _open_output(args) as out:
-        stats = _run_source(args, config, registry, seed, out if args.format == "jsonl" else None)
+        stats = _run_source(args, config, seed, out if args.format == "jsonl" else None)
         if args.format == "jsonl":
             out.write(_stats_json_line(stats) + "\n")
         elif args.format == "csv":
@@ -280,7 +279,7 @@ def _cmd_gap(args) -> int:
     seed = _resolve_seed(args)
     config = _config_from(args)
     with _open_output(args) as out:
-        classical = _run_source(args, config, build_registry(config.payload_bytes), seed)
+        classical = _run_source(args, config, seed)
         quantum = quantum_experiment(args.n, seed, config=config)
         report = bell_gap_report(classical, quantum)
         if args.format == "jsonl":

@@ -6,11 +6,14 @@ Frames have a fixed size every round in both directions, so neither length,
 count, nor timing can carry setting information. Everything is a pure
 function of (config, strategy, settings, seed), which is what makes
 counterfactual replay and byte-exact re-runs possible.
+
+``RunConfig`` is an immutable slot class, like ``WingStrategy``: its sizes
+must be ints, and ``config.replace(rounds=8)`` makes a copy that its
+constructor checks again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import IO, Optional
 
 from ._version import __version__
@@ -24,6 +27,7 @@ from .core import (
     RunRecord,
     SettingPair,
     Wing,
+    _Frozen,
     canonical_json,
 )
 from .randomness import ByteStream, derive_run_seed, stream_bytes
@@ -72,22 +76,26 @@ class ProtocolError(Exception):
     partial_stats: Optional[ExperimentStats] = None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Referee parameters for one experiment."""
+class RunConfig(_Frozen):
+    """Referee parameters for one experiment. Immutable: ``replace`` makes a
+    changed copy, checked like a new one."""
 
-    rounds: int = DEFAULT_ROUNDS
-    payload_bytes: int = DEFAULT_PAYLOAD_BYTES
-    shared_tape_bytes: int = DEFAULT_SHARED_TAPE_BYTES
-    censor_enabled: bool = True
+    __slots__ = ("rounds", "payload_bytes", "shared_tape_bytes", "censor_enabled")
 
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.payload_bytes < 1:
-            raise ValueError("payload_bytes must be >= 1")
-        if self.shared_tape_bytes < 0:
-            raise ValueError("shared_tape_bytes must be >= 0")
+    def __init__(
+        self, rounds: int = DEFAULT_ROUNDS, payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
+        shared_tape_bytes: int = DEFAULT_SHARED_TAPE_BYTES, censor_enabled: bool = True,
+    ):
+        sizes = (("rounds", rounds, 1), ("payload_bytes", payload_bytes, 1), ("shared_tape_bytes", shared_tape_bytes, 0))
+        for name, value, low in sizes:
+            # a bool is an int, but not a size
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
+        if not isinstance(censor_enabled, bool):
+            raise ValueError(f"censor_enabled must be a bool, got {censor_enabled!r}")
+        self._fill(rounds, payload_bytes, shared_tape_bytes, censor_enabled)
 
     def to_json_dict(self) -> dict:
         return {

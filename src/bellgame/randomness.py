@@ -11,11 +11,18 @@ its first block: ``stream_bytes`` computes that one digest and nothing
 else, and hands longer reads to ``ByteStream``. Every stream of a run in
 the default configuration (tapes of 64 bytes, four 16-byte slices per wing,
 the two setting bytes) is such a read.
+
+``blake2b`` comes from the ``_blake2`` module, whose function is the very
+object ``hashlib.blake2b`` is; importing ``hashlib`` would also start
+OpenSSL, which costs more than the rest of this module's import.
 """
 
 from __future__ import annotations
 
-import hashlib
+try:
+    from _blake2 import blake2b  # the very object hashlib.blake2b is
+except ImportError:  # an interpreter built without the _blake2 module
+    from hashlib import blake2b
 
 __all__ = ["MASK64", "mix64", "derive_run_seed", "ByteStream", "stream_bytes"]
 
@@ -58,7 +65,7 @@ class ByteStream:
         self._pos = 0
 
     def _refill(self) -> None:
-        self._block = hashlib.blake2b(
+        self._block = blake2b(
             self._label + self._counter.to_bytes(8, "little"),
             key=self._key,
             digest_size=BLOCK_BYTES,
@@ -97,7 +104,7 @@ def stream_bytes(seed: int, label: bytes, n: int) -> bytes:
     """The first ``n`` bytes of ``ByteStream(seed, label)``: one blake2b
     digest when ``n`` is at most one block, the stream itself beyond that."""
     if 0 <= n <= BLOCK_BYTES:
-        return hashlib.blake2b(
+        return blake2b(
             label + _FIRST_BLOCK,
             key=(seed & MASK64).to_bytes(8, "little"),
             digest_size=BLOCK_BYTES,

@@ -1,6 +1,8 @@
 """Wing strategies: the classical explanations and the stress cases.
 
-A strategy is four deterministic slots behind one frozen interface:
+A strategy is four deterministic slots behind one frozen interface, a
+``WingStrategy`` (an immutable slot class; ``strategy.replace(flash=...)``
+makes a changed copy):
 
     init(wing_id, shared_tape, private_tape, run_index) -> public_state
     transition(state, round, inbox) -> public_state
@@ -34,11 +36,9 @@ to the peer through side state loses feature (i).
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
 from typing import Callable
 
-from .core import INSTRUCTION_SETS, Color, InstructionSet, Wing
+from .core import INSTRUCTION_SETS, Color, InstructionSet, Wing, _Frozen
 from .protocol import DEFAULT_PAYLOAD_BYTES
 
 __all__ = [
@@ -60,23 +60,22 @@ __all__ = [
 _READABLE = ("shared", "private", "slices")
 
 
-@dataclass(frozen=True)
-class WingStrategy:
+class WingStrategy(_Frozen):
     """Behavioral slots plus metadata. Instances are immutable; per-run
     state lives in the run, so one instance is safe across concurrent runs.
+    ``replace`` makes a copy with some slots or flags changed.
 
     ``agreement_based`` marks strategies whose wings flash from one common
     instruction set every run (so equal settings always give equal colors).
     """
 
-    strategy_id: str
-    init: Callable
-    transition: Callable
-    emit: Callable
-    flash: Callable
-    requires_censor_off: bool = False
-    agreement_based: bool = False
-    reads: tuple[str, ...] = _READABLE
+    __slots__ = ("strategy_id", "init", "transition", "emit", "flash", "requires_censor_off", "agreement_based", "reads")
+
+    def __init__(
+        self, strategy_id: str, init: Callable, transition: Callable, emit: Callable, flash: Callable,
+        requires_censor_off: bool = False, agreement_based: bool = False, reads: tuple[str, ...] = _READABLE,
+    ):
+        self._fill(strategy_id, init, transition, emit, flash, requires_censor_off, agreement_based, reads)
 
 
 class StrategyError(Exception):
@@ -100,6 +99,8 @@ def validate_strategy(strategy: WingStrategy) -> None:
     nowhere to receive it. This shape is what makes per-emission vetting
     imply whole-transcript invariance.
     """
+    from inspect import signature  # here, so that importing bellgame does not load inspect
+
     sid = strategy.strategy_id
     if not sid:
         raise StrategyError("strategy id must be non-empty")
@@ -109,7 +110,7 @@ def validate_strategy(strategy: WingStrategy) -> None:
     for slot, arity, setting_at, shape in _SLOT_SHAPES:
         params = [
             p.name
-            for p in inspect.signature(getattr(strategy, slot)).parameters.values()
+            for p in signature(getattr(strategy, slot)).parameters.values()
             if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) and p.default is p.empty
         ]
         found_at = params.index("setting") if "setting" in params else None

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, determinism, diagnostics."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -248,6 +249,34 @@ class TestGapCommand:
         code, _, err = run_cli(capsys, "gap", "--strategy", "cheat", "--n", "10")
         assert code == EXIT_VIOLATION
         assert json.loads(err)["error"] == "censor-violation"
+
+
+class TestOracleBuildsNoRegistry:
+    """The quantum oracle has no wings, so ``run`` and ``gap`` with it neither
+    build nor validate the strategy registry."""
+
+    # sha256 of the stdout of run and gap --strategy quantum-oracle --n 2000 --seed 2024
+    RUN_SHA256 = "3d6de237f8cb8087f8125f826846988e2d18cbbcd382a134570f4b5a8c0a34f2"
+    GAP_SHA256 = "9e399c6698e91727067da0e572a104718b8a3f4215a4096afbf6dc82fafdea2b"
+
+    @pytest.fixture(autouse=True)
+    def no_registry(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the quantum oracle built the strategy registry")
+
+        monkeypatch.setattr(cli, "build_registry", refuse)
+        monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
+
+    def test_run(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--strategy", "quantum-oracle", "--n", "2000", "--seed", "2024")
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.RUN_SHA256
+
+    def test_gap(self, capsys):
+        code, out, err = run_cli(capsys, "gap", "--strategy", "quantum-oracle", "--n", "2000", "--seed", "2024")
+        assert code == EXIT_OK
+        assert json.loads(err)["error"] == "power-warning"
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GAP_SHA256
 
 
 class TestVerifyCensor:

@@ -1,8 +1,9 @@
 """Referee state machine: determinism, framing, isolation, distribution."""
 
-import dataclasses
+import copy
 import io
 import json
+import pickle
 import re
 
 import pytest
@@ -106,7 +107,7 @@ class TestExecuteRun:
             seen.append((state[0], round, inbox))
             return base.transition(state, round, inbox)
 
-        strat = dataclasses.replace(base, transition=transition)
+        strat = base.replace(transition=transition)
         for pair in ALL_SETTING_PAIRS:
             seen.clear()
             t = execute_run(CFG, strat, pair, 31).transcript
@@ -145,7 +146,7 @@ class TestExecuteRun:
 
             return call
 
-        strat = dataclasses.replace(base, **{slot: logged(slot) for slot in ("init", "transition", "emit", "flash")})
+        strat = base.replace(**{slot: logged(slot) for slot in ("init", "transition", "emit", "flash")})
         logs = []
         for pair in ALL_SETTING_PAIRS:
             log.clear()
@@ -184,7 +185,7 @@ class TestExecuteRun:
         # the tally compares colors with `is`, so without the check the
         # interned letter would be tallied as a color
         rrg = build_registry()["fixed-RRG"]
-        broken = dataclasses.replace(rrg, flash=lambda state, full_inbox, setting: "R")
+        broken = rrg.replace(flash=lambda state, full_inbox, setting: "R")
         message = "wing L, setting 1: flash must return Color.R or Color.G, got 'R'"
         with pytest.raises(ProtocolError, match=re.escape(message)):
             run_experiment(CFG, broken, 100, 1, sink=sink)
@@ -194,8 +195,7 @@ class TestExecuteRun:
     def test_protocol_error_carries_the_completed_runs(self):
         # a copy of fixed-RRG whose flash breaks the contract from run 5 on
         rrg = build_registry()["fixed-RRG"]
-        broken = dataclasses.replace(
-            rrg,
+        broken = rrg.replace(
             init=lambda wing, shared, private, run_index: (run_index, rrg.init(wing, shared, private, run_index)),
             flash=lambda state, full_inbox, setting: "R" if state[0] >= 5 else rrg.flash(state[1], full_inbox, setting),
         )
@@ -207,7 +207,7 @@ class TestExecuteRun:
         assert len(sink.getvalue().splitlines()) == 6  # the header and runs 0 to 4
 
     def test_bare_run_protocol_error_carries_nothing(self):
-        broken = dataclasses.replace(RRR, flash=lambda state, full_inbox, setting: "R")
+        broken = RRR.replace(flash=lambda state, full_inbox, setting: "R")
         with pytest.raises(ProtocolError) as excinfo:
             execute_run(CFG, broken, SettingPair(Setting.ONE, Setting.TWO), 1)
         assert excinfo.value.completed_runs is None
@@ -423,7 +423,7 @@ class TestWireRoundTrip:
     def test_registry_lines_round_trip(self, config, payload_bytes, sid):
         strategy = build_registry(payload_bytes)[sid]
         if strategy.requires_censor_off:
-            config = dataclasses.replace(config, censor_enabled=False)
+            config = config.replace(censor_enabled=False)
         sink = io.StringIO()
         run_experiment(config, strategy, 50, 19, sink=sink)
         lines = sink.getvalue().splitlines()[1:]
@@ -455,3 +455,56 @@ def test_config_validation():
         RunConfig(payload_bytes=0)
     with pytest.raises(ValueError):
         RunConfig(shared_tape_bytes=-1)
+
+
+class TestRunConfigClass:
+    """RunConfig is an immutable slot class: checked on every construction,
+    copies included, and compared, hashed and printed field by field."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("payload_bytes", 32.0, "payload_bytes must be an integer, got 32.0"),
+            ("rounds", True, "rounds must be an integer, got True"),
+            ("shared_tape_bytes", 64.0, "shared_tape_bytes must be an integer, got 64.0"),
+            ("censor_enabled", 0, "censor_enabled must be a bool, got 0"),
+        ],
+    )
+    def test_rejects_a_value_of_the_wrong_type(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(**{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig().replace(**{field: value})
+
+    def test_replace_checks_the_copy(self):
+        with pytest.raises(ValueError, match="rounds must be >= 1"):
+            RunConfig().replace(rounds=0)
+        assert CFG.replace(rounds=8) == RunConfig(rounds=8)
+        assert CFG.replace() == CFG and CFG.rounds == 4
+        with pytest.raises(TypeError):
+            CFG.replace(round=8)
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            CFG.rounds = 5
+        with pytest.raises(AttributeError):
+            del CFG.censor_enabled
+        with pytest.raises(AttributeError):
+            CFG.extra = 1
+        assert CFG == RunConfig()
+
+    def test_equality_hash_and_repr_go_field_by_field(self):
+        assert RunConfig() == RunConfig(4, 32, 64, True)
+        assert hash(RunConfig()) == hash(RunConfig(4, 32, 64, True)) == hash((4, 32, 64, True))
+        for changed in (RunConfig(rounds=5), RunConfig(payload_bytes=31), RunConfig(shared_tape_bytes=0), RunConfig(censor_enabled=False)):
+            assert changed != CFG
+        assert CFG != (4, 32, 64, True)
+        assert repr(LONG_EXCHANGE) == (
+            "RunConfig(rounds=32, payload_bytes=256, shared_tape_bytes=256, censor_enabled=True)"
+        )
+
+    @pytest.mark.parametrize("config", [CFG, LONG_EXCHANGE, RunConfig(censor_enabled=False)], ids=repr)
+    def test_copy_and_pickle_round_trip(self, config):
+        for twin in (copy.copy(config), copy.deepcopy(config), pickle.loads(pickle.dumps(config))):
+            assert type(twin) is RunConfig
+            assert twin == config and twin.to_json_dict() == config.to_json_dict()

@@ -1,8 +1,11 @@
 """Seed derivation and byte streams must be stable forever."""
 
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings as hsettings, strategies as st
 
+from bellgame import randomness
 from bellgame.protocol import draw_settings, run_settings
 from bellgame.randomness import ByteStream, derive_run_seed, mix64, stream_bytes
 
@@ -103,3 +106,10 @@ def test_run_settings_rejected_byte(seed, head):
     else:
         assert first_two[head] == 255 and first_two[1 - head] != 255
     assert run_settings(seed) == draw_settings(ByteStream(seed, b"settings"))
+
+
+def test_blake2b_is_hashlib_blake2b():
+    # randomness takes blake2b from _blake2 so that importing it starts no
+    # OpenSSL; the bytes are the same only while the function is the same
+    _blake2 = pytest.importorskip("_blake2")
+    assert randomness.blake2b is _blake2.blake2b is hashlib.blake2b

@@ -1,6 +1,6 @@
 """Behavior of every shipped strategy."""
 
-import dataclasses
+import functools
 import hashlib
 import io
 
@@ -24,6 +24,7 @@ from bellgame.protocol import (
 from bellgame.randomness import ByteStream, derive_run_seed
 from bellgame.strategies import (
     StrategyError,
+    WingStrategy,
     build_registry,
     cheat_strategy,
     clock_keyed_strategy,
@@ -86,7 +87,7 @@ class TestRegistry:
             validate_strategy(broken)
 
     def test_rejects_unknown_read(self):
-        broken = dataclasses.replace(negotiation_strategy(), reads=("slice",))
+        broken = negotiation_strategy().replace(reads=("slice",))
         with pytest.raises(StrategyError, match="'slice'"):
             validate_strategy(broken)
 
@@ -114,8 +115,8 @@ class TestReadsDeclarations:
     def test_declaration_changes_no_byte(self, config, payload_bytes, sid):
         strategy = build_registry(payload_bytes)[sid]
         if strategy.requires_censor_off:
-            config = dataclasses.replace(config, censor_enabled=False)
-        reads_all = dataclasses.replace(strategy, reads=ALL_READS)
+            config = config.replace(censor_enabled=False)
+        reads_all = strategy.replace(reads=ALL_READS)
         assert _jsonl_sha256(config, strategy, 50, 8) == _jsonl_sha256(config, reads_all, 50, 8)
 
     def test_declared_reads(self):
@@ -268,3 +269,95 @@ class TestAdversarialSuite:
         )
         left_payloads = rec.transcript[::2]
         assert len(set(left_payloads)) == len(left_payloads)
+
+
+def _wrapped(fn):
+    """``fn`` behind a functools.wraps wrapper, as perfbench's tracer wraps slots."""
+
+    @functools.wraps(fn)
+    def call(*args):
+        return fn(*args)
+
+    return call
+
+
+class TestWingStrategyClass:
+    """WingStrategy is an immutable slot class, compared, hashed and printed
+    field by field."""
+
+    def test_fields_cannot_be_assigned(self):
+        strategy = negotiation_strategy()
+        with pytest.raises(AttributeError):
+            strategy.flash = strategy.emit
+        with pytest.raises(AttributeError):
+            strategy.agreement_based = False
+        with pytest.raises(AttributeError):
+            del strategy.reads
+        assert strategy.agreement_based and strategy.reads == ("shared",)
+
+    def test_keyword_construction(self):
+        # the keyword shape perfbench's tracer builds strategies with
+        base = build_registry()["tape-mixing"]
+        built = WingStrategy(
+            base.strategy_id,
+            init=base.init,
+            transition=base.transition,
+            emit=base.emit,
+            flash=base.flash,
+            requires_censor_off=base.requires_censor_off,
+            agreement_based=base.agreement_based,
+            reads=base.reads,
+        )
+        validate_strategy(built)
+        assert built == base
+        assert _jsonl_sha256(CFG, built, 20, 4) == _jsonl_sha256(CFG, base, 20, 4)
+
+    def test_defaults(self):
+        base = negotiation_strategy()
+        bare = WingStrategy("bare", base.init, base.transition, base.emit, base.flash)
+        assert (bare.requires_censor_off, bare.agreement_based, bare.reads) == (False, False, ALL_READS)
+
+    def test_equality_hash_and_repr_go_field_by_field(self):
+        base = negotiation_strategy()
+        twin = base.replace()
+        assert twin == base and twin is not base
+        assert hash(twin) == hash(base)
+        assert base.replace(agreement_based=False) != base
+        assert base.replace(emit=_wrapped(base.emit)) != base
+        # each factory call makes new closures, so two calls are two strategies
+        assert negotiation_strategy() != base
+        assert repr(base) == (
+            f"WingStrategy(strategy_id='negotiation', init={base.init!r}, "
+            f"transition={base.transition!r}, emit={base.emit!r}, flash={base.flash!r}, "
+            "requires_censor_off=False, agreement_based=True, reads=('shared',))"
+        )
+
+    @pytest.mark.parametrize("sid", list(build_registry()))
+    def test_validate_accepts_wrapped_slots(self, sid):
+        base = build_registry()[sid]
+        wrapped = base.replace(**{slot: _wrapped(getattr(base, slot)) for slot in ("init", "transition", "emit", "flash")})
+        validate_strategy(wrapped)
+        config = CFG_OFF if base.requires_censor_off else CFG
+        assert _jsonl_sha256(config, wrapped, 20, 6) == _jsonl_sha256(config, base, 20, 6)
+
+    @pytest.mark.parametrize(
+        "slot, bad, shape",
+        [
+            ("init", lambda wing_id, shared_tape, private_tape: None, "init must take"),
+            ("init", lambda wing_id, shared_tape, private_tape, run_index, setting: None, "init must take"),
+            ("transition", lambda state, round: state, "never a setting"),
+            ("transition", lambda state, round, setting: state, "never a setting"),
+            ("transition", lambda state, round, inbox, setting: state, "never a setting"),
+            ("emit", lambda state, round, inbox, setting: b"", "emit must take"),
+            ("emit", lambda state, round, inbox, setting, randomness_slice: b"", "emit must take"),
+            ("emit", lambda state, round, inbox, randomness_slice, other: b"", "emit must take"),
+            ("flash", lambda state, full_inbox: None, "flash must take"),
+            ("flash", lambda state, setting, full_inbox: None, "flash must take"),
+            ("flash", lambda state, full_inbox, colour: None, "flash must take"),
+        ],
+    )
+    @pytest.mark.parametrize("wrap", [False, True], ids=["bare", "wrapped"])
+    def test_validate_rejects_every_malformed_shape(self, slot, bad, shape, wrap):
+        broken = negotiation_strategy().replace(**{slot: _wrapped(bad) if wrap else bad})
+        with pytest.raises(StrategyError, match=shape):
+            validate_strategy(broken)
