@@ -13,8 +13,8 @@ module globals, a state object both wings share). With the censor on, no
 strategy call depends on the actual settings: ``vet_emission`` delivers the
 setting-1 payload object, and the referee calls each ``flash`` under all
 three settings in a fixed order. A setting stashed in a captured object is
-never the actual one, so a strategy relying on it loses feature (i). Slot
-shapes are checked by ``validate_strategy``.
+never the actual one, so a strategy relying on it loses feature (i). This
+holds whatever the slot shapes that ``validate_strategy`` checks.
 """
 
 from __future__ import annotations
@@ -98,7 +98,10 @@ def vet_emission(strategy, wing: Wing, state, round: int, inbox, randomness_slic
 
 def verify_transcript_invariance(config, strategy, settings: SettingPair, seed: int, run_index: int = 0) -> bool:
     """Whole-run counterfactual replay: rerun with either wing's setting
-    replaced and require a byte-identical transcript every time."""
+    replaced and require a byte-identical transcript every time. With the
+    censor on, no strategy call depends on the actual settings, so this can
+    fail only for a strategy that is not deterministic, such as one that
+    counts its runs."""
     from .protocol import execute_run  # protocol depends on this module for vetting
 
     base = execute_run(config, strategy, settings, seed, run_index=run_index)

@@ -217,7 +217,10 @@ class RunRecord(NamedTuple):
         does any line that ``to_json_line`` would not write for the record it
         holds: whitespace, another key order, an unknown or repeated key, or
         a payload or seed spelled another way."""
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except RecursionError:
+            raise ValueError("malformed run record: nested too deeply") from None
         try:
             (left, right), letters, seed = obj["settings"], obj["colors"], obj["seed"]
             strategy_id, entries = obj["strategy"], obj["transcript"]

@@ -40,6 +40,7 @@ from typing import Callable
 
 from .core import INSTRUCTION_SETS, Color, InstructionSet, Wing, _Frozen
 from .protocol import DEFAULT_PAYLOAD_BYTES
+from .quantum import _AGREE_BELOW, _OUTCOMES
 
 __all__ = [
     "WingStrategy",
@@ -92,12 +93,11 @@ _SLOT_SHAPES = (
 
 
 def validate_strategy(strategy: WingStrategy) -> None:
-    """Reject malformed strategies at registration time.
-
-    The decisive check is the transition shape, exactly (state, round,
-    inbox): a strategy that tried to store its setting in public state has
-    nowhere to receive it. This shape is what makes per-emission vetting
-    imply whole-transcript invariance.
+    """Reject a strategy that does not fit the slot interface: an empty id,
+    an unknown ``reads`` name or a slot of the wrong shape. Run it on a
+    strategy written outside the package; the tests run it on the shipped
+    ones. The shapes are not what keeps a setting out of ``transition``:
+    the referee never passes it one.
     """
     from inspect import signature  # here, so that importing bellgame does not load inspect
 
@@ -204,10 +204,10 @@ def cheat_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrategy:
     """Announce the setting in round 1, then sample the target joint law.
 
     With the censor off, both wings learn both settings after one round and
-    use two shared-tape bytes to draw the same joint outcome: perfectly
-    correlated on equal settings, agreeing with probability exactly 1/4
-    otherwise, uniform marginals. With the censor on, the very first
-    emission is caught, which is the point.
+    draw one joint outcome from two shared-tape bytes by the quantum
+    oracle's byte rule: perfectly correlated on equal settings, agreeing
+    with probability exactly 1/4 otherwise, uniform marginals. With the
+    censor on, the very first emission is caught, which is the point.
     """
     filler = bytes(payload_bytes)
     tail = filler[1:]
@@ -215,7 +215,8 @@ def cheat_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrategy:
     def init(wing_id, shared_tape, private_tape, run_index):
         if len(shared_tape) < 2:
             raise ValueError("cheat needs at least 2 shared tape bytes")
-        return (wing_id, shared_tape[0], shared_tape[1])
+        # the wing's index in the oracle's (left, right) outcome
+        return (0 if wing_id is _LEFT else 1, shared_tape[0], shared_tape[1])
 
     def emit(state, round, inbox, randomness_slice, setting):
         if round == 1:
@@ -223,13 +224,8 @@ def cheat_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrategy:
         return filler
 
     def flash(state, full_inbox, setting):
-        wing_id, color_byte, same_byte = state
-        peer_setting = full_inbox[0][0]
-        left_color = _RED if color_byte & 1 == 0 else _GREEN
-        same = True if int(setting) == peer_setting else same_byte < 64
-        if wing_id is _LEFT:
-            return left_color
-        return left_color if same else left_color.flip()
+        side, color_byte, same_byte = state
+        return _OUTCOMES[2 * (color_byte & 1) + (setting == full_inbox[0][0] or same_byte < _AGREE_BELOW)][side]
 
     return WingStrategy(
         "cheat", init, _keep_state, emit, flash, requires_censor_off=True, reads=("shared",)
@@ -359,7 +355,7 @@ def near_leak_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrate
 
 
 def build_registry(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> dict[str, WingStrategy]:
-    """Every shipped strategy keyed by id, validated at load time."""
+    """Every shipped strategy keyed by id, in list order; the tests validate them."""
     strategies = [negotiation_strategy(payload_bytes)]
     strategies.extend(
         fixed_instruction_strategy(iset, payload_bytes) for iset in INSTRUCTION_SETS
@@ -373,10 +369,4 @@ def build_registry(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> dict[str, Wing
         near_leak_strategy(payload_bytes),
         cheat_strategy(payload_bytes),
     ]
-    registry: dict[str, WingStrategy] = {}
-    for strategy in strategies:
-        validate_strategy(strategy)
-        if strategy.strategy_id in registry:
-            raise StrategyError(f"duplicate strategy id {strategy.strategy_id!r}")
-        registry[strategy.strategy_id] = strategy
-    return registry
+    return {s.strategy_id: s for s in strategies}

@@ -318,6 +318,20 @@ class TestWholeRunInvariance:
             cfg, cheat, SettingPair(Setting.ONE, Setting.TWO), 77
         )
 
+    def test_run_counter_is_not_invariant(self):
+        # the three emits of a frame agree, so vetting passes every frame,
+        # but the count kept across runs differs in every rerun
+        runs = [0]
+
+        def init(wing_id, shared_tape, private_tape, run_index):
+            runs[0] += 1
+            return runs[0]
+
+        counter = _strategy(
+            lambda state, round, inbox, rand, setting: state.to_bytes(CFG.payload_bytes, "big")
+        ).replace(init=init)
+        assert not verify_transcript_invariance(CFG, counter, SettingPair(Setting.ONE, Setting.TWO), 77)
+
     def test_censor_never_alters_payloads(self):
         # identical runs with the censor on and off produce identical
         # transcripts for a compliant strategy: pass or abort, never rewrite

@@ -363,7 +363,15 @@ class TestRunRecordParsing:
         with pytest.raises(ValueError, match="not the line to_json_line writes for it"):
             RunRecord.from_json_line(line)
 
-    @pytest.mark.parametrize("line", ["[]", "null", "7", '"x"', "{}", ""])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[]", "null", "7", '"x"', "{}", "",
+            # nested past the parser's recursion limit
+            pytest.param("[" * 100_000, id="deep-list"),
+            pytest.param('{"colors":"RR","run":' + "[" * 100_000, id="deep-run"),
+        ],
+    )
     def test_non_record_json_rejected(self, line):
         with pytest.raises(ValueError):
             RunRecord.from_json_line(line)

@@ -164,6 +164,9 @@ CLI_STDOUT_SHA256 = {
     ("prove-bound", "--format", "text"): "6ddcdf0cf42c158f7cf5aba1b958f20f543f955b93f261252394d3ea935252a3",
     ("prove-bound", "--format", "jsonl"): "9b977c2f28fb45ae9d3030dcd9291b85f9c5fd4a4e0b4a4a5a28232b9eb7105c",
     ("prove-bound", "--format", "csv"): "c2c36af7ca0046601507d27e85eef6ae9a1d53b7a662f3645e2d036d9b838a00",
+    # registry order fixes the list and the seeds checked for each strategy
+    ("list-strategies",): "5e0761c8d81e5c71d0320421fc2bd6fdc622c5b496a05deb8df77b3fd875335e",
+    ("verify-censor", "--n", "20", "--seed", "7"): "4cfdfc8334cba32a73bcf28bc6fb86dc7b561fc8406702b6688d27bbe07a6365",
 }
 
 _CHEAT_PAYLOADS = (

@@ -1,5 +1,6 @@
 """What start-up loads: importing bellgame, building the registry, proving
-the bound and running the oracle from the CLI load no module they never use.
+the bound and the CLI's run, prove-bound, list-strategies and verify-censor
+commands load no module they never use.
 
 Each check runs in a fresh interpreter with ``src`` on PYTHONPATH and the
 flags of this one, and is compared with a bare interpreter started the same
@@ -27,19 +28,20 @@ def _loaded_after(code: str) -> set:
     return set(filter(None, proc.stdout.splitlines()[-1].split(",")))
 
 
-def test_import_registry_and_bound_load_no_dataclasses_or_openssl():
-    # build_registry validates every strategy with inspect.signature, so
-    # inspect may load here, but nothing else watched may
+def test_import_registry_and_bound_load_none_of_them():
     loaded = _loaded_after("import bellgame; bellgame.build_registry(); bellgame.prove_bound()")
-    assert loaded - _loaded_after("") <= {"inspect"}
+    assert loaded - _loaded_after("") == set()
 
 
-def test_cli_bound_and_oracle_load_none_of_them():
+def test_cli_commands_load_none_of_them():
     loaded = _loaded_after(
         "import contextlib, io\n"
         "from bellgame import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['prove-bound']) == 0\n"
-        "    assert cli.main(['run', '--strategy', 'quantum-oracle', '--n', '5']) == 0"
+        "    assert cli.main(['run', '--strategy', 'quantum-oracle', '--n', '5']) == 0\n"
+        "    assert cli.main(['run', '--strategy', 'negotiation', '--n', '5']) == 0\n"
+        "    assert cli.main(['list-strategies']) == 0\n"
+        "    assert cli.main(['verify-censor', '--n', '1']) == 0"
     )
     assert loaded - _loaded_after("") == set()

@@ -8,11 +8,13 @@ import pytest
 
 from bellgame.censor import CensorViolation
 from bellgame.core import (
+    ALL_SETTING_PAIRS,
     INSTRUCTION_SETS,
     Color,
     InstructionSet,
     Setting,
     SettingPair,
+    Wing,
 )
 from bellgame.protocol import (
     RunConfig,
@@ -21,6 +23,7 @@ from bellgame.protocol import (
     induced_instruction_set,
     run_experiment,
 )
+from bellgame.quantum import sample_quantum_run
 from bellgame.randomness import ByteStream, derive_run_seed
 from bellgame.strategies import (
     StrategyError,
@@ -226,6 +229,27 @@ class TestCheat:
         v = excinfo.value.violation
         assert v.round == 1
         assert v.payload_a[0] != v.payload_b[0]
+
+    def test_flashes_the_oracle_outcome_for_every_byte_pair(self):
+        # the oracle reads the same two bytes from its stream that cheat
+        # reads from the shared tape
+        class TwoBytes:
+            def __init__(self, first, second):
+                self.u8 = iter((first, second)).__next__
+
+        cheat = cheat_strategy()
+        frames = {s: cheat.emit(None, 1, (), b"", s) for s in Setting}
+        for first in range(256):
+            for second in range(256):
+                tape = bytes((first, second))
+                left = cheat.init(Wing.LEFT, tape, b"", 0)
+                right = cheat.init(Wing.RIGHT, tape, b"", 0)
+                for pair in ALL_SETTING_PAIRS:
+                    colors = (
+                        cheat.flash(left, (frames[pair.right],), pair.left),
+                        cheat.flash(right, (frames[pair.left],), pair.right),
+                    )
+                    assert colors == sample_quantum_run(pair, TwoBytes(first, second)), (first, second, pair)
 
     def test_induced_sets_refused(self):
         cheat = cheat_strategy()
