@@ -31,8 +31,6 @@ __all__ = [
     "check_feature_i",
     "check_feature_ii",
     "bell_gap_report",
-    "stats_to_csv",
-    "render_stats_text",
 ]
 
 DEFAULT_FAILURE_PROBABILITY = 1e-6

@@ -26,7 +26,6 @@ __all__ = [
     "ALL_SETTING_PAIRS",
     "RunRecord",
     "same_color_fraction",
-    "canonical_json",
 ]
 
 # The one JSON encoding of every machine-readable line: sorted keys, no
@@ -92,10 +91,6 @@ class Color(Enum):
 
     R = "R"
     G = "G"
-
-    def flip(self) -> "Color":
-        """The involution swapping R and G."""
-        return Color.G if self is Color.R else Color.R
 
     def __str__(self) -> str:
         return self.value

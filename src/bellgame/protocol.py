@@ -33,17 +33,11 @@ from .core import (
 from .randomness import ByteStream, derive_run_seed, stream_bytes
 
 __all__ = [
-    "DEFAULT_ROUNDS",
-    "DEFAULT_PAYLOAD_BYTES",
-    "DEFAULT_SHARED_TAPE_BYTES",
-    "PRIVATE_TAPE_BYTES",
-    "RANDOMNESS_SLICE_BYTES",
     "RunConfig",
     "ProtocolError",
     "ExperimentAborted",
     "ReplayMismatchError",
     "draw_settings",
-    "run_settings",
     "execute_run",
     "induced_instruction_set",
     "run_experiment",

@@ -24,7 +24,7 @@ try:
 except ImportError:  # an interpreter built without the _blake2 module
     from hashlib import blake2b
 
-__all__ = ["MASK64", "mix64", "derive_run_seed", "ByteStream", "stream_bytes"]
+__all__ = ["mix64", "derive_run_seed", "ByteStream"]
 
 MASK64 = (1 << 64) - 1
 

@@ -49,10 +49,6 @@ __all__ = [
     "negotiation_strategy",
     "fixed_instruction_strategy",
     "cheat_strategy",
-    "clock_keyed_strategy",
-    "tape_mixing_strategy",
-    "max_randomness_strategy",
-    "near_leak_strategy",
     "build_registry",
 ]
 

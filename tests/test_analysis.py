@@ -274,7 +274,7 @@ class TestInducedInstructionSet:
         tampered = RunRecord(
             run_index=rec.run_index,
             settings=rec.settings,
-            colors=(rec.colors[0].flip(), rec.colors[1].flip()),
+            colors=tuple(Color.G if c is Color.R else Color.R for c in rec.colors),
             transcript=rec.transcript,
             seed=rec.seed,
             strategy_id=rec.strategy_id,

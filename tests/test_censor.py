@@ -185,7 +185,7 @@ def _flash_stash(kind):
         else:
             left = stash[run_index if kind == "first-call" else "left"]
         same = setting is left or same_byte < 64
-        return left_color if same else left_color.flip()
+        return left_color if same else (Color.G if left_color is Color.R else Color.R)
 
     strategy = WingStrategy(f"{kind}-stash", init, transition, emit, flash, reads=("shared",))
     validate_strategy(strategy)

@@ -3,6 +3,7 @@
 import base64
 import itertools
 import json
+import types
 from fractions import Fraction
 
 import pytest
@@ -87,7 +88,7 @@ class TestSameColorFraction:
 
     @given(st.sampled_from(INSTRUCTION_SETS))
     def test_invariant_under_global_flip(self, iset):
-        flipped = InstructionSet(*(c.flip() for c in iset))
+        flipped = InstructionSet(*(Color.G if c is Color.R else Color.R for c in iset))
         assert same_color_fraction(flipped) == same_color_fraction(iset)
 
     @given(
@@ -104,13 +105,6 @@ def test_three_of_nine_setting_pairs_equal():
     equal = [pair for pair in ALL_SETTING_PAIRS if pair.left is pair.right]
     assert len(equal) == 3
     assert Fraction(len(equal), len(ALL_SETTING_PAIRS)) == Fraction(1, 3)
-
-
-def test_color_flip_involution():
-    assert Color.R.flip() is Color.G
-    assert Color.G.flip() is Color.R
-    for c in Color:
-        assert c.flip().flip() is c
 
 
 def test_setting_ordering():
@@ -404,7 +398,74 @@ class TestRunRecordParsing:
         assert RunRecord.from_json_line(line).to_json_line() == line
 
 
+# The names ``bellgame`` exports, written out so that any change to the
+# public surface is an edit here as well as in a module's ``__all__``.
+PUBLIC_NAMES = {
+    "__version__",
+    # analysis
+    "BoundReport",
+    "ExperimentStats",
+    "FeatureIIResult",
+    "GapReport",
+    "bell_gap_report",
+    "check_feature_i",
+    "check_feature_ii",
+    "hoeffding_radius",
+    "prove_bound",
+    # censor
+    "CensorViolation",
+    "Violation",
+    "verify_transcript_invariance",
+    "vet_emission",
+    # core
+    "ALL_SETTING_PAIRS",
+    "INSTRUCTION_SETS",
+    "SETTINGS",
+    "Color",
+    "InstructionSet",
+    "RunRecord",
+    "Setting",
+    "SettingPair",
+    "Wing",
+    "same_color_fraction",
+    # protocol
+    "ExperimentAborted",
+    "ProtocolError",
+    "ReplayMismatchError",
+    "RunConfig",
+    "draw_settings",
+    "execute_run",
+    "induced_instruction_set",
+    "run_experiment",
+    # quantum
+    "QUANTUM_ORACLE_ID",
+    "quantum_experiment",
+    "sample_quantum_run",
+    "singlet_joint",
+    # randomness
+    "ByteStream",
+    "derive_run_seed",
+    "mix64",
+    # strategies
+    "StrategyError",
+    "WingStrategy",
+    "build_registry",
+    "cheat_strategy",
+    "fixed_instruction_strategy",
+    "negotiation_strategy",
+    "validate_strategy",
+}
+
+# The modules whose ``__all__`` lists ``bellgame`` re-exports, in order.
+PUBLIC_MODULES = ("analysis", "censor", "core", "protocol", "quantum", "randomness", "strategies")
+
+
 class TestPublicExports:
+    def test_public_surface_is_pinned(self):
+        import bellgame
+
+        assert set(bellgame.__all__) == PUBLIC_NAMES
+
     def test_every_export_resolves(self):
         import bellgame
 
@@ -433,3 +494,32 @@ class TestPublicExports:
     @pytest.mark.parametrize("name", ["flipped", "permuted"])
     def test_removed_instruction_set_methods_stay_removed(self, name):
         assert not hasattr(InstructionSet, name)
+
+    def test_removed_color_flip_stays_removed(self):
+        assert not hasattr(Color, "flip")
+
+    def test_raised_and_returned_types_are_exported(self):
+        from bellgame import FeatureIIResult, ReplayMismatchError, StrategyError, analysis, protocol, strategies
+
+        assert StrategyError is strategies.StrategyError
+        assert ReplayMismatchError is protocol.ReplayMismatchError
+        assert FeatureIIResult is analysis.FeatureIIResult
+
+    def test_all_is_version_then_each_module_list(self):
+        import bellgame
+
+        lists = [getattr(bellgame, module).__all__ for module in PUBLIC_MODULES]
+        names = [name for names in lists for name in names]
+        assert bellgame.__all__ == ["__version__", *names]
+        assert len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("module", PUBLIC_MODULES)
+    def test_exports_are_their_modules_objects(self, module):
+        import bellgame
+
+        mod = getattr(bellgame, module)
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            assert getattr(bellgame, name) is obj, name
+            if isinstance(obj, (type, types.FunctionType)):
+                assert obj.__module__ == mod.__name__, name
