@@ -30,7 +30,7 @@ from .core import (
     _Frozen,
     canonical_json,
 )
-from .randomness import ByteStream, derive_run_seed, stream_bytes
+from .randomness import _FIRST_BLOCK, MASK64, ByteStream, blake2b, derive_run_seed, stream_bytes
 
 __all__ = [
     "RunConfig",
@@ -57,6 +57,7 @@ _LEFT, _RIGHT = Wing.LEFT, Wing.RIGHT
 _RED, _GREEN = Color.R, Color.G
 _new_tuple = tuple.__new__
 _ONE, _TWO, _THREE = SETTINGS
+_SETTINGS_BLOCK = b"settings" + _FIRST_BLOCK  # the message of the settings stream's block 0
 
 
 class ProtocolError(Exception):
@@ -124,14 +125,19 @@ def draw_settings(stream: ByteStream) -> SettingPair:
     return SettingPair(*drawn)
 
 
-def run_settings(seed: int) -> SettingPair:
-    """The settings of the run with this seed, equal to
-    ``draw_settings(ByteStream(seed, b"settings"))``: the first two stream
-    bytes decide them unless one is a rejected 255."""
-    a, b = stream_bytes(seed, b"settings", 2)
+def _keyed_settings(key: bytes, seed: int) -> SettingPair:
+    """``draw_settings(ByteStream(seed, b"settings"))`` for the run with this
+    seed and key: one digest's first two bytes decide the settings unless one
+    is a rejected 255."""
+    a, b = blake2b(_SETTINGS_BLOCK, key=key).digest()[:2]
     if a == 255 or b == 255:
         return draw_settings(ByteStream(seed, b"settings"))
     return ALL_SETTING_PAIRS[3 * (a % 3) + b % 3]
+
+
+def run_settings(seed: int) -> SettingPair:
+    """The settings of the run with this seed."""
+    return _keyed_settings((seed & MASK64).to_bytes(8, "little"), seed)
 
 
 def _frame_error(wing: Wing, rnd: int, payload_bytes: int) -> ProtocolError:
@@ -269,15 +275,19 @@ def induced_instruction_set(strategy, record: RunRecord, config: RunConfig) -> t
 
 def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_seed: int, sink) -> ExperimentStats:
     """The run loop of classical and quantum experiments alike: per-run seeds
-    off the master seed, settings, ``play(settings, seed, run_index) ->
+    off the master seed, settings, ``play(settings, seed, key, run_index) ->
     (colors, record)``, the tally and, with a sink, the JSONL header and one
-    record line per run. ``record`` is the run's ``RunRecord``, or None from a
+    record line per run. ``key``, the seed's 8 bytes, is the run's blake2b
+    key, made once. ``record`` is the run's ``RunRecord``, or None from a
     source without a transcript, for which one is built only to be written.
 
     The header goes out with the first record, or with the abort of run 0, so
     a configuration error raised by run 0 leaves the sink empty. A censor
     violation aborts the experiment; a ProtocolError propagates with the
     completed runs and their tallies attached."""
+    for name, value in (("n_runs", n_runs), ("master_seed", master_seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     header = ""
@@ -294,9 +304,10 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
     record_stat = stats.record
     for i in range(n_runs):
         seed_i = derive_run_seed(master_seed, i)
-        settings = run_settings(seed_i)
+        key = seed_i.to_bytes(8, "little")  # derive_run_seed is below 2**64
+        settings = _keyed_settings(key, seed_i)
         try:
-            colors, record = play(settings, seed_i, i)
+            colors, record = play(settings, seed_i, key, i)
         except CensorViolation as exc:
             if header:
                 sink.write(header)
@@ -327,7 +338,7 @@ def run_experiment(
     stream. The first censor violation aborts with partial tallies attached.
     """
 
-    def play(settings, seed, run_index):
+    def play(settings, seed, key, run_index):
         record = execute_run(config, strategy, settings, seed, run_index)
         return record.colors, record
 

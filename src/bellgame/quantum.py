@@ -7,9 +7,10 @@ source bypasses wings and censor entirely; it exists to be compared
 against what censored classical strategies can do.
 
 A run's outcome comes from the first two bytes of its ``b"oracle"``
-stream, which one blake2b digest yields: the first byte's parity picks the
-left color, and on unequal settings a second byte below 64 makes the right
-color equal it. On equal settings the second byte is never used.
+stream, which one blake2b digest on the run's key yields, the key the run
+loop made for the run's settings: the first byte's parity picks the left
+color, and on unequal settings a second byte below 64 makes the right color
+equal it. On equal settings the second byte is never used.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import IO, Optional
 from .analysis import ExperimentStats
 from .core import ALL_SETTING_PAIRS, Color, SettingPair
 from .protocol import RunConfig, _experiment
-from .randomness import ByteStream, stream_bytes
+from .randomness import _FIRST_BLOCK, ByteStream, blake2b
 
 __all__ = [
     "QUANTUM_ORACLE_ID",
@@ -37,6 +38,7 @@ QUANTUM_ORACLE_ID = "quantum-oracle"
 _OUTCOMES = ((Color.R, Color.G), (Color.R, Color.R), (Color.G, Color.R), (Color.G, Color.G))
 # a byte is below this with probability exactly 1/4
 _AGREE_BELOW = 64
+_ORACLE_BLOCK = b"oracle" + _FIRST_BLOCK  # the message of the oracle stream's block 0
 
 
 def singlet_joint() -> dict[SettingPair, Fraction]:
@@ -77,9 +79,9 @@ def quantum_experiment(
     record stream uses the same format with an empty transcript.
     """
 
-    def play(settings, seed, run_index):
+    def play(settings, seed, key, run_index):
         # sample_quantum_run on ByteStream(seed, b"oracle"), from one digest
-        first, second = stream_bytes(seed, b"oracle", 2)
+        first, second = blake2b(_ORACLE_BLOCK, key=key).digest()[:2]
         return _OUTCOMES[2 * (first & 1) + (settings[0] is settings[1] or second < _AGREE_BELOW)], None
 
     return _experiment(RunConfig() if config is None else config, QUANTUM_ORACLE_ID, play, n_runs, master_seed, sink)

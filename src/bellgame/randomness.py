@@ -5,12 +5,18 @@ a run (tapes, randomness slices, referee draws) come from blake2b in counter
 mode, keyed by the run seed and separated by short labels. Identical seeds
 and labels produce identical bytes on every platform.
 
-Block ``i`` of a stream is ``blake2b(label || i, key=seed)``, 64 bytes. A
-stream read once from its start, up to 64 bytes, is therefore a prefix of
-its first block: ``stream_bytes`` computes that one digest and nothing
-else, and hands longer reads to ``ByteStream``. Every stream of a run in
-the default configuration (tapes of 64 bytes, four 16-byte slices per wing,
-the two setting bytes) is such a read.
+Block ``i`` of a stream is ``blake2b(label || i, key=seed)``, 64 bytes,
+where the key is the seed's 8 little-endian bytes. A stream read once from
+its start, up to 64 bytes, is therefore a prefix of its first block:
+``stream_bytes`` computes that one digest and nothing else, and hands
+longer reads to ``ByteStream``. Every stream of a run in the default
+configuration (tapes of 64 bytes, four 16-byte slices per wing, the two
+setting bytes) is such a read.
+
+The run loop makes each run's key once and reads the settings (``protocol``)
+and the oracle's two bytes (``quantum``) as direct keyed digests of their
+first block; tapes and slices go through ``stream_bytes``, and reads past a
+first block, such as a redraw after a rejected setting byte, ``ByteStream``.
 
 ``blake2b`` comes from the ``_blake2`` module, whose function is the very
 object ``hashlib.blake2b`` is; importing ``hashlib`` would also start

@@ -2,16 +2,19 @@
 
 import copy
 import io
+import itertools
 import json
 import pickle
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from bellgame import protocol, quantum
+from bellgame import quantum, randomness
 from bellgame.core import (
     ALL_SETTING_PAIRS,
+    SETTINGS,
     Color,
     InstructionSet,
     RunRecord,
@@ -40,6 +43,11 @@ from bellgame.strategies import (
 CFG = RunConfig()
 LONG_EXCHANGE = RunConfig(rounds=32, payload_bytes=256, shared_tape_bytes=256)
 RRR = fixed_instruction_strategy(InstructionSet.from_label("RRR"))
+# both sources of the shared run loop, as (n_runs, master_seed, sink) -> stats
+EXPERIMENTS = {
+    "classical": lambda n_runs, master_seed, sink: run_experiment(CFG, RRR, n_runs, master_seed, sink=sink),
+    "quantum": lambda n_runs, master_seed, sink: quantum_experiment(n_runs, master_seed, sink=sink),
+}
 
 
 class TestDrawSettings:
@@ -317,48 +325,69 @@ class TestIsolation:
             assert set(slices) == {b""}
 
 
+def _digests_per_run(monkeypatch, experiment, n_runs, master_seed):
+    """The labels of the keyed blake2b digests the package makes on each
+    run's key while ``experiment(n_runs, master_seed)`` runs, in call order.
+    A label is the digested message less its 8-byte block counter; every
+    digest must be of a block 0 and on the key of one of the runs."""
+    real = randomness.blake2b
+    calls = []
+
+    def recording(data, *, key, **kwargs):
+        calls.append((key, data[:-8], data[-8:]))
+        return real(data, key=key, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "bellgame" and getattr(module, "blake2b", None) is real:
+            monkeypatch.setattr(module, "blake2b", recording)
+    experiment(n_runs, master_seed)
+    labels = {derive_run_seed(master_seed, i).to_bytes(8, "little"): [] for i in range(n_runs)}
+    for key, label, counter in calls:
+        assert counter == bytes(8)
+        labels[key].append(label)
+    return list(labels.values())
+
+
 class TestStreamsDrawn:
-    """The referee computes only the streams a strategy declares."""
+    """The referee computes only the streams a strategy declares, each from
+    one digest on the run's key."""
 
     def _labels(self, monkeypatch, strategy):
-        labels = []
-        real = protocol.stream_bytes
+        def experiment(n_runs, master_seed):
+            run_experiment(CFG, strategy, n_runs, master_seed)
 
-        def recording(seed, label, n):
-            labels.append(label)
-            return real(seed, label, n)
-
-        monkeypatch.setattr(protocol, "stream_bytes", recording)
-        run_experiment(CFG, strategy, 1, 5)
-        return set(labels)
+        return _digests_per_run(monkeypatch, experiment, 3, 5)
 
     def test_fixed_draws_settings_only(self, monkeypatch):
-        assert self._labels(monkeypatch, RRR) == {b"settings"}
+        assert self._labels(monkeypatch, RRR) == [[b"settings"]] * 3
 
     def test_negotiation_draws_settings_and_shared_tape(self, monkeypatch):
-        assert self._labels(monkeypatch, negotiation_strategy()) == {b"settings", b"tape/shared"}
+        assert self._labels(monkeypatch, negotiation_strategy()) == [[b"settings", b"tape/shared"]] * 3
+
+    def test_max_random_draws_shared_tape_and_slices(self, monkeypatch):
+        labels = self._labels(monkeypatch, build_registry()["max-random"])
+        assert labels == [[b"settings", b"tape/shared", b"slices/L", b"slices/R"]] * 3
+
+    def test_near_leak_draws_private_tapes_and_slices(self, monkeypatch):
+        labels = self._labels(monkeypatch, build_registry()["near-leak"])
+        assert labels == [[b"settings", b"tape/private/L", b"tape/private/R", b"slices/L", b"slices/R"]] * 3
 
 
 class TestOracleDraws:
-    """The oracle takes each run's two bytes from one digest and builds no
-    ByteStream; the stream sampler reads only the bytes it needs."""
+    """The oracle takes each run's two bytes from one digest on the key the
+    settings digest used and builds no ByteStream; the stream sampler reads
+    only the bytes it needs."""
 
     @pytest.mark.parametrize("sink", [None, io.StringIO()], ids=["no-sink", "sink"])
     def test_one_digest_per_run(self, monkeypatch, sink):
-        draws = []
-        real = quantum.stream_bytes
-
-        def recording(seed, label, n):
-            draws.append((label, n))
-            return real(seed, label, n)
-
         def no_stream(seed, label):
             raise AssertionError("the oracle built a ByteStream")
 
-        monkeypatch.setattr(quantum, "stream_bytes", recording)
+        def experiment(n_runs, master_seed):
+            quantum_experiment(n_runs, master_seed, sink=sink)
+
         monkeypatch.setattr(quantum, "ByteStream", no_stream)
-        quantum_experiment(7, 3, sink=sink)
-        assert draws == [(b"oracle", 2)] * 7
+        assert _digests_per_run(monkeypatch, experiment, 7, 3) == [[b"settings", b"oracle"]] * 7
 
     @pytest.mark.parametrize("pair", ALL_SETTING_PAIRS, ids=lambda p: f"{int(p.left)}{int(p.right)}")
     def test_sampler_reads_one_byte_on_equal_settings_two_otherwise(self, pair):
@@ -369,10 +398,61 @@ class TestOracleDraws:
         assert stream.u8() == ByteStream(seed, b"oracle").take(3)[used]
 
 
+def _fallback_run(head: int) -> tuple[int, int]:
+    """(master seed, run index) of the first run, over master seeds 0, 1, ...
+    and run indices below 64, whose settings stream has a rejected 255 at
+    byte ``head`` and not at the other of its first two bytes, and whose
+    settings the two bytes alone, with the 255 read as setting 1, would get
+    wrong."""
+    for master in itertools.count():
+        for index in range(64):
+            seed = derive_run_seed(master, index)
+            first_two = ByteStream(seed, b"settings").take(2)
+            if first_two[head] != 255 or first_two[1 - head] == 255:
+                continue
+            unskipped = SettingPair(*(SETTINGS[b % 3] for b in first_two))
+            if unskipped != draw_settings(ByteStream(seed, b"settings")):
+                return master, index
+
+
+# runs whose settings only the loop's redraw after a rejected byte gets right
+FALLBACK_RUNS = {"byte-0": _fallback_run(0), "byte-1": _fallback_run(1)}
+
+
+class TestSettingsFallback:
+    """The run loop skips a rejected 255 setting byte as draw_settings does:
+    every record carries the settings of its seed's settings stream, also on
+    a run whose stream starts with a 255."""
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    @pytest.mark.parametrize("head", sorted(FALLBACK_RUNS))
+    def test_records_carry_drawn_settings(self, experiment, head):
+        master, index = FALLBACK_RUNS[head]
+        sink = io.StringIO()
+        EXPERIMENTS[experiment](index + 1, master, sink)
+        records = [RunRecord.from_json_line(line) for line in sink.getvalue().splitlines()[1:]]
+        assert [r.run_index for r in records] == list(range(index + 1))
+        for record in records:
+            assert record.seed == derive_run_seed(master, record.run_index)
+            assert record.settings == draw_settings(ByteStream(record.seed, b"settings"))
+
+
 class TestRunExperiment:
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):
             run_experiment(CFG, RRR, 0, 1)
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    @pytest.mark.parametrize(
+        "n_runs, master_seed",
+        [(True, 1), (2.0, 1), ("2", 1), (2, True), (2, False), (2, 1.5), (2, "1"), (2, None)],
+    )
+    def test_rejects_runs_or_seed_that_is_not_an_int(self, experiment, n_runs, master_seed):
+        # a bool is an int, but neither a run count nor a seed
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match="must be an integer"):
+            EXPERIMENTS[experiment](n_runs, master_seed, sink)
+        assert sink.getvalue() == ""
 
     def test_deterministic_stats(self):
         strat = negotiation_strategy()
