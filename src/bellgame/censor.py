@@ -4,7 +4,10 @@ The single rule of the game: no emitted payload may carry any information
 about the emitting wing's setting. Enforcement is exact counterfactual
 replay: every emission is recomputed under all three settings with every
 other input byte-identical, and must come out byte-identical. The censor
-never alters payloads; it only passes or aborts.
+never alters payloads; it only passes or aborts. An abort is one
+``CensorViolation`` (also named ``ExperimentAborted``): it carries the
+diagnosis and, raised out of an experiment, the runs completed before it.
+``verify_transcript_invariance`` repeats the check on whole runs.
 
 Threat model: strategies are untrusted code that does not inspect or patch
 the interpreter. In scope is all a strategy can do through its slot
@@ -26,6 +29,7 @@ from .core import SETTINGS, Setting, SettingPair, Wing, canonical_json
 __all__ = [
     "Violation",
     "CensorViolation",
+    "ExperimentAborted",
     "vet_emission",
     "verify_transcript_invariance",
 ]
@@ -61,7 +65,13 @@ class Violation(NamedTuple):
 
 
 class CensorViolation(Exception):
-    """Raised when an emission depends on the emitting wing's setting."""
+    """Raised when an emission depends on the emitting wing's setting.
+
+    Raised out of an experiment, it carries the number of runs completed
+    before it and their tallies; raised by a bare run, both are None."""
+
+    completed_runs = None
+    partial_stats = None
 
     def __init__(self, violation: Violation):
         self.violation = violation
@@ -70,6 +80,10 @@ class CensorViolation(Exception):
             f"differs between settings {int(violation.setting_a)} and "
             f"{int(violation.setting_b)}"
         )
+
+
+# kept for callers that catch an experiment's abort by this name
+ExperimentAborted = CensorViolation
 
 
 def vet_emission(strategy, wing: Wing, state, round: int, inbox, randomness_slice: bytes) -> bytes:
@@ -104,18 +118,10 @@ def verify_transcript_invariance(config, strategy, settings: SettingPair, seed: 
     counts its runs."""
     from .protocol import execute_run  # protocol depends on this module for vetting
 
-    base = execute_run(config, strategy, settings, seed, run_index=run_index)
+    base = execute_run(config, strategy, settings, seed, run_index=run_index).transcript
+    left, right = settings
     for alt in SETTINGS:
-        if alt is not settings.left:
-            rerun = execute_run(
-                config, strategy, SettingPair(alt, settings.right), seed, run_index=run_index
-            )
-            if rerun.transcript != base.transcript:
-                return False
-        if alt is not settings.right:
-            rerun = execute_run(
-                config, strategy, SettingPair(settings.left, alt), seed, run_index=run_index
-            )
-            if rerun.transcript != base.transcript:
+        for other in (SettingPair(alt, right), SettingPair(left, alt)):
+            if other != settings and execute_run(config, strategy, other, seed, run_index=run_index).transcript != base:
                 return False
     return True

@@ -27,19 +27,18 @@ from .analysis import (
     render_stats_text,
     stats_to_csv,
 )
-from .censor import verify_transcript_invariance
+from .censor import CensorViolation, verify_transcript_invariance
 from .core import canonical_json
 from .protocol import (
     DEFAULT_PAYLOAD_BYTES,
     DEFAULT_ROUNDS,
     DEFAULT_SHARED_TAPE_BYTES,
-    ExperimentAborted,
     RunConfig,
     run_experiment,
     run_settings,
 )
 from .quantum import QUANTUM_ORACLE_ID, quantum_experiment
-from .randomness import derive_run_seed, mix64
+from .randomness import MASK64, derive_run_seed, mix64
 from .strategies import build_registry
 
 EXIT_OK = 0
@@ -142,10 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else DEFAULT_SEED
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get(SEED_ENV)
+        seed = int(env) if env else DEFAULT_SEED
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"master seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 @contextlib.contextmanager
@@ -234,7 +236,7 @@ def _run_source(args, config: RunConfig, seed: int, sink=None):
             return quantum_experiment(args.n, seed, config=config, sink=sink)
         strategy = _lookup_strategy(build_registry(config.payload_bytes), args.strategy)
         return run_experiment(config, strategy, args.n, seed, sink=sink)
-    except ExperimentAborted as aborted:
+    except CensorViolation as aborted:
         _fail(
             EXIT_VIOLATION,
             "censor-violation",
@@ -296,18 +298,19 @@ def _cmd_verify_censor(args) -> int:
     seed = _resolve_seed(args)
     config = _config_from(args)
     registry = build_registry(config.payload_bytes)
-    chosen = []  # the quantum oracle has no wings to replay
-    if args.strategy == "all":
-        chosen = list(registry.values())
-    elif args.strategy != QUANTUM_ORACLE_ID:
-        chosen = [_lookup_strategy(registry, args.strategy)]
+    wanted = args.strategy
+    if wanted not in ("all", QUANTUM_ORACLE_ID):
+        _lookup_strategy(registry, wanted)
 
     failures = 0
     with _open_output(args) as out:
-        if not chosen:
+        if wanted == QUANTUM_ORACLE_ID:
             out.write(f"{QUANTUM_ORACLE_ID}: color source, no wings; skipped\n")
-        for index, strategy in enumerate(chosen):
-            sid = strategy.strategy_id
+        # a strategy's trial seeds follow from its registry position, so it
+        # is checked on the same runs by name as in the sweep
+        for index, (sid, strategy) in enumerate(registry.items()):
+            if wanted not in ("all", sid):
+                continue
             if strategy.requires_censor_off:
                 out.write(f"{sid}: declared censor-off; skipped\n")
                 continue
@@ -322,7 +325,7 @@ def _cmd_verify_censor(args) -> int:
             except ValueError as rejected:
                 # a strategy that rejects this frame or tape size fails alone
                 # under 'all'; one asked for by name is a configuration error
-                if args.strategy != "all":
+                if wanted != "all":
                     raise
                 out.write(f"{sid}: {rejected}; skipped\n")
                 continue

@@ -18,7 +18,7 @@ from typing import IO, Optional
 
 from ._version import __version__
 from .analysis import ExperimentStats
-from .censor import CensorViolation, Violation, vet_emission
+from .censor import CensorViolation, vet_emission
 from .core import (
     ALL_SETTING_PAIRS,
     SETTINGS,
@@ -35,7 +35,6 @@ from .randomness import _FIRST_BLOCK, MASK64, ByteStream, blake2b, derive_run_se
 __all__ = [
     "RunConfig",
     "ProtocolError",
-    "ExperimentAborted",
     "ReplayMismatchError",
     "draw_settings",
     "execute_run",
@@ -99,19 +98,6 @@ class RunConfig(_Frozen):
             "shared_tape_bytes": self.shared_tape_bytes,
             "censor": self.censor_enabled,
         }
-
-
-class ExperimentAborted(RuntimeError):
-    """A censor violation stopped an experiment; partial tallies attached."""
-
-    def __init__(self, violation: Violation, partial_stats: ExperimentStats, completed_runs: int):
-        self.violation = violation
-        self.partial_stats = partial_stats
-        self.completed_runs = completed_runs
-        super().__init__(
-            f"experiment aborted after {completed_runs} completed runs: "
-            f"censor violation by wing {violation.wing.value} in round {violation.round}"
-        )
 
 
 def draw_settings(stream: ByteStream) -> SettingPair:
@@ -281,15 +267,18 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
     key, made once. ``record`` is the run's ``RunRecord``, or None from a
     source without a transcript, for which one is built only to be written.
 
-    The header goes out with the first record, or with the abort of run 0, so
-    a configuration error raised by run 0 leaves the sink empty. A censor
-    violation aborts the experiment; a ProtocolError propagates with the
-    completed runs and their tallies attached."""
+    The header goes out with the first record, or with a censor abort of run
+    0, so a configuration error raised by run 0 leaves the sink empty. A
+    CensorViolation or ProtocolError propagates with the completed runs and
+    their tallies attached. Master seeds lie in [0, 2**64), where
+    ``derive_run_seed`` gives each its own runs."""
     for name, value in (("n_runs", n_runs), ("master_seed", master_seed)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if not 0 <= master_seed <= MASK64:
+        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
     header = ""
     if sink is not None:
         header = canonical_json({
@@ -308,11 +297,9 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
         settings = _keyed_settings(key, seed_i)
         try:
             colors, record = play(settings, seed_i, key, i)
-        except CensorViolation as exc:
-            if header:
+        except (CensorViolation, ProtocolError) as exc:
+            if header and isinstance(exc, CensorViolation):
                 sink.write(header)
-            raise ExperimentAborted(exc.violation, stats, i) from exc
-        except ProtocolError as exc:
             exc.completed_runs = i
             exc.partial_stats = stats
             raise

@@ -17,10 +17,10 @@ from bellgame.analysis import (
     prove_bound,
     same_color_fraction,
 )
+from bellgame.censor import ExperimentAborted
 from bellgame.cli import EXIT_OK, main
 from bellgame.core import ALL_SETTING_PAIRS, InstructionSet
 from bellgame.protocol import (
-    ExperimentAborted,
     RunConfig,
     draw_settings,
     execute_run,

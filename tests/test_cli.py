@@ -325,6 +325,21 @@ class TestVerifyCensor:
         assert code == EXIT_CONFIG
         assert json.loads(err)["error"] == "config"
 
+    def test_a_named_strategy_is_checked_on_its_sweep_seeds(self, capsys, monkeypatch):
+        seen = {}
+
+        def record(config, strategy, settings, seed, run_index=0):
+            seen.setdefault(strategy.strategy_id, []).append(seed)
+            return True
+
+        monkeypatch.setattr(cli, "verify_transcript_invariance", record)
+        assert run_cli(capsys, "verify-censor", "--strategy", "near-leak", "--n", "3", "--seed", "7")[0] == EXIT_OK
+        by_name = seen.pop("near-leak")
+        assert seen == {}
+        assert run_cli(capsys, "verify-censor", "--n", "3", "--seed", "7")[0] == EXIT_OK
+        assert len(by_name) == 3
+        assert seen["near-leak"] == by_name
+
 
 class TestEnvironmentOverrides:
     def test_seed_env_used_when_flag_absent(self, capsys, tmp_path, monkeypatch):
@@ -395,6 +410,27 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys)
         assert code == EXIT_CONFIG
         assert json.loads(err)["error"] == "config"
+
+    @pytest.mark.parametrize(
+        "argv, env_seed, seed",
+        [
+            (["run", "--strategy", "fixed-RRG", "--n", "2", "--seed", "-1"], None, "-1"),
+            (["verify-censor", "--n", "2", "--seed", "18446744073709551616"], None, "18446744073709551616"),
+            (["gap", "--n", "2"], "-1", "-1"),
+        ],
+        ids=["run-flag", "verify-censor-flag", "gap-env"],
+    )
+    def test_master_seed_outside_64_bits(self, capsys, monkeypatch, argv, env_seed, seed):
+        # derive_run_seed reduces mod 2**64, so such a seed would alias another
+        monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
+        if env_seed is None:
+            monkeypatch.delenv("BELLGAME_SEED", raising=False)
+        else:
+            monkeypatch.setenv("BELLGAME_SEED", env_seed)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert json.loads(err) == {"error": "config", "detail": f"master seed must be in [0, 2**64), got {seed}"}
 
 
 def test_module_entry_point():

@@ -16,9 +16,10 @@ import json
 
 import pytest
 
+from bellgame.censor import ExperimentAborted
 from bellgame.cli import main
 from bellgame.core import RunRecord
-from bellgame.protocol import ExperimentAborted, RunConfig, run_experiment
+from bellgame.protocol import RunConfig, run_experiment
 from bellgame.quantum import QUANTUM_ORACLE_ID, quantum_experiment
 from bellgame.strategies import build_registry
 

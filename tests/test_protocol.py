@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from bellgame import quantum, randomness
+from bellgame.censor import CensorViolation, ExperimentAborted
 from bellgame.core import (
     ALL_SETTING_PAIRS,
     SETTINGS,
@@ -23,7 +24,6 @@ from bellgame.core import (
     Wing,
 )
 from bellgame.protocol import (
-    ExperimentAborted,
     ProtocolError,
     RunConfig,
     draw_settings,
@@ -200,26 +200,55 @@ class TestExecuteRun:
         if sink is not None:
             assert sink.getvalue() == ""
 
-    def test_protocol_error_carries_the_completed_runs(self):
-        # a copy of fixed-RRG whose flash breaks the contract from run 5 on
+    @staticmethod
+    def _broken_from_run_5(fault):
+        """A copy of fixed-RRG that breaks the contract from run 5 on: its
+        flash returns a letter, not a Color, or its emit leaks the setting."""
         rrg = build_registry()["fixed-RRG"]
-        broken = rrg.replace(
+
+        def flash(state, full_inbox, setting):
+            if fault == "flash" and state[0] >= 5:
+                return "R"
+            return rrg.flash(state[1], full_inbox, setting)
+
+        def emit(state, round, inbox, randomness_slice, setting):
+            if fault == "leak" and state[0] >= 5:
+                return bytes([setting]) * CFG.payload_bytes
+            return rrg.emit(state[1], round, inbox, randomness_slice, setting)
+
+        return rrg, rrg.replace(
             init=lambda wing, shared, private, run_index: (run_index, rrg.init(wing, shared, private, run_index)),
-            flash=lambda state, full_inbox, setting: "R" if state[0] >= 5 else rrg.flash(state[1], full_inbox, setting),
+            emit=emit,
+            flash=flash,
         )
+
+    # one way out of an experiment: both faults leave the same attributes
+    ABORTS = {"flash": ProtocolError, "leak": CensorViolation}
+
+    @pytest.mark.parametrize("fault", sorted(ABORTS))
+    def test_protocol_error_carries_the_completed_runs(self, fault):
+        rrg, broken = self._broken_from_run_5(fault)
         sink = io.StringIO()
-        with pytest.raises(ProtocolError) as excinfo:
+        with pytest.raises(self.ABORTS[fault]) as excinfo:
             run_experiment(CFG, broken, 100, 1, sink=sink)
         assert excinfo.value.completed_runs == 5
         assert excinfo.value.partial_stats == run_experiment(CFG, rrg, 5, 1)
-        assert len(sink.getvalue().splitlines()) == 6  # the header and runs 0 to 4
+        expected = io.StringIO()
+        run_experiment(CFG, rrg, 5, 1, sink=expected)
+        assert sink.getvalue() == expected.getvalue()  # the header and runs 0 to 4
 
-    def test_bare_run_protocol_error_carries_nothing(self):
-        broken = RRR.replace(flash=lambda state, full_inbox, setting: "R")
-        with pytest.raises(ProtocolError) as excinfo:
-            execute_run(CFG, broken, SettingPair(Setting.ONE, Setting.TWO), 1)
+    @pytest.mark.parametrize("fault", sorted(ABORTS))
+    def test_bare_run_protocol_error_carries_nothing(self, fault):
+        _, broken = self._broken_from_run_5(fault)
+        with pytest.raises(self.ABORTS[fault]) as excinfo:
+            execute_run(CFG, broken, SettingPair(Setting.ONE, Setting.TWO), 1, run_index=5)
         assert excinfo.value.completed_runs is None
         assert excinfo.value.partial_stats is None
+
+    def test_experiment_aborted_names_the_censor_violation(self):
+        import bellgame
+
+        assert bellgame.ExperimentAborted is bellgame.CensorViolation
 
     @pytest.mark.parametrize("wing", [Wing.LEFT, Wing.RIGHT])
     @pytest.mark.parametrize("bad_setting", list(Setting))
@@ -444,13 +473,23 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
     @pytest.mark.parametrize(
-        "n_runs, master_seed",
-        [(True, 1), (2.0, 1), ("2", 1), (2, True), (2, False), (2, 1.5), (2, "1"), (2, None)],
+        "n_runs, master_seed, message",
+        [
+            pytest.param(n, seed, message, id=f"{n}-{seed}")
+            for n, seed, message in [
+                *((n, seed, "must be an integer") for n, seed in [
+                    (True, 1), (2.0, 1), ("2", 1), (2, True), (2, False), (2, 1.5), (2, "1"), (2, None),
+                ]),
+                # derive_run_seed reduces mod 2**64, so these would alias 2**64 - 1 and 0
+                (2, -1, "master_seed must be in [0, 2**64), got -1"),
+                (2, 2**64, "master_seed must be in [0, 2**64), got 18446744073709551616"),
+            ]
+        ],
     )
-    def test_rejects_runs_or_seed_that_is_not_an_int(self, experiment, n_runs, master_seed):
+    def test_rejects_runs_or_seed_that_is_not_an_int(self, experiment, n_runs, master_seed, message):
         # a bool is an int, but neither a run count nor a seed
         sink = io.StringIO()
-        with pytest.raises(ValueError, match="must be an integer"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             EXPERIMENTS[experiment](n_runs, master_seed, sink)
         assert sink.getvalue() == ""
 
