@@ -51,17 +51,18 @@ class Violation(NamedTuple):
     payload_a: bytes
     payload_b: bytes
 
+    def to_json_dict(self) -> dict:
+        return {
+            "wing": self.wing.value,
+            "round": self.round,
+            "setting_a": int(self.setting_a),
+            "setting_b": int(self.setting_b),
+            "payload_a": self.payload_a.hex(),
+            "payload_b": self.payload_b.hex(),
+        }
+
     def to_json(self) -> str:
-        return canonical_json(
-            {
-                "wing": self.wing.value,
-                "round": self.round,
-                "setting_a": int(self.setting_a),
-                "setting_b": int(self.setting_b),
-                "payload_a": self.payload_a.hex(),
-                "payload_b": self.payload_b.hex(),
-            }
-        )
+        return canonical_json(self.to_json_dict())
 
 
 class CensorViolation(Exception):
@@ -91,14 +92,20 @@ def vet_emission(strategy, wing: Wing, state, round: int, inbox, randomness_slic
 
     All other inputs (public state, inbox, randomness slice) are passed
     byte-identical. Returns the setting-1 payload, cleared for delivery,
-    when the three payloads agree, so neither the bytes nor the object
-    delivered depends on the actual setting; otherwise raises
+    when the three payloads are equal exact ``bytes``, so neither the bytes
+    nor the object delivered depends on the actual setting; otherwise raises
     CensorViolation naming the first pair of settings whose payloads differ.
+    A payload of another type, a ``bytes`` subclass too (it can redefine
+    ``==``), is returned to the referee's framing check, which rejects it.
     """
     emit = strategy.emit
     p1 = emit(state, round, inbox, randomness_slice, _ONE)
     p2 = emit(state, round, inbox, randomness_slice, _TWO)
     p3 = emit(state, round, inbox, randomness_slice, _THREE)
+    if p1 is p2 is p3:
+        return p1
+    if not (type(p1) is type(p2) is type(p3) is bytes):
+        return next(p for p in (p1, p2, p3) if type(p) is not bytes)
     if p1 == p2 == p3:
         return p1
     payloads = (p1, p2, p3)

@@ -5,14 +5,14 @@ machine-readable output is byte-identical across identical command lines,
 including the seed. Error paths emit one JSON line on stderr.
 
 Exit codes: 0 success, 1 floor enumeration defect, 2 configuration or usage
-error, 3 unknown strategy, 4 censor violation or failed noninterference check.
+error, or a failed write (a closed pipe, a full disk), 3 unknown strategy,
+4 censor violation or failed noninterference check.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from typing import NoReturn, Optional
@@ -57,7 +57,7 @@ _EPILOG = f"""\
 exit codes:
   {EXIT_OK}  success
   {EXIT_DEFECT}  floor enumeration defect (prove-bound)
-  {EXIT_CONFIG}  configuration or usage error
+  {EXIT_CONFIG}  configuration or usage error, failed write
   {EXIT_UNKNOWN_STRATEGY}  unknown strategy id
   {EXIT_VIOLATION}  censor violation / failed noninterference check
 
@@ -90,10 +90,7 @@ def _add_experiment_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help=f"master seed (env {SEED_ENV})")
     p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS, help="message rounds per run")
     p.add_argument("--payload-bytes", type=int, default=DEFAULT_PAYLOAD_BYTES, help="frame size")
-    p.add_argument(
-        "--tape-bytes", type=int, default=DEFAULT_SHARED_TAPE_BYTES,
-        help="shared tape size",
-    )
+    p.add_argument("--tape-bytes", type=int, default=DEFAULT_SHARED_TAPE_BYTES, help="shared tape size")
 
 
 def _add_output_options(p: argparse.ArgumentParser, formats: tuple[str, ...] = ()) -> None:
@@ -155,20 +152,15 @@ def _open_output(args):
     path = args.output if args.output is not None else os.environ.get(OUTPUT_ENV) or "-"
     if path == "-":
         yield sys.stdout
+        sys.stdout.flush()  # a buffered stdout's failed write is raised here, not at exit
         return
-    try:
-        fh = open(path, "w", newline="\n")
-    except OSError as exc:
-        _fail(EXIT_CONFIG, "config", detail=str(exc))
-    with fh:
+    with open(path, "w", newline="\n") as fh:
         yield fh
 
 
 def _config_from(args, censor_enabled: bool = True) -> RunConfig:
     return RunConfig(
-        rounds=args.rounds,
-        payload_bytes=args.payload_bytes,
-        shared_tape_bytes=args.tape_bytes,
+        rounds=args.rounds, payload_bytes=args.payload_bytes, shared_tape_bytes=args.tape_bytes,
         censor_enabled=censor_enabled,
     )
 
@@ -187,16 +179,11 @@ def _run_report_text(strategy_id, stats) -> str:
     f2 = check_feature_ii(stats)
     observed = stats.overall_same_float
     floor = float(CLASSICAL_FLOOR)
-    if observed >= floor - f2.tolerance:
-        verdict = (
-            "at or above the classical floor: consistent with an "
-            "agreed-instruction-set model"
-        )
-    else:
-        verdict = (
-            "below the classical floor: no censor-compliant strategy that "
-            "always agrees on equal settings can produce this"
-        )
+    verdict = (
+        "at or above the classical floor: consistent with an agreed-instruction-set model"
+        if observed >= floor - f2.tolerance
+        else "below the classical floor: no censor-compliant strategy that always agrees on equal settings can produce this"
+    )
     lines = [
         f"strategy: {strategy_id}   runs: {stats.n_runs}",
         (
@@ -229,21 +216,11 @@ def _stats_json_line(stats) -> str:
 
 def _run_source(args, config: RunConfig, seed: int, sink=None):
     """Stats of ``--n`` runs of ``--strategy``, the quantum oracle or a registry
-    strategy; the registry is built only for the latter. A censor violation
-    prints one diagnostic line and exits 4."""
-    try:
-        if args.strategy == QUANTUM_ORACLE_ID:
-            return quantum_experiment(args.n, seed, config=config, sink=sink)
-        strategy = _lookup_strategy(build_registry(config.payload_bytes), args.strategy)
-        return run_experiment(config, strategy, args.n, seed, sink=sink)
-    except CensorViolation as aborted:
-        _fail(
-            EXIT_VIOLATION,
-            "censor-violation",
-            strategy=args.strategy,
-            completed_runs=aborted.completed_runs,
-            violation=json.loads(aborted.violation.to_json()),
-        )
+    strategy; the registry is built only for the latter."""
+    if args.strategy == QUANTUM_ORACLE_ID:
+        return quantum_experiment(args.n, seed, config=config, sink=sink)
+    strategy = _lookup_strategy(build_registry(config.payload_bytes), args.strategy)
+    return run_experiment(config, strategy, args.n, seed, sink=sink)
 
 
 def _cmd_run(args) -> int:
@@ -364,14 +341,27 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command and return its exit code. The CLI's one error path: a
+    censor violation exits 4, a ValueError or OSError (a failed write) 2."""
     try:
+        args = build_parser().parse_args(argv)
         try:
-            args = build_parser().parse_args(argv)
             return _COMMANDS[args.command](args)
-        except ValueError as exc:
+        except CensorViolation as aborted:
+            _fail(
+                EXIT_VIOLATION, "censor-violation", strategy=args.strategy,
+                completed_runs=aborted.completed_runs, violation=aborted.violation.to_json_dict(),
+            )
+        except (ValueError, OSError) as exc:
             _fail(EXIT_CONFIG, "config", detail=str(exc))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
+    finally:
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout refused its bytes: drop them, so the flush at exit cannot fail again
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

@@ -184,10 +184,10 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
     for rnd in range(1, rounds + 1):
         end = cut + RANDOMNESS_SLICE_BYTES
         payload_l = emit(strategy, left, state_l, rnd, inbox_l, rand_l[cut:end])
-        if not isinstance(payload_l, bytes) or len(payload_l) != payload_bytes:
+        if type(payload_l) is not bytes or len(payload_l) != payload_bytes:
             raise _frame_error(left, rnd, payload_bytes)
         payload_r = emit(strategy, right, state_r, rnd, inbox_r, rand_r[cut:end])
-        if not isinstance(payload_r, bytes) or len(payload_r) != payload_bytes:
+        if type(payload_r) is not bytes or len(payload_r) != payload_bytes:
             raise _frame_error(right, rnd, payload_bytes)
         cut = end
         transcript += (payload_l, payload_r)
@@ -241,10 +241,13 @@ def induced_instruction_set(strategy, record: RunRecord, config: RunConfig) -> t
     With the transcript fixed (valid because censored emissions cannot
     depend on settings), each wing's flash is a function of its local
     setting alone; the referee evaluates it at all three settings, which
-    yields that wing's instruction set for the run.
+    yields that wing's instruction set for the run. A record of another
+    strategy id is refused, as its run need not replay under this one.
     """
     if strategy.requires_censor_off:
         raise ValueError("induced sets are only defined for censor-compliant strategies")
+    if record.strategy_id != strategy.strategy_id:
+        raise ValueError(f"a {record.strategy_id!r} record cannot be replayed under {strategy.strategy_id!r}")
     replayed, colors_l, colors_r = _play(
         config, strategy, record.settings, record.seed, run_index=record.run_index
     )

@@ -282,6 +282,15 @@ class TestInducedInstructionSet:
         with pytest.raises(ReplayMismatchError, match="colors"):
             induced_instruction_set(strat, tampered, CFG)
 
+    def test_record_of_another_strategy_refused(self):
+        # a GGG record at settings (3, 3) flashes GG, which RRG also does
+        # there, so without the id check it replays as two RRG sets
+        ggg, rrg = (fixed_instruction_strategy(InstructionSet.from_label(label)) for label in ("GGG", "RRG"))
+        rec = execute_run(CFG, ggg, SettingPair(Setting.THREE, Setting.THREE), 3)
+        assert rec.colors == (Color.G, Color.G)
+        with pytest.raises(ValueError, match="'fixed-GGG' record cannot be replayed under 'fixed-RRG'"):
+            induced_instruction_set(rrg, rec, CFG)
+
 
 class TestRenderers:
     def test_csv_shape(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings as hsettings, strategies as st
 from bellgame.analysis import check_feature_i
 from bellgame.censor import CensorViolation, verify_transcript_invariance, vet_emission
 from bellgame.core import INSTRUCTION_SETS, SETTINGS, Color, Setting, SettingPair, Wing
-from bellgame.protocol import RunConfig, execute_run, run_experiment
+from bellgame.protocol import ProtocolError, RunConfig, execute_run, run_experiment
 from bellgame.strategies import (
     StrategyError,
     WingStrategy,
@@ -92,6 +92,61 @@ class TestVetEmission:
         assert doc["payload_b"] == "02ab"
         assert doc["wing"] == "L"
         assert doc["setting_a"] == 1 and doc["setting_b"] == 2
+
+
+class _AlwaysEqual(bytes):
+    """Other bytes that claim to equal anything."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    __hash__ = bytes.__hash__
+
+
+class _Short(bytes):
+    """40 bytes that claim to be 32."""
+
+    def __len__(self):
+        return 32
+
+
+_SHORT = _Short(bytes(40))
+
+# emits that each make the first frame something other than exact bytes
+_NOT_FRAMES = {
+    # plain bytes under setting 1, other bytes that equal them under 2 and 3
+    "always-equal-subclass": lambda state, round, inbox, rand, setting: (
+        bytes(32) if setting is Setting.ONE else _AlwaysEqual(b"\x01" * 32)
+    ),
+    "short-len-subclass": lambda state, round, inbox, rand, setting: _SHORT,
+    "none-under-setting-2": lambda state, round, inbox, rand, setting: (
+        None if setting is Setting.TWO else bytes(32)
+    ),
+}
+
+
+class TestFramesAreExactBytes:
+    """A frame is exact ``bytes``: the censor compares nothing else, as a
+    subclass can redefine ``==``, and the referee's framing check rejects
+    anything else in the first frame, wing L, round 1."""
+
+    @pytest.mark.parametrize("case", sorted(_NOT_FRAMES))
+    def test_stops_at_the_first_frame(self, case):
+        with pytest.raises(ProtocolError, match="wing L, round 1: payload must be exactly 32 bytes") as caught:
+            run_experiment(CFG, _strategy(_NOT_FRAMES[case]), 20, 3)
+        assert caught.value.completed_runs == 0
+
+    def test_short_len_subclass_refused_with_censor_off(self):
+        with pytest.raises(ProtocolError, match="wing L, round 1"):
+            run_experiment(CFG.replace(censor_enabled=False), _strategy(_NOT_FRAMES["short-len-subclass"]), 20, 3)
+
+    def test_always_equal_subclass_fails_whole_run_replay(self):
+        strat = _strategy(_NOT_FRAMES["always-equal-subclass"])
+        with pytest.raises(ProtocolError, match="wing L, round 1"):
+            verify_transcript_invariance(CFG, strat, SettingPair(Setting.ONE, Setting.TWO), 3)
 
 
 class TestTransitionGuard:

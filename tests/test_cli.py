@@ -18,6 +18,7 @@ from bellgame.cli import (
     EXIT_VIOLATION,
     main,
 )
+from bellgame.strategies import build_registry
 
 
 def run_cli(capsys, *argv):
@@ -433,16 +434,90 @@ class TestUsageErrors:
         assert json.loads(err) == {"error": "config", "detail": f"master seed must be in [0, 2**64), got {seed}"}
 
 
-def test_module_entry_point():
+def _child_env() -> dict:
     # the child interpreter does not see pytest's pythonpath setting
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bellgame", "list-strategies"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "negotiation" in proc.stdout
+
+
+class TestOneErrorPath:
+    """``main`` turns every failure into its exit code and one stderr line:
+    a failed write is a configuration error, never a traceback."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("fmt", ["jsonl", "text"])
+    def test_full_disk(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "run", "--strategy", "fixed-RRG", "--n", "3", "--format", fmt, "--output", "/dev/full"
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == '{"detail":"[Errno 28] No space left on device","error":"config"}\n'
+
+    def test_censor_violation_outside_an_experiment(self, capsys, monkeypatch):
+        # verify-censor replays bare runs, so its abort counts no runs
+        def leaky_registry(*args):
+            registry = build_registry(*args)
+            registry["fixed-RRG"] = registry["fixed-RRG"].replace(
+                emit=lambda state, round, inbox, rand, setting: bytes([setting]) * 32
+            )
+            return registry
+
+        monkeypatch.setattr(cli, "build_registry", leaky_registry)
+        monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
+        code, out, err = run_cli(capsys, "verify-censor", "--strategy", "fixed-RRG", "--n", "3")
+        assert code == EXIT_VIOLATION
+        assert out == ""
+        assert err.count("\n") == 1
+        diag = json.loads(err)
+        assert diag["error"] == "censor-violation"
+        assert diag["strategy"] == "fixed-RRG"
+        assert diag["completed_runs"] is None
+        assert diag["violation"] == {
+            "wing": "L", "round": 1, "setting_a": 1, "setting_b": 2,
+            "payload_a": "01" * 32, "payload_b": "02" * 32,
+        }
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--strategy", "negotiation", "--format", "jsonl", "--n", "20000"],
+            ["run", "--strategy", "negotiation", "--n", "10"],
+            ["gap", "--n", "50"],
+            ["prove-bound"],
+            ["list-strategies"],
+            ["verify-censor", "--n", "2"],
+        ],
+        ids=["run-jsonl", "run-text", "gap", "prove-bound", "list-strategies", "verify-censor"],
+    )
+    def test_closed_pipe(self, argv, buffered):
+        # the real entry point on a real descriptor: a pipe whose reader is gone
+        env = _child_env()
+        env.pop("BELLGAME_OUTPUT", None)
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bellgame", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == '{"detail":"[Errno 32] Broken pipe","error":"config"}\n'
