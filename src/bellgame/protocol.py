@@ -126,9 +126,18 @@ def run_settings(seed: int) -> SettingPair:
     return _keyed_settings((seed & MASK64).to_bytes(8, "little"), seed)
 
 
-def _frame_error(wing: Wing, rnd: int, payload_bytes: int) -> ProtocolError:
+def _frame_error(wing: Wing, rnd: int, payload_bytes: int, payload) -> ProtocolError:
+    """The error naming the frame, and its size or, when it is not exact
+    ``bytes``, its type."""
+    kind = type(payload)
+    if kind is bytes:
+        got = len(payload)
+    elif isinstance(payload, bytes):
+        got = f"bytes subclass {kind.__name__!r}"
+    else:
+        got = kind.__name__
     return ProtocolError(
-        f"wing {wing.value}, round {rnd}: payload must be exactly {payload_bytes} bytes"
+        f"wing {wing.value}, round {rnd}: payload must be exactly {payload_bytes} bytes, got {got}"
     )
 
 
@@ -185,10 +194,10 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
         end = cut + RANDOMNESS_SLICE_BYTES
         payload_l = emit(strategy, left, state_l, rnd, inbox_l, rand_l[cut:end])
         if type(payload_l) is not bytes or len(payload_l) != payload_bytes:
-            raise _frame_error(left, rnd, payload_bytes)
+            raise _frame_error(left, rnd, payload_bytes, payload_l)
         payload_r = emit(strategy, right, state_r, rnd, inbox_r, rand_r[cut:end])
         if type(payload_r) is not bytes or len(payload_r) != payload_bytes:
-            raise _frame_error(right, rnd, payload_bytes)
+            raise _frame_error(right, rnd, payload_bytes, payload_r)
         cut = end
         transcript += (payload_l, payload_r)
         inbox_l += (payload_r,)

@@ -126,6 +126,12 @@ _NOT_FRAMES = {
         None if setting is Setting.TWO else bytes(32)
     ),
 }
+# the type each case's framing error names
+_NOT_FRAME_TYPES = {
+    "always-equal-subclass": "bytes subclass '_AlwaysEqual'",
+    "short-len-subclass": "bytes subclass '_Short'",
+    "none-under-setting-2": "NoneType",
+}
 
 
 class TestFramesAreExactBytes:
@@ -138,6 +144,7 @@ class TestFramesAreExactBytes:
         with pytest.raises(ProtocolError, match="wing L, round 1: payload must be exactly 32 bytes") as caught:
             run_experiment(CFG, _strategy(_NOT_FRAMES[case]), 20, 3)
         assert caught.value.completed_runs == 0
+        assert str(caught.value).endswith(f"32 bytes, got {_NOT_FRAME_TYPES[case]}")
 
     def test_short_len_subclass_refused_with_censor_off(self):
         with pytest.raises(ProtocolError, match="wing L, round 1"):

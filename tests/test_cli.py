@@ -280,6 +280,15 @@ class TestOracleBuildsNoRegistry:
         assert hashlib.sha256(out.encode()).hexdigest() == self.GAP_SHA256
 
 
+def _leaky_registry(*args):
+    """The registry, with a ``fixed-RRG`` whose frames spell the emitting wing's setting."""
+    registry = build_registry(*args)
+    registry["fixed-RRG"] = registry["fixed-RRG"].replace(
+        emit=lambda state, round, inbox, rand, setting: bytes([setting]) * 32
+    )
+    return registry
+
+
 class TestVerifyCensor:
     def test_single_strategy(self, capsys):
         code, out, _ = run_cli(
@@ -340,6 +349,20 @@ class TestVerifyCensor:
         assert run_cli(capsys, "verify-censor", "--n", "3", "--seed", "7")[0] == EXIT_OK
         assert len(by_name) == 3
         assert seen["near-leak"] == by_name
+
+    def test_all_names_a_leaking_strategy_and_goes_on(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_registry", _leaky_registry)
+        monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
+        code, out, err = run_cli(capsys, "verify-censor", "--n", "2")
+        assert code == EXIT_VIOLATION
+        assert err == '{"error":"noninterference-failure","strategies":1}\n'
+        lines = out.splitlines()
+        assert lines[0] == "negotiation: ok (2 runs, transcripts setting-invariant)"
+        assert lines[1] == "fixed-RRG: censor violation: wing L, round 1: payload differs between settings 1 and 2"
+        assert lines[-1] == "cheat: declared censor-off; skipped"
+        checked = lines[2:-1]
+        assert len(checked) == 11
+        assert all(line.endswith(": ok (2 runs, transcripts setting-invariant)") for line in checked)
 
 
 class TestEnvironmentOverrides:
@@ -469,14 +492,7 @@ class TestOneErrorPath:
 
     def test_censor_violation_outside_an_experiment(self, capsys, monkeypatch):
         # verify-censor replays bare runs, so its abort counts no runs
-        def leaky_registry(*args):
-            registry = build_registry(*args)
-            registry["fixed-RRG"] = registry["fixed-RRG"].replace(
-                emit=lambda state, round, inbox, rand, setting: bytes([setting]) * 32
-            )
-            return registry
-
-        monkeypatch.setattr(cli, "build_registry", leaky_registry)
+        monkeypatch.setattr(cli, "build_registry", _leaky_registry)
         monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
         code, out, err = run_cli(capsys, "verify-censor", "--strategy", "fixed-RRG", "--n", "3")
         assert code == EXIT_VIOLATION
@@ -501,8 +517,10 @@ class TestOneErrorPath:
             ["prove-bound"],
             ["list-strategies"],
             ["verify-censor", "--n", "2"],
+            ["run", "--help"],
+            ["--version"],
         ],
-        ids=["run-jsonl", "run-text", "gap", "prove-bound", "list-strategies", "verify-censor"],
+        ids=["run-jsonl", "run-text", "gap", "prove-bound", "list-strategies", "verify-censor", "run-help", "version"],
     )
     def test_closed_pipe(self, argv, buffered):
         # the real entry point on a real descriptor: a pipe whose reader is gone
@@ -521,3 +539,56 @@ class TestOneErrorPath:
             os.close(write_end)
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr == '{"detail":"[Errno 32] Broken pipe","error":"config"}\n'
+
+
+class TestParserBuiltOnce:
+    """``main`` builds its parser on the first call and reuses it: nothing
+    one call parses or reads from the environment reaches the next."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_defaults_do_not_leak_between_parses(self):
+        parser = cli.build_parser()
+        assert parser.parse_args(["verify-censor"]).n == 100
+        assert parser.parse_args(["run", "--strategy", "fixed-RRG", "--n", "7"]).n == 7
+        assert parser.parse_args(["run", "--strategy", "fixed-RRG"]).n == cli.DEFAULT_N_RUNS == 100_000
+        assert parser.parse_args(["verify-censor"]).n == 100
+
+    def test_seed_env_read_at_each_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
+        for seed in ("5", "9"):
+            monkeypatch.setenv("BELLGAME_SEED", seed)
+            code, out, _ = run_cli(capsys, "run", "--strategy", "fixed-RRG", "--n", "2", "--format", "jsonl")
+            assert code == EXIT_OK
+            assert json.loads(out.splitlines()[0])["master_seed"] == seed
+
+    def test_help_wraps_at_each_calls_width(self, capsys, monkeypatch):
+        for columns, fits_80 in (("80", True), ("200", False), ("80", True)):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = run_cli(capsys, "run", "--help")
+            assert code == EXIT_OK
+            assert (max(map(len, out.splitlines())) <= 80) is fits_80
+
+    def test_built_on_the_first_call_only(self):
+        # a fresh interpreter counts the parsers argparse makes: none on
+        # import, six (the top level and five subcommands) over two calls
+        code = (
+            "import argparse, contextlib, io\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    made.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from bellgame import cli\n"
+            "print(len(made))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['list-strategies']) == 0\n"
+            "    assert cli.main(['prove-bound']) == 0\n"
+            "print(len(made))\n"
+        )
+        env = _child_env()
+        env.pop("BELLGAME_OUTPUT", None)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.split() == ["0", "6"]

@@ -221,3 +221,15 @@ def test_cli_error_line(kind, capsys, clean_env):
     argv, code, line = CLI_ERROR_LINES[kind]
     assert main(list(argv)) == code
     assert capsys.readouterr().err == line
+
+
+def test_cli_pins_hold_on_repeated_calls(capsys, clean_env):
+    """Every pinned command line twice in one process, in order: a parser or
+    module state that one call leaves behind would move a later output."""
+    for _ in range(2):
+        for argv, digest in CLI_STDOUT_SHA256.items():
+            assert main(list(argv)) == 0
+            assert _sha256(capsys.readouterr().out) == digest, argv
+        for argv, code, line in CLI_ERROR_LINES.values():
+            assert main(list(argv)) == code
+            assert capsys.readouterr().err == line, argv

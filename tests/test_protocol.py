@@ -184,7 +184,7 @@ class TestExecuteRun:
             return Color.R
 
         broken = WingStrategy("bad-frames", init, transition, emit, flash)
-        with pytest.raises(ProtocolError, match="exactly 32 bytes"):
+        with pytest.raises(ProtocolError, match="exactly 32 bytes, got 5$"):
             execute_run(CFG, broken, SettingPair(Setting.ONE, Setting.ONE), 1)
 
 
