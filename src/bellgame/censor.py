@@ -18,6 +18,14 @@ setting-1 payload object, and the referee calls each ``flash`` under all
 three settings in a fixed order. A setting stashed in a captured object is
 never the actual one, so a strategy relying on it loses feature (i). This
 holds whatever the slot shapes that ``validate_strategy`` checks.
+
+The 5/9 floor holds only for strategies that cannot compute the run's
+settings. A run's settings are a public function of the master seed and the
+run index, ``run_settings(derive_run_seed(master_seed, run_index))``, and a
+strategy can read its slot arguments (``run_index`` among them), the objects
+it captures and the environment (for example ``BELLGAME_SEED``). One that
+learns the master seed this way passes every check here and keeps feature
+(i) at a same-color fraction near 1/3.
 """
 
 from __future__ import annotations

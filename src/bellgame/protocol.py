@@ -111,11 +111,14 @@ def draw_settings(stream: ByteStream) -> SettingPair:
     return SettingPair(*drawn)
 
 
-def _keyed_settings(key: bytes, seed: int) -> SettingPair:
+def _keyed_settings(keyed, seed: int) -> SettingPair:
     """``draw_settings(ByteStream(seed, b"settings"))`` for the run with this
-    seed and key: one digest's first two bytes decide the settings unless one
-    is a rejected 255."""
-    a, b = blake2b(_SETTINGS_BLOCK, key=key).digest()[:2]
+    seed, where ``keyed`` is a blake2b state keyed by the seed that nothing
+    has been fed yet: one digest on its copy decides the settings unless one
+    of the first two bytes is a rejected 255. ``keyed`` is left as it was."""
+    digest = keyed.copy()
+    digest.update(_SETTINGS_BLOCK)
+    a, b = digest.digest()[:2]
     if a == 255 or b == 255:
         return draw_settings(ByteStream(seed, b"settings"))
     return ALL_SETTING_PAIRS[3 * (a % 3) + b % 3]
@@ -123,7 +126,7 @@ def _keyed_settings(key: bytes, seed: int) -> SettingPair:
 
 def run_settings(seed: int) -> SettingPair:
     """The settings of the run with this seed."""
-    return _keyed_settings((seed & MASK64).to_bytes(8, "little"), seed)
+    return _keyed_settings(blake2b(key=(seed & MASK64).to_bytes(8, "little")), seed)
 
 
 def _frame_error(wing: Wing, rnd: int, payload_bytes: int, payload) -> ProtocolError:
@@ -273,11 +276,13 @@ def induced_instruction_set(strategy, record: RunRecord, config: RunConfig) -> t
 
 def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_seed: int, sink) -> ExperimentStats:
     """The run loop of classical and quantum experiments alike: per-run seeds
-    off the master seed, settings, ``play(settings, seed, key, run_index) ->
-    (colors, record)``, the tally and, with a sink, the JSONL header and one
-    record line per run. ``key``, the seed's 8 bytes, is the run's blake2b
-    key, made once. ``record`` is the run's ``RunRecord``, or None from a
-    source without a transcript, for which one is built only to be written.
+    off the master seed, settings, ``play(settings, seed, keyed, run_index)
+    -> (colors, record)``, the tally and, with a sink, the JSONL header and
+    one record line per run. ``keyed`` is a blake2b state keyed by the seed's
+    8 bytes, made once per run: the settings digest reads a copy of it, and
+    ``play`` may feed it one first block and take its digest. ``record`` is
+    the run's ``RunRecord``, or None from a source without a transcript, for
+    which one is built only to be written.
 
     The header goes out with the first record, or with a censor abort of run
     0, so a configuration error raised by run 0 leaves the sink empty. A
@@ -305,10 +310,10 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
     record_stat = stats.record
     for i in range(n_runs):
         seed_i = derive_run_seed(master_seed, i)
-        key = seed_i.to_bytes(8, "little")  # derive_run_seed is below 2**64
-        settings = _keyed_settings(key, seed_i)
+        keyed = blake2b(key=seed_i.to_bytes(8, "little"))  # derive_run_seed is below 2**64
+        settings = _keyed_settings(keyed, seed_i)
         try:
-            colors, record = play(settings, seed_i, key, i)
+            colors, record = play(settings, seed_i, keyed, i)
         except (CensorViolation, ProtocolError) as exc:
             if header and isinstance(exc, CensorViolation):
                 sink.write(header)
@@ -337,7 +342,7 @@ def run_experiment(
     stream. The first censor violation aborts with partial tallies attached.
     """
 
-    def play(settings, seed, key, run_index):
+    def play(settings, seed, keyed, run_index):
         record = execute_run(config, strategy, settings, seed, run_index)
         return record.colors, record
 

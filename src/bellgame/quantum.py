@@ -7,10 +7,11 @@ source bypasses wings and censor entirely; it exists to be compared
 against what censored classical strategies can do.
 
 A run's outcome comes from the first two bytes of its ``b"oracle"``
-stream, which one blake2b digest on the run's key yields, the key the run
-loop made for the run's settings: the first byte's parity picks the left
-color, and on unequal settings a second byte below 64 makes the right color
-equal it. On equal settings the second byte is never used.
+stream, which one digest yields on the keyed blake2b state the run loop
+made for the run, after the settings digest read a copy of it: the first
+byte's parity picks the left color, and on unequal settings a second byte
+below 64 makes the right color equal it. On equal settings the second byte
+is never used.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import IO, Optional
 from .analysis import ExperimentStats
 from .core import ALL_SETTING_PAIRS, Color, SettingPair
 from .protocol import RunConfig, _experiment
-from .randomness import _FIRST_BLOCK, ByteStream, blake2b
+from .randomness import _FIRST_BLOCK, ByteStream
 
 __all__ = [
     "QUANTUM_ORACLE_ID",
@@ -79,9 +80,11 @@ def quantum_experiment(
     record stream uses the same format with an empty transcript.
     """
 
-    def play(settings, seed, key, run_index):
+    def play(settings, seed, keyed, run_index):
         # sample_quantum_run on ByteStream(seed, b"oracle"), from one digest
-        first, second = blake2b(_ORACLE_BLOCK, key=key).digest()[:2]
+        # on the run's keyed state, which nothing reads after it
+        keyed.update(_ORACLE_BLOCK)
+        first, second = keyed.digest()[:2]
         return _OUTCOMES[2 * (first & 1) + (settings[0] is settings[1] or second < _AGREE_BELOW)], None
 
     return _experiment(RunConfig() if config is None else config, QUANTUM_ORACLE_ID, play, n_runs, master_seed, sink)

@@ -13,10 +13,11 @@ longer reads to ``ByteStream``. Every stream of a run in the default
 configuration (tapes of 64 bytes, four 16-byte slices per wing, the two
 setting bytes) is such a read.
 
-The run loop makes each run's key once and reads the settings (``protocol``)
-and the oracle's two bytes (``quantum``) as direct keyed digests of their
-first block; tapes and slices go through ``stream_bytes``, and reads past a
-first block, such as a redraw after a rejected setting byte, ``ByteStream``.
+The run loop makes one keyed blake2b state per run: the settings
+(``protocol``) are read from a digest of their first block on a copy of it,
+and the oracle's two bytes (``quantum``) from a digest of theirs on the state
+itself. Tapes and slices go through ``stream_bytes``, and reads past a first
+block, such as a redraw after a rejected setting byte, ``ByteStream``.
 
 ``blake2b`` comes from the ``_blake2`` module, whose function is the very
 object ``hashlib.blake2b`` is; importing ``hashlib`` would also start

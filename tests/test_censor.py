@@ -7,8 +7,9 @@ from hypothesis import given, settings as hsettings, strategies as st
 
 from bellgame.analysis import check_feature_i
 from bellgame.censor import CensorViolation, verify_transcript_invariance, vet_emission
-from bellgame.core import INSTRUCTION_SETS, SETTINGS, Color, Setting, SettingPair, Wing
-from bellgame.protocol import ProtocolError, RunConfig, execute_run, run_experiment
+from bellgame.core import INSTRUCTION_SETS, SETTINGS, Color, InstructionSet, Setting, SettingPair, Wing
+from bellgame.protocol import ProtocolError, RunConfig, execute_run, run_experiment, run_settings
+from bellgame.randomness import derive_run_seed
 from bellgame.strategies import (
     StrategyError,
     WingStrategy,
@@ -326,6 +327,55 @@ class TestEmitSideState:
     @pytest.mark.parametrize("seed", range(5))
     def test_censor_off_the_stash_is_a_channel(self, seed, right):
         assert self._right_colors(RunConfig(censor_enabled=False), seed, right) == {Color.R, Color.G}
+
+
+def _settings_predicting_strategy(master_seed):
+    """Settings are a public function of (master seed, run index), so a
+    strategy that holds the master seed computes each run's settings in
+    ``init``. On equal settings both wings take RRR; otherwise Left takes RRR
+    and Right takes GGG. Every frame is filler, and it reads no stream."""
+    filler = bytes(CFG.payload_bytes)
+    rrr, ggg = InstructionSet.from_label("RRR"), InstructionSet.from_label("GGG")
+
+    def init(wing_id, shared_tape, private_tape, run_index):
+        left, right = run_settings(derive_run_seed(master_seed, run_index))
+        return rrr if left is right or wing_id is Wing.LEFT else ggg
+
+    def transition(state, round, inbox):
+        return state
+
+    def emit(state, round, inbox, randomness_slice, setting):
+        return filler
+
+    def flash(state, full_inbox, setting):
+        return state[setting - 1]
+
+    return WingStrategy("settings-predicting", init, transition, emit, flash, reads=())
+
+
+class TestSettingsPrediction:
+    """The 5/9 floor holds only for strategies that cannot compute the run's
+    settings. The censor sees nothing wrong with one that can: it passes
+    every check and, at the master seed it holds, keeps feature (i) at a
+    same-color fraction near 1/3."""
+
+    N_RUNS = 20_000
+
+    def test_passes_the_censor_checks(self):
+        strategy = _settings_predicting_strategy(2024)
+        validate_strategy(strategy)
+        for i in range(50):
+            seed = derive_run_seed(2024, i)
+            assert verify_transcript_invariance(CFG, strategy, run_settings(seed), seed, run_index=i)
+
+    def test_beats_the_floor_at_its_master_seed(self):
+        stats = run_experiment(CFG, _settings_predicting_strategy(2024), self.N_RUNS, 2024)
+        assert stats.total_same == 6746  # a same-color fraction of 0.33730
+        assert check_feature_i(stats)
+
+    def test_fails_feature_i_at_another_master_seed(self):
+        stats = run_experiment(CFG, _settings_predicting_strategy(2024), self.N_RUNS, 7)
+        assert not check_feature_i(stats)
 
 
 class TestLeakTiming:

@@ -355,14 +355,39 @@ class TestIsolation:
 
 
 def _digests_per_run(monkeypatch, experiment, n_runs, master_seed):
-    """The labels of the keyed blake2b digests the package makes on each
-    run's key while ``experiment(n_runs, master_seed)`` runs, in call order.
-    A label is the digested message less its 8-byte block counter; every
-    digest must be of a block 0 and on the key of one of the runs."""
+    """``(labels, states)`` of the keyed blake2b digests the package makes on
+    each run's key while ``experiment(n_runs, master_seed)`` runs. ``labels``
+    holds each run's labels in call order: a label is the digested message,
+    passed to ``blake2b`` or fed to a keyed state, less its 8-byte block
+    counter, and every digest must be of a block 0 and on the key of one of
+    the runs. ``states`` holds each run's ``(built, copied)``: how many keyed
+    states ``blake2b(key=...)`` built, and how many copies were made of them."""
     real = randomness.blake2b
     calls = []
+    states = {}
 
-    def recording(data, *, key, **kwargs):
+    class Keyed:
+        """A keyed blake2b state that records its copies and the messages
+        fed to it."""
+
+        def __init__(self, key, state):
+            self._key, self._state = key, state
+
+        def copy(self):
+            states[self._key][1] += 1
+            return Keyed(self._key, self._state.copy())
+
+        def update(self, data):
+            calls.append((self._key, data[:-8], data[-8:]))
+            self._state.update(data)
+
+        def digest(self):
+            return self._state.digest()
+
+    def recording(data=None, *, key, **kwargs):
+        if data is None:
+            states.setdefault(key, [0, 0])[0] += 1
+            return Keyed(key, real(key=key, **kwargs))
         calls.append((key, data[:-8], data[-8:]))
         return real(data, key=key, **kwargs)
 
@@ -370,11 +395,13 @@ def _digests_per_run(monkeypatch, experiment, n_runs, master_seed):
         if name.partition(".")[0] == "bellgame" and getattr(module, "blake2b", None) is real:
             monkeypatch.setattr(module, "blake2b", recording)
     experiment(n_runs, master_seed)
-    labels = {derive_run_seed(master_seed, i).to_bytes(8, "little"): [] for i in range(n_runs)}
+    keys = [derive_run_seed(master_seed, i).to_bytes(8, "little") for i in range(n_runs)]
+    labels = {key: [] for key in keys}
     for key, label, counter in calls:
         assert counter == bytes(8)
         labels[key].append(label)
-    return list(labels.values())
+    assert states.keys() <= labels.keys()
+    return list(labels.values()), [tuple(states.get(key, (0, 0))) for key in keys]
 
 
 class TestStreamsDrawn:
@@ -385,7 +412,7 @@ class TestStreamsDrawn:
         def experiment(n_runs, master_seed):
             run_experiment(CFG, strategy, n_runs, master_seed)
 
-        return _digests_per_run(monkeypatch, experiment, 3, 5)
+        return _digests_per_run(monkeypatch, experiment, 3, 5)[0]
 
     def test_fixed_draws_settings_only(self, monkeypatch):
         assert self._labels(monkeypatch, RRR) == [[b"settings"]] * 3
@@ -403,9 +430,9 @@ class TestStreamsDrawn:
 
 
 class TestOracleDraws:
-    """The oracle takes each run's two bytes from one digest on the key the
-    settings digest used and builds no ByteStream; the stream sampler reads
-    only the bytes it needs."""
+    """The oracle takes each run's two bytes from one digest on the keyed
+    state whose copy the settings digest used, one state per run, and builds
+    no ByteStream; the stream sampler reads only the bytes it needs."""
 
     @pytest.mark.parametrize("sink", [None, io.StringIO()], ids=["no-sink", "sink"])
     def test_one_digest_per_run(self, monkeypatch, sink):
@@ -416,7 +443,9 @@ class TestOracleDraws:
             quantum_experiment(n_runs, master_seed, sink=sink)
 
         monkeypatch.setattr(quantum, "ByteStream", no_stream)
-        assert _digests_per_run(monkeypatch, experiment, 7, 3) == [[b"settings", b"oracle"]] * 7
+        labels, states = _digests_per_run(monkeypatch, experiment, 7, 3)
+        assert labels == [[b"settings", b"oracle"]] * 7
+        assert states == [(1, 1)] * 7
 
     @pytest.mark.parametrize("pair", ALL_SETTING_PAIRS, ids=lambda p: f"{int(p.left)}{int(p.right)}")
     def test_sampler_reads_one_byte_on_equal_settings_two_otherwise(self, pair):
