@@ -2,7 +2,8 @@
 
 The floor proof is pure integer arithmetic over the eight instruction sets.
 Everything empirical carries Hoeffding confidence radii at one failure
-probability, 1e-6.
+probability, 1e-6. ``BoundReport`` and ``GapReport`` render themselves for
+the CLI; the report of a single experiment is the CLI's own.
 """
 
 from __future__ import annotations
@@ -156,6 +157,10 @@ class BoundReport(NamedTuple):
         )
         return "\n".join(lines)
 
+    def to_csv(self) -> str:
+        rows = (f"{iset.label},{frac}" for iset, frac in self.per_set_fractions.items())
+        return "\n".join(["instruction_set,same_color_fraction", *rows])
+
     def to_json(self) -> str:
         return canonical_json(
             {
@@ -295,33 +300,3 @@ def bell_gap_report(
         sufficient_power=sufficient,
     )
 
-
-def stats_to_csv(stats: ExperimentStats) -> str:
-    """Plot-ready CSV: one row per setting pair."""
-    lines = ["left,right,n,same_fraction,confidence_radius"]
-    for pair in ALL_SETTING_PAIRS:
-        a, b = stats.counts[pair]
-        n = a + b
-        if n:
-            frac = f"{a / n:.6f}"
-            radius = f"{hoeffding_radius(n):.6f}"
-        else:
-            frac = radius = ""
-        lines.append(f"{int(pair.left)},{int(pair.right)},{n},{frac},{radius}")
-    return "\n".join(lines) + "\n"
-
-
-def render_stats_text(stats: ExperimentStats) -> str:
-    lines = ["pair   runs     same      fraction"]
-    for pair in ALL_SETTING_PAIRS:
-        a, b = stats.counts[pair]
-        n = a + b
-        frac = f"{a / n:.6f}" if n else "-"
-        lines.append(f"{int(pair.left)},{int(pair.right)}  {n:8d} {a:8d}  {frac:>10}")
-    n = stats.n_runs
-    if n:
-        lines.append(
-            f"overall: {stats.total_same}/{n} same = {stats.overall_same} "
-            f"= {stats.overall_same_float:.6f}"
-        )
-    return "\n".join(lines)

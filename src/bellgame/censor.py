@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import SETTINGS, Setting, SettingPair, Wing, canonical_json
+from .core import _ONE, _THREE, _TWO, SETTINGS, Setting, SettingPair, Wing, canonical_json
 
 __all__ = [
     "Violation",
@@ -41,11 +41,6 @@ __all__ = [
     "vet_emission",
     "verify_transcript_invariance",
 ]
-
-
-# vet_emission runs three emits per frame; reading Setting.ONE off the Enum
-# class is a metaclass lookup, so it reads these module names instead
-_ONE, _TWO, _THREE = SETTINGS
 
 
 class Violation(NamedTuple):

@@ -4,6 +4,10 @@ Subcommands: run, prove-bound, gap, verify-censor, list-strategies. All
 machine-readable output is byte-identical across identical command lines,
 including the seed. Error paths emit one JSON line on stderr.
 
+run, prove-bound and gap each build a report with one method per --format,
+which ``_write_report`` writes: ``_RunReport`` here, ``BoundReport`` and
+``GapReport`` from ``analysis``.
+
 Exit codes: 0 success, 1 floor enumeration defect, 2 configuration or usage
 error, or a failed write (a closed pipe, a full disk), 3 unknown strategy,
 4 censor violation or failed noninterference check.
@@ -16,20 +20,20 @@ import contextlib
 import functools
 import os
 import sys
-from typing import NoReturn, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from ._version import __version__
 from .analysis import (
     CLASSICAL_FLOOR,
+    ExperimentStats,
     bell_gap_report,
     check_feature_i,
     check_feature_ii,
+    hoeffding_radius,
     prove_bound,
-    render_stats_text,
-    stats_to_csv,
 )
 from .censor import CensorViolation, verify_transcript_invariance
-from .core import canonical_json
+from .core import ALL_SETTING_PAIRS, canonical_json
 from .protocol import (
     DEFAULT_PAYLOAD_BYTES,
     DEFAULT_ROUNDS,
@@ -185,46 +189,78 @@ def _lookup_strategy(registry, strategy_id: str):
     return registry[strategy_id]
 
 
-def _run_report_text(strategy_id, stats) -> str:
-    """Narrative report: agreement on equal settings, overall balance, the
-    exact floor, then the verdict."""
-    eq_same, eq_diff = stats.equal_setting_counts()
-    f2 = check_feature_ii(stats)
-    observed = stats.overall_same_float
-    floor = float(CLASSICAL_FLOOR)
-    verdict = (
-        "at or above the classical floor: consistent with an agreed-instruction-set model"
-        if observed >= floor - f2.tolerance
-        else "below the classical floor: no censor-compliant strategy that always agrees on equal settings can produce this"
-    )
-    lines = [
-        f"strategy: {strategy_id}   runs: {stats.n_runs}",
-        (
-            f"feature (i)  equal settings give equal colors: "
-            f"{'HOLDS' if check_feature_i(stats) else 'FAILS'} "
-            f"({eq_diff} violations in {eq_same + eq_diff} equal-setting runs)"
-        ),
-        (
-            f"feature (ii) overall same-color fraction {observed:.6f} "
-            f"within {f2.tolerance:.6f} of 1/2: {'HOLDS' if f2.holds else 'FAILS'}"
-        ),
-        f"classical floor: {CLASSICAL_FLOOR} = {floor:.6f}",
-        f"verdict: {verdict}",
-        "",
-        render_stats_text(stats),
-    ]
-    return "\n".join(lines)
+class _RunReport(NamedTuple):
+    """``run``'s result in each output format. Rows follow ``ALL_SETTING_PAIRS``,
+    so hand-built tallies print in the same order as an experiment's."""
+
+    strategy_id: str
+    stats: ExperimentStats
+
+    def to_text(self) -> str:
+        """Equal-setting agreement, overall balance, floor, verdict, per-pair table."""
+        stats = self.stats
+        eq_same, eq_diff = stats.equal_setting_counts()
+        f2 = check_feature_ii(stats)
+        observed = stats.overall_same_float
+        floor = float(CLASSICAL_FLOOR)
+        verdict = (
+            "at or above the classical floor: consistent with an agreed-instruction-set model"
+            if observed >= floor - f2.tolerance
+            else "below the classical floor: no censor-compliant strategy that always agrees on equal settings can produce this"
+        )
+        lines = [
+            f"strategy: {self.strategy_id}   runs: {stats.n_runs}",
+            (
+                f"feature (i)  equal settings give equal colors: "
+                f"{'HOLDS' if check_feature_i(stats) else 'FAILS'} "
+                f"({eq_diff} violations in {eq_same + eq_diff} equal-setting runs)"
+            ),
+            (
+                f"feature (ii) overall same-color fraction {observed:.6f} "
+                f"within {f2.tolerance:.6f} of 1/2: {'HOLDS' if f2.holds else 'FAILS'}"
+            ),
+            f"classical floor: {CLASSICAL_FLOOR} = {floor:.6f}",
+            f"verdict: {verdict}",
+            "",
+            "pair   runs     same      fraction",
+        ]
+        for pair in ALL_SETTING_PAIRS:
+            a, b = stats.counts[pair]
+            n = a + b
+            frac = f"{a / n:.6f}" if n else "-"
+            lines.append(f"{int(pair.left)},{int(pair.right)}  {n:8d} {a:8d}  {frac:>10}")
+        lines.append(f"overall: {stats.total_same}/{stats.n_runs} same = {stats.overall_same} = {observed:.6f}")
+        return "\n".join(lines)
+
+    def to_json(self) -> str:
+        """The JSONL stream's closing ``stats`` line."""
+        stats = self.stats
+        f2 = check_feature_ii(stats)
+        return canonical_json({
+            **stats.to_json_dict(),
+            "type": "stats",
+            "feature_i_holds": check_feature_i(stats),
+            "feature_ii_holds": f2.holds,
+            "feature_ii_tolerance": f2.tolerance,
+            "floor": str(CLASSICAL_FLOOR),
+        })
+
+    def to_csv(self) -> str:
+        """Plot-ready CSV; a pair with no runs leaves fraction and radius blank."""
+        lines = ["left,right,n,same_fraction,confidence_radius"]
+        for pair in ALL_SETTING_PAIRS:
+            a, b = self.stats.counts[pair]
+            n = a + b
+            frac, radius = (f"{a / n:.6f}", f"{hoeffding_radius(n):.6f}") if n else ("", "")
+            lines.append(f"{int(pair.left)},{int(pair.right)},{n},{frac},{radius}")
+        return "\n".join(lines)
 
 
-def _stats_json_line(stats) -> str:
-    doc = stats.to_json_dict()
-    doc["type"] = "stats"
-    doc["feature_i_holds"] = check_feature_i(stats)
-    f2 = check_feature_ii(stats)
-    doc["feature_ii_holds"] = f2.holds
-    doc["feature_ii_tolerance"] = f2.tolerance
-    doc["floor"] = str(CLASSICAL_FLOOR)
-    return canonical_json(doc)
+_RENDERERS = {"text": "to_text", "jsonl": "to_json", "csv": "to_csv"}  # --format: report method
+
+
+def _write_report(out, report, fmt: str) -> None:
+    out.write(getattr(report, _RENDERERS[fmt])() + "\n")
 
 
 def _run_source(args, config: RunConfig, seed: int, sink=None):
@@ -241,12 +277,7 @@ def _cmd_run(args) -> int:
     config = _config_from(args, censor_enabled=args.censor == "on")
     with _open_output(args) as out:
         stats = _run_source(args, config, seed, out if args.format == "jsonl" else None)
-        if args.format == "jsonl":
-            out.write(_stats_json_line(stats) + "\n")
-        elif args.format == "csv":
-            out.write(stats_to_csv(stats))
-        else:
-            out.write(_run_report_text(args.strategy, stats) + "\n")
+        _write_report(out, _RunReport(args.strategy, stats), args.format)
     return EXIT_OK
 
 
@@ -256,14 +287,7 @@ def _cmd_prove_bound(args) -> int:
     except RuntimeError as defect:
         _fail(EXIT_DEFECT, "bound-defect", detail=str(defect))
     with _open_output(args) as out:
-        if args.format == "jsonl":
-            out.write(report.to_json() + "\n")
-        elif args.format == "csv":
-            out.write("instruction_set,same_color_fraction\n")
-            for iset, frac in report.per_set_fractions.items():
-                out.write(f"{iset.label},{frac}\n")
-        else:
-            out.write(report.to_text() + "\n")
+        _write_report(out, report, args.format)
     return EXIT_OK
 
 
@@ -274,11 +298,9 @@ def _cmd_gap(args) -> int:
         classical = _run_source(args, config, seed)
         quantum = quantum_experiment(args.n, seed, config=config)
         report = bell_gap_report(classical, quantum)
-        if args.format == "jsonl":
-            out.write(report.to_json() + "\n")
-        else:
+        if args.format == "text":
             out.write(f"classical strategy: {args.strategy}\n")
-            out.write(report.to_text() + "\n")
+        _write_report(out, report, args.format)
     if report.warning:
         print(canonical_json({"error": "power-warning", "detail": report.warning}), file=sys.stderr)
     return EXIT_OK

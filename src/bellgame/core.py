@@ -103,6 +103,14 @@ class Wing(Enum):
     RIGHT = "R"
 
 
+# Reading an Enum member off its class costs a metaclass lookup; the
+# referee, the censor and the strategy slots run once per frame or run, so
+# they import these module names instead.
+_ONE, _TWO, _THREE = SETTINGS
+_RED, _GREEN = Color.R, Color.G
+_LEFT, _RIGHT = Wing.LEFT, Wing.RIGHT
+
+
 class SettingPair(NamedTuple):
     """The settings handed to the left and right wings in one run."""
 

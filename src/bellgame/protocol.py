@@ -20,9 +20,15 @@ from ._version import __version__
 from .analysis import ExperimentStats
 from .censor import CensorViolation, vet_emission
 from .core import (
+    _GREEN,
+    _LEFT,
+    _ONE,
+    _RED,
+    _RIGHT,
+    _THREE,
+    _TWO,
     ALL_SETTING_PAIRS,
     SETTINGS,
-    Color,
     InstructionSet,
     RunRecord,
     SettingPair,
@@ -52,10 +58,7 @@ DEFAULT_SHARED_TAPE_BYTES = 64
 PRIVATE_TAPE_BYTES = 64
 RANDOMNESS_SLICE_BYTES = 16
 
-_LEFT, _RIGHT = Wing.LEFT, Wing.RIGHT
-_RED, _GREEN = Color.R, Color.G
 _new_tuple = tuple.__new__
-_ONE, _TWO, _THREE = SETTINGS
 _SETTINGS_BLOCK = b"settings" + _FIRST_BLOCK  # the message of the settings stream's block 0
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import INSTRUCTION_SETS, Color, InstructionSet, Wing, _Frozen
+from .core import _GREEN, _LEFT, _RED, INSTRUCTION_SETS, InstructionSet, _Frozen
 from .protocol import DEFAULT_PAYLOAD_BYTES
 from .quantum import _AGREE_BELOW, _OUTCOMES
 
@@ -112,12 +112,6 @@ def validate_strategy(strategy: WingStrategy) -> None:
         found_at = params.index("setting") if "setting" in params else None
         if len(params) != arity or found_at != setting_at:
             raise StrategyError(f"{sid}: {shape}")
-
-
-# Reading an Enum member off its class costs a metaclass lookup; the slots
-# below run once per frame or run, so they read these module names instead.
-_LEFT = Wing.LEFT
-_RED, _GREEN = Color.R, Color.G
 
 
 def _keep_state(state, round, inbox):
@@ -259,7 +253,7 @@ def tape_mixing_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
 
     def init(wing_id, shared_tape, private_tape, run_index):
         if len(shared_tape) < 4:
-            raise ValueError("tape mixing needs at least 4 shared tape bytes")
+            raise ValueError("tape-mixing needs at least 4 shared tape bytes")
         proposal = (
             ((shared_tape[0] & 1) << 2)
             | ((shared_tape[1] & 1) << 1)

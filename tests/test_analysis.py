@@ -15,8 +15,6 @@ from bellgame.analysis import (
     check_feature_ii,
     hoeffding_radius,
     prove_bound,
-    render_stats_text,
-    stats_to_csv,
 )
 from bellgame.core import (
     ALL_SETTING_PAIRS,
@@ -293,24 +291,6 @@ class TestInducedInstructionSet:
 
 
 class TestRenderers:
-    def test_csv_shape(self):
-        csv = stats_to_csv(_uniform_stats(0.5, 10))
-        lines = csv.strip().splitlines()
-        assert lines[0] == "left,right,n,same_fraction,confidence_radius"
-        assert len(lines) == 10
-        first = lines[1].split(",")
-        assert first[0] == "1" and first[1] == "1" and first[2] == "10"
-
-    def test_csv_empty_pairs_blank(self):
-        csv = stats_to_csv(_stats({(1, 2): (3, 1)}))
-        rows = {tuple(l.split(",")[:2]): l for l in csv.strip().splitlines()[1:]}
-        assert rows[("1", "2")].endswith(f",{3/4:.6f},{hoeffding_radius(4):.6f}")
-        assert rows[("3", "3")] == "3,3,0,,"
-
-    def test_text_contains_overall(self):
-        text = render_stats_text(_uniform_stats(0.5, 4))
-        assert "overall:" in text
-
     def test_stats_json_dict(self):
         doc = _uniform_stats(0.5, 4).to_json_dict()
         assert doc["n_runs"] == 36

@@ -10,14 +10,17 @@ from pathlib import Path
 import pytest
 
 from bellgame import cli
+from bellgame.analysis import ExperimentStats, hoeffding_radius
 from bellgame.cli import (
     EXIT_CONFIG,
     EXIT_DEFECT,
     EXIT_OK,
     EXIT_UNKNOWN_STRATEGY,
     EXIT_VIOLATION,
+    _RunReport,
     main,
 )
+from bellgame.core import ALL_SETTING_PAIRS, Color, Setting, SettingPair
 from bellgame.strategies import build_registry
 
 
@@ -161,18 +164,20 @@ class TestRunCommand:
         }
 
     @pytest.mark.parametrize(
-        "option, detail",
+        "option, value, detail",
         [
-            ("--payload-bytes", "negotiation needs payload frames of at least 3 bytes"),
-            ("--tape-bytes", "negotiation needs at least 3 shared tape bytes"),
-            ("--tape-bytes", "max-random needs at least 3 shared tape bytes"),
+            ("--payload-bytes", "2", "negotiation needs payload frames of at least 3 bytes"),
+            ("--tape-bytes", "2", "negotiation needs at least 3 shared tape bytes"),
+            ("--tape-bytes", "2", "max-random needs at least 3 shared tape bytes"),
+            ("--tape-bytes", "3", "tape-mixing needs at least 4 shared tape bytes"),
+            ("--tape-bytes", "1", "cheat needs at least 2 shared tape bytes"),
         ],
     )
-    def test_config_error_writes_no_stream(self, capsys, option, detail):
+    def test_config_error_writes_no_stream(self, capsys, option, value, detail):
         # the JSONL header waits for run 0, so a rejected config leaves no
         # partial stream behind; every detail starts with its strategy's id
         code, out, err = run_cli(
-            capsys, "run", "--strategy", detail.split()[0], option, "2", "--n", "10",
+            capsys, "run", "--strategy", detail.split()[0], option, value, "--n", "10",
             "--format", "jsonl",
         )
         assert code == EXIT_CONFIG
@@ -203,6 +208,50 @@ class TestRunCommand:
             )
             assert code == EXIT_OK
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def _stats(per_pair):
+    """Tallies from {(left, right): (same, different)}; other pairs have none."""
+    stats = ExperimentStats()
+    for (l, r), (same, diff) in per_pair.items():
+        stats.counts[SettingPair(Setting(l), Setting(r))] = [same, diff]
+    return stats
+
+
+def _uniform_stats(n_per_pair):
+    """Every pair run ``n_per_pair`` times; equal settings always agree, the
+    others half the time."""
+    return _stats({
+        (l, r): (n_per_pair, 0) if l == r else (n_per_pair // 2, n_per_pair - n_per_pair // 2)
+        for l in (1, 2, 3)
+        for r in (1, 2, 3)
+    })
+
+
+class TestRunReport:
+    def test_csv_shape(self):
+        lines = _RunReport("x", _uniform_stats(10)).to_csv().splitlines()
+        assert lines[0] == "left,right,n,same_fraction,confidence_radius"
+        assert len(lines) == 10
+        first = lines[1].split(",")
+        assert first[0] == "1" and first[1] == "1" and first[2] == "10"
+
+    def test_csv_empty_pairs_blank(self):
+        csv = _RunReport("x", _stats({(1, 2): (3, 1)})).to_csv()
+        rows = {tuple(l.split(",")[:2]): l for l in csv.splitlines()[1:]}
+        assert rows[("1", "2")].endswith(f",{3/4:.6f},{hoeffding_radius(4):.6f}")
+        assert rows[("3", "3")] == "3,3,0,,"
+
+    def test_text_contains_overall(self):
+        text = _RunReport("x", _uniform_stats(4)).to_text()
+        assert "overall:" in text
+
+    def test_rows_in_canonical_order_whatever_the_tally_order(self):
+        backwards = ExperimentStats({pair: [1, 0] for pair in reversed(ALL_SETTING_PAIRS)})
+        canonical = [f"{int(p.left)},{int(p.right)}" for p in ALL_SETTING_PAIRS]
+        report = _RunReport("x", backwards)
+        assert [row[:3] for row in report.to_csv().splitlines()[1:]] == canonical
+        assert [row[:3] for row in report.to_text().splitlines()[7:16]] == canonical
 
 
 class TestGapCommand:
@@ -289,6 +338,26 @@ def _leaky_registry(*args):
     return registry
 
 
+def _counting_registry(*args):
+    """The registry, plus a ``run-counter`` whose frames spell how many wings
+    it has set up in this process: its three emits agree, so vetting passes
+    it, but no rerun repeats a transcript."""
+    registry = build_registry(*args)
+    inits = [0]
+
+    def init(wing_id, shared_tape, private_tape, run_index):
+        inits[0] += 1
+        return inits[0]
+
+    registry["run-counter"] = registry["fixed-RRG"].replace(
+        strategy_id="run-counter",
+        init=init,
+        emit=lambda state, round, inbox, rand, setting: state.to_bytes(32, "big"),
+        flash=lambda state, full_inbox, setting: Color.R,
+    )
+    return registry
+
+
 class TestVerifyCensor:
     def test_single_strategy(self, capsys):
         code, out, _ = run_cli(
@@ -363,6 +432,22 @@ class TestVerifyCensor:
         checked = lines[2:-1]
         assert len(checked) == 11
         assert all(line.endswith(": ok (2 runs, transcripts setting-invariant)") for line in checked)
+
+    @pytest.mark.parametrize("wanted", ["run-counter", "all"])
+    def test_a_strategy_that_counts_its_runs_fails(self, capsys, monkeypatch, wanted):
+        monkeypatch.setattr(cli, "build_registry", _counting_registry)
+        monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
+        code, out, err = run_cli(capsys, "verify-censor", "--strategy", wanted, "--n", "3")
+        assert code == EXIT_VIOLATION
+        assert err == '{"error":"noninterference-failure","strategies":1}\n'
+        lines = out.splitlines()
+        assert lines[-1] == "run-counter: FAILED 3/3 counterfactual replays"
+        if wanted == "all":
+            assert lines[-2] == "cheat: declared censor-off; skipped"
+            assert len(lines) == 15
+            assert all(line.endswith(": ok (3 runs, transcripts setting-invariant)") for line in lines[:-2])
+        else:
+            assert lines == ["run-counter: FAILED 3/3 counterfactual replays"]
 
 
 class TestEnvironmentOverrides:

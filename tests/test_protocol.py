@@ -170,21 +170,23 @@ class TestExecuteRun:
         b = execute_run(CFG, RRR, pair, seed)
         assert a == b
 
-    def test_bad_frame_size_rejected(self):
+    @pytest.mark.parametrize("wing", [Wing.LEFT, Wing.RIGHT])
+    def test_bad_frame_size_rejected(self, wing):
+        # only ``wing`` sends a short frame; the error names it
         def init(wing_id, shared_tape, private_tape, run_index):
-            return None
+            return wing_id
 
         def transition(state, round, inbox):
             return state
 
         def emit(state, round, inbox, randomness_slice, setting):
-            return b"short"
+            return b"short" if state is wing else bytes(32)
 
         def flash(state, full_inbox, setting):
             return Color.R
 
         broken = WingStrategy("bad-frames", init, transition, emit, flash)
-        with pytest.raises(ProtocolError, match="exactly 32 bytes, got 5$"):
+        with pytest.raises(ProtocolError, match=f"^wing {wing.value}, round 1: .*exactly 32 bytes, got 5$"):
             execute_run(CFG, broken, SettingPair(Setting.ONE, Setting.ONE), 1)
 
 
