@@ -176,7 +176,9 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
         private_l = stream_bytes(seed, b"tape/private/L", PRIVATE_TAPE_BYTES)
         private_r = stream_bytes(seed, b"tape/private/R", PRIVATE_TAPE_BYTES)
     if "slices" in reads:
-        # round r's randomness slice is bytes 16(r-1) to 16r of its wing's stream
+        # round r's randomness slice is bytes 16(r-1) to 16r of its wing's
+        # stream; past 4 rounds the read spans blocks, each a digest on a copy
+        # of one keyed state (``stream_bytes``)
         rand_l = stream_bytes(seed, b"slices/L", rounds * RANDOMNESS_SLICE_BYTES)
         rand_r = stream_bytes(seed, b"slices/R", rounds * RANDOMNESS_SLICE_BYTES)
 
@@ -192,9 +194,10 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
             return unvetted(state, rnd, inbox, rand, setting_l if wing is left else setting_r)
 
     transition = strategy.transition
-    # every payload in the order sent, and each wing's inbox of its peer's
-    # payloads, where index r - 1 holds round r
-    transcript = inbox_l = inbox_r = ()
+    # each wing's inbox of its peer's payloads, where index r - 1 holds round
+    # r; the transcript, every payload in the order sent, is built from the
+    # two once the rounds are over, not copied whole each round
+    inbox_l = inbox_r = ()
     cut = 0
     for rnd in range(1, rounds + 1):
         end = cut + RANDOMNESS_SLICE_BYTES
@@ -205,11 +208,14 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
         if type(payload_r) is not bytes or len(payload_r) != payload_bytes:
             raise _frame_error(right, rnd, payload_bytes, payload_r)
         cut = end
-        transcript += (payload_l, payload_r)
         inbox_l += (payload_r,)
         inbox_r += (payload_l,)
         state_l = transition(state_l, rnd, inbox_l)
         state_r = transition(state_r, rnd, inbox_r)
+    transcript = [None] * (2 * rounds)
+    transcript[0::2] = inbox_r  # Left's payloads
+    transcript[1::2] = inbox_l  # Right's
+    transcript = tuple(transcript)
 
     # every flash under every setting, in a fixed order, so that no strategy
     # call depends on the actual settings; those only pick the colors

@@ -6,18 +6,21 @@ mode, keyed by the run seed and separated by short labels. Identical seeds
 and labels produce identical bytes on every platform.
 
 Block ``i`` of a stream is ``blake2b(label || i, key=seed)``, 64 bytes,
-where the key is the seed's 8 little-endian bytes. A stream read once from
-its start, up to 64 bytes, is therefore a prefix of its first block:
-``stream_bytes`` computes that one digest and nothing else, and hands
-longer reads to ``ByteStream``. Every stream of a run in the default
-configuration (tapes of 64 bytes, four 16-byte slices per wing, the two
-setting bytes) is such a read.
+where the key is the seed's 8 little-endian bytes. ``stream_bytes`` reads
+a stream's first ``n`` bytes: up to 64 are one digest of block 0; a longer
+read copies one keyed state, that nothing has been fed, once per block,
+feeds each copy ``label || i`` and joins the digests. Every stream of a run
+in the default configuration (tapes of 64 bytes, four 16-byte slices per
+wing, the two setting bytes) is a one-digest read.
 
 The run loop makes one keyed blake2b state per run: the settings
 (``protocol``) are read from a digest of their first block on a copy of it,
 and the oracle's two bytes (``quantum``) from a digest of theirs on the state
-itself. Tapes and slices go through ``stream_bytes``, and reads past a first
-block, such as a redraw after a rejected setting byte, ``ByteStream``.
+itself. Tapes and slices of any length go through ``stream_bytes``.
+``ByteStream`` reads a stream in pieces; the package builds one only for the
+redraw after a rejected 255 setting byte (``draw_settings`` in
+``protocol._keyed_settings``), and ``sample_quantum_run`` takes one from its
+direct callers.
 
 ``blake2b`` comes from the ``_blake2`` module, whose function is the very
 object ``hashlib.blake2b`` is; importing ``hashlib`` would also start
@@ -109,11 +112,17 @@ class ByteStream:
 
 def stream_bytes(seed: int, label: bytes, n: int) -> bytes:
     """The first ``n`` bytes of ``ByteStream(seed, label)``: one blake2b
-    digest when ``n`` is at most one block, the stream itself beyond that."""
+    digest when ``n`` is at most one block; beyond that, one digest per block
+    on a copy of one keyed state, fed the block's ``label || counter``."""
+    key = (seed & MASK64).to_bytes(8, "little")
     if 0 <= n <= BLOCK_BYTES:
-        return blake2b(
-            label + _FIRST_BLOCK,
-            key=(seed & MASK64).to_bytes(8, "little"),
-            digest_size=BLOCK_BYTES,
-        ).digest()[:n]
-    return ByteStream(seed, label).take(n)
+        return blake2b(label + _FIRST_BLOCK, key=key, digest_size=BLOCK_BYTES).digest()[:n]
+    if n < 0:
+        raise ValueError("cannot take a negative number of bytes")
+    keyed = blake2b(key=key, digest_size=BLOCK_BYTES)
+    blocks = []
+    for counter in range(-(-n // BLOCK_BYTES)):
+        block = keyed.copy()
+        block.update(label + counter.to_bytes(8, "little"))
+        blocks.append(block.digest())
+    return b"".join(blocks)[:n]

@@ -2,11 +2,13 @@
 
 Each stream digest is the sha256 of the record stream that
 ``run_experiment`` (or ``quantum_experiment``) writes at n=2000, master seed
-2024, default config, or at n=50 in the long-exchange shape (32 rounds of
-256-byte frames), where every stream spans several blake2b blocks. The CLI digests are the sha256 of the stdout of one
-command line each, and the CLI error lines are pinned byte for byte. A
-refactor or speed-up must leave all of them unchanged; a change that moves
-one has changed observable output and must say why.
+2024, default config; or at n=50 in the long-exchange shape (32 rounds of
+256-byte frames), where every stream spans several blake2b blocks; or at
+n=50 in a shape whose tapes and slice sets end mid-block. The CLI digests
+are the sha256 of the stdout of one command line each, and the CLI error
+lines are pinned byte for byte. A refactor or speed-up must leave all of
+them unchanged; a change that moves one has changed observable output and
+must say why.
 """
 
 import functools
@@ -67,6 +69,18 @@ LONG_STREAM_SHA256 = {
     "cheat": "5f04144a9c6789f483958e5da8ea5d25fda16d5ed4f0ac6740bd9da81798f0dd",
 }
 
+# A shape whose reads end mid-block: 5 rounds of 48-byte frames and a 100-byte
+# shared tape, so the tape ends 36 bytes into block 1 and each slice set 16
+# bytes into it; n=50, seed 2024, censor on. Recorded with ByteStream's
+# reader, so they also hold the keyed-state reader of stream_bytes to it.
+MID_BLOCK_CONFIG = RunConfig(rounds=5, payload_bytes=48, shared_tape_bytes=100)
+MID_BLOCK_STREAM_SHA256 = {
+    "negotiation": "d07fa6e00ca91b7f29b7f911f00db0a2db20d8b663822792d83d7cdf3d37b555",
+    "tape-mixing": "85f49d4e2fc80675c744fae3ea18d14c3bf599c41723bf6e27d684f4bb0d0cbc",
+    "max-random": "f042114079a30191da7ec2ece2b80171e5aa8cf42b95102bbbd2dee0c1f5fd44",
+    "near-leak": "01749485df8cd5435da646c7bb381d6b5a69063df2acabe0c7ce0f60a11d1dc0",
+}
+
 # cheat with the censor on: Left's round-1 frame is its setting byte
 CHEAT_VIOLATION = {
     "payload_a": "01" + "00" * 31,
@@ -116,6 +130,14 @@ def test_classical_stream(strategy_id):
 @pytest.mark.parametrize("strategy_id", sorted(LONG_STREAM_SHA256))
 def test_long_exchange_stream(strategy_id):
     assert _sha256(_stream(strategy_id, long=True)) == LONG_STREAM_SHA256[strategy_id]
+
+
+@pytest.mark.parametrize("strategy_id", sorted(MID_BLOCK_STREAM_SHA256))
+def test_mid_block_stream(strategy_id):
+    strategy = build_registry(MID_BLOCK_CONFIG.payload_bytes)[strategy_id]
+    sink = io.StringIO()
+    run_experiment(MID_BLOCK_CONFIG, strategy, LONG_N_RUNS, MASTER_SEED, sink=sink)
+    assert _sha256(sink.getvalue()) == MID_BLOCK_STREAM_SHA256[strategy_id]
 
 
 def test_quantum_stream():

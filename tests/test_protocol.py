@@ -104,11 +104,12 @@ class TestExecuteRun:
             assert len(rec.transcript) == 2 * rounds
             assert all(type(p) is bytes and len(p) == 16 for p in rec.transcript)
 
-    def test_schedule_independent_of_settings(self):
+    @pytest.mark.parametrize("config", [CFG, LONG_EXCHANGE], ids=["default", "long-exchange"])
+    def test_schedule_independent_of_settings(self, config):
         # sender and round are fixed by a payload's position, so what is left
         # to check is delivery: under every setting pair, each wing's inbox
         # in round r is its peer's first r payloads, round 1 first
-        base = negotiation_strategy()
+        base = negotiation_strategy(payload_bytes=config.payload_bytes)
         seen = []
 
         def transition(state, round, inbox):
@@ -118,10 +119,11 @@ class TestExecuteRun:
         strat = base.replace(transition=transition)
         for pair in ALL_SETTING_PAIRS:
             seen.clear()
-            t = execute_run(CFG, strat, pair, 31).transcript
+            t = execute_run(config, strat, pair, 31).transcript
+            assert len(t) == 2 * config.rounds
             assert seen == [
                 step
-                for rnd in range(1, CFG.rounds + 1)
+                for rnd in range(1, config.rounds + 1)
                 for step in ((Wing.LEFT, rnd, t[1:2 * rnd:2]), (Wing.RIGHT, rnd, t[0:2 * rnd:2]))
             ]
 
@@ -429,6 +431,22 @@ class TestStreamsDrawn:
     def test_near_leak_draws_private_tapes_and_slices(self, monkeypatch):
         labels = self._labels(monkeypatch, build_registry()["near-leak"])
         assert labels == [[b"settings", b"tape/private/L", b"tape/private/R", b"slices/L", b"slices/R"]] * 3
+
+    @pytest.mark.parametrize("sid", list(build_registry()))
+    def test_long_exchange_builds_no_byte_stream(self, monkeypatch, sid):
+        # 256-byte tapes and 512-byte slice sets each span several blocks,
+        # read from copies of one keyed state, not through a ByteStream
+        def no_stream(seed, label):
+            raise AssertionError(f"a ByteStream was built for {label!r}")
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "bellgame" and hasattr(module, "ByteStream"):
+                monkeypatch.setattr(module, "ByteStream", no_stream)
+        strategy = build_registry(LONG_EXCHANGE.payload_bytes)[sid]
+        config = LONG_EXCHANGE.replace(censor_enabled=not strategy.requires_censor_off)
+        for seed, pair in enumerate(ALL_SETTING_PAIRS):
+            record = execute_run(config, strategy, pair, seed)
+            assert len(record.transcript) == 2 * LONG_EXCHANGE.rounds
 
 
 class TestOracleDraws:

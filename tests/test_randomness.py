@@ -76,18 +76,58 @@ _SEEDS = st.integers(min_value=-(2**65), max_value=2**65)
 
 
 @hsettings(max_examples=300, deadline=None)
-@given(seed=_SEEDS, label=st.binary(max_size=24), n=st.integers(min_value=0, max_value=300))
+@given(seed=_SEEDS, label=st.binary(max_size=24), n=st.integers(min_value=0, max_value=1100))
 @example(seed=1, label=b"tape/shared", n=64)  # exactly one block
 @example(seed=1, label=b"tape/shared", n=65)  # the first byte of block 1
 @example(seed=1, label=b"slices/L", n=128)  # exactly two blocks
+@example(seed=1, label=b"tape/shared", n=256)  # the long-exchange tape
+@example(seed=1, label=b"slices/L", n=512)  # the long-exchange slices
+@example(seed=1, label=b"slices/R", n=1000)  # ends mid-block
 @example(seed=0, label=b"", n=0)
 def test_stream_bytes_is_the_stream_prefix(seed, label, n):
     assert stream_bytes(seed, label, n) == ByteStream(seed, label).take(n)
 
 
-def test_stream_bytes_rejects_negative_counts():
+@pytest.mark.parametrize("n", [-1, -64, -65])
+def test_stream_bytes_rejects_negative_counts(n):
     with pytest.raises(ValueError):
-        stream_bytes(5, b"x", -1)
+        stream_bytes(5, b"x", n)
+
+
+@pytest.mark.parametrize("n", [65, 100, 128, 256, 512, 1000])
+def test_stream_bytes_copies_one_keyed_state_per_block(monkeypatch, n):
+    # a read past block 0 builds one keyed state that nothing has been fed,
+    # and digests one copy of it per block, fed the label and the counter
+    real = randomness.blake2b
+    expected = ByteStream(7, b"slices/L").take(n)
+    built, copied, fed = [], [], []
+
+    class Keyed:
+        def __init__(self, state):
+            self._state = state
+
+        def copy(self):
+            copied.append(self)
+            return Keyed(self._state.copy())
+
+        def update(self, data):
+            fed.append(data)
+            self._state.update(data)
+
+        def digest(self):
+            return self._state.digest()
+
+    def recording(data=None, *, key, **kwargs):
+        assert data is None, "a read past block 0 made a direct digest"
+        built.append(key)
+        return Keyed(real(key=key, **kwargs))
+
+    monkeypatch.setattr(randomness, "blake2b", recording)
+    assert stream_bytes(7, b"slices/L", n) == expected
+    blocks = -(-n // 64)
+    assert built == [(7).to_bytes(8, "little")]
+    assert len(copied) == blocks and len(set(map(id, copied))) == 1
+    assert fed == [b"slices/L" + i.to_bytes(8, "little") for i in range(blocks)]
 
 
 @hsettings(max_examples=300, deadline=None)
