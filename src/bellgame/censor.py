@@ -4,9 +4,9 @@ The single rule of the game: no emitted payload may carry any information
 about the emitting wing's setting. Enforcement is exact counterfactual
 replay: every emission is recomputed under all three settings with every
 other input byte-identical, and must come out byte-identical. The censor
-never alters payloads; it only passes or aborts. An abort is one
-``CensorViolation`` (also named ``ExperimentAborted``): it carries the
-diagnosis and, raised out of an experiment, the runs completed before it.
+never alters payloads; it only passes or aborts with a ``CensorViolation``,
+which carries the diagnosis. It and the referee's ``ProtocolError`` share
+the base ``ExperimentAborted``, which carries an experiment's completed runs.
 ``verify_transcript_invariance`` repeats the check on whole runs.
 
 Threat model: strategies are untrusted code that does not inspect or patch
@@ -68,14 +68,19 @@ class Violation(NamedTuple):
         return canonical_json(self.to_json_dict())
 
 
-class CensorViolation(Exception):
-    """Raised when an emission depends on the emitting wing's setting.
+class ExperimentAborted(Exception):
+    """A strategy broke a rule of the game: a ``CensorViolation`` or a
+    ``ProtocolError``.
 
     Raised out of an experiment, it carries the number of runs completed
     before it and their tallies; raised by a bare run, both are None."""
 
     completed_runs = None
     partial_stats = None
+
+
+class CensorViolation(ExperimentAborted):
+    """Raised when an emission depends on the emitting wing's setting."""
 
     def __init__(self, violation: Violation):
         self.violation = violation
@@ -84,10 +89,6 @@ class CensorViolation(Exception):
             f"differs between settings {int(violation.setting_a)} and "
             f"{int(violation.setting_b)}"
         )
-
-
-# kept for callers that catch an experiment's abort by this name
-ExperimentAborted = CensorViolation
 
 
 def vet_emission(strategy, wing: Wing, state, round: int, inbox, randomness_slice: bytes) -> bytes:

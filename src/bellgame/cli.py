@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import functools
 import os
+import stat
 import sys
 from typing import NamedTuple, NoReturn, Optional
 
@@ -171,7 +172,17 @@ def _open_output(args):
         yield sys.stdout
         sys.stdout.flush()  # a buffered stdout's failed write is raised here, not at exit
         return
-    with open(path, "w", newline="\n") as fh:
+    # opened without truncating, so a command that fails before its first
+    # write leaves the file as it was; that write empties a regular file (a
+    # device or a FIFO cannot be truncated)
+    with open(path, "w", newline="\n", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            def first_write(text):
+                del fh.write  # every later write is the file's own
+                fh.truncate(0)
+                return fh.write(text)
+
+            fh.write = first_write
         yield fh
 
 
@@ -272,26 +283,24 @@ def _run_source(args, config: RunConfig, seed: int, sink=None):
     return run_experiment(config, strategy, args.n, seed, sink=sink)
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> None:
     seed = _resolve_seed(args)
     config = _config_from(args, censor_enabled=args.censor == "on")
     with _open_output(args) as out:
         stats = _run_source(args, config, seed, out if args.format == "jsonl" else None)
         _write_report(out, _RunReport(args.strategy, stats), args.format)
-    return EXIT_OK
 
 
-def _cmd_prove_bound(args) -> int:
+def _cmd_prove_bound(args) -> None:
     try:
         report = prove_bound()
     except RuntimeError as defect:
         _fail(EXIT_DEFECT, "bound-defect", detail=str(defect))
     with _open_output(args) as out:
         _write_report(out, report, args.format)
-    return EXIT_OK
 
 
-def _cmd_gap(args) -> int:
+def _cmd_gap(args) -> None:
     seed = _resolve_seed(args)
     config = _config_from(args)
     with _open_output(args) as out:
@@ -303,10 +312,9 @@ def _cmd_gap(args) -> int:
         _write_report(out, report, args.format)
     if report.warning:
         print(canonical_json({"error": "power-warning", "detail": report.warning}), file=sys.stderr)
-    return EXIT_OK
 
 
-def _cmd_verify_censor(args) -> int:
+def _cmd_verify_censor(args) -> None:
     seed = _resolve_seed(args)
     config = _config_from(args)
     registry = build_registry(config.payload_bytes)
@@ -356,10 +364,9 @@ def _cmd_verify_censor(args) -> int:
                 out.write(f"{sid}: ok ({args.n} runs, transcripts setting-invariant)\n")
     if failures:
         _fail(EXIT_VIOLATION, "noninterference-failure", strategies=failures)
-    return EXIT_OK
 
 
-def _cmd_list_strategies(args) -> int:
+def _cmd_list_strategies(args) -> None:
     registry = build_registry()
     with _open_output(args) as out:
         for sid, strategy in registry.items():
@@ -371,7 +378,6 @@ def _cmd_list_strategies(args) -> int:
             suffix = f"  ({', '.join(notes)})" if notes else ""
             out.write(f"{sid}{suffix}\n")
         out.write(f"{QUANTUM_ORACLE_ID}  (color source, no wings)\n")
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -394,7 +400,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-            return _COMMANDS[args.command](args)
+            _COMMANDS[args.command](args)
+            return EXIT_OK
         except CensorViolation as aborted:
             _fail(
                 EXIT_VIOLATION, "censor-violation", strategy=args.strategy,

@@ -18,7 +18,7 @@ from typing import IO, Optional
 
 from ._version import __version__
 from .analysis import ExperimentStats
-from .censor import CensorViolation, vet_emission
+from .censor import CensorViolation, ExperimentAborted, vet_emission
 from .core import (
     _GREEN,
     _LEFT,
@@ -62,15 +62,9 @@ _new_tuple = tuple.__new__
 _SETTINGS_BLOCK = b"settings" + _FIRST_BLOCK  # the message of the settings stream's block 0
 
 
-class ProtocolError(Exception):
+class ProtocolError(ExperimentAborted):
     """A strategy broke the framing contract: a payload of the wrong type or
-    size, or a flash that is not a Color.
-
-    Raised out of an experiment, it carries the number of runs completed
-    before it and their tallies; raised by a bare run, both are None."""
-
-    completed_runs: Optional[int] = None
-    partial_stats: Optional[ExperimentStats] = None
+    size, or a flash that is not a Color."""
 
 
 class RunConfig(_Frozen):
@@ -294,10 +288,10 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
     which one is built only to be written.
 
     The header goes out with the first record, or with a censor abort of run
-    0, so a configuration error raised by run 0 leaves the sink empty. A
-    CensorViolation or ProtocolError propagates with the completed runs and
-    their tallies attached. Master seeds lie in [0, 2**64), where
-    ``derive_run_seed`` gives each its own runs."""
+    0, so a configuration error raised by run 0 leaves the sink empty. An
+    ExperimentAborted propagates with the completed runs and their tallies
+    attached. Master seeds lie in [0, 2**64), where ``derive_run_seed``
+    gives each its own runs."""
     for name, value in (("n_runs", n_runs), ("master_seed", master_seed)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -323,7 +317,7 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
         settings = _keyed_settings(keyed, seed_i)
         try:
             colors, record = play(settings, seed_i, keyed, i)
-        except (CensorViolation, ProtocolError) as exc:
+        except ExperimentAborted as exc:
             if header and isinstance(exc, CensorViolation):
                 sink.write(header)
             exc.completed_runs = i

@@ -89,18 +89,23 @@ _SLOT_SHAPES = (
 
 
 def validate_strategy(strategy: WingStrategy) -> None:
-    """Reject a strategy that does not fit the slot interface: an empty id,
-    an unknown ``reads`` name or a slot of the wrong shape. Run it on a
-    strategy written outside the package; the tests run it on the shipped
-    ones. The shapes are not what keeps a setting out of ``transition``:
-    the referee never passes it one.
+    """Reject a strategy that does not fit the slot interface: an id that is
+    not a non-empty string, a ``reads`` that is not a tuple, list or set of
+    known names, or a slot of the wrong shape. Run it on a strategy written
+    outside the package; the tests run it on the shipped ones. The shapes
+    are not what keeps a setting out of ``transition``: the referee never
+    passes it one.
     """
     from inspect import signature  # here, so that importing bellgame does not load inspect
 
-    sid = strategy.strategy_id
+    sid, reads = strategy.strategy_id, strategy.reads
+    if not isinstance(sid, str):
+        raise StrategyError(f"strategy id must be a string, got {sid!r}")
     if not sid:
         raise StrategyError("strategy id must be non-empty")
-    for name in strategy.reads:
+    if not isinstance(reads, (tuple, list, frozenset, set)):
+        raise StrategyError(f"{sid}: reads must be a tuple, list or set of names, got {reads!r}")
+    for name in reads:
         if name not in _READABLE:
             raise StrategyError(f"{sid}: reads names {name!r}, not one of {', '.join(_READABLE)}")
     for slot, arity, setting_at, shape in _SLOT_SHAPES:

@@ -626,6 +626,51 @@ class TestOneErrorPath:
         assert proc.stderr == '{"detail":"[Errno 32] Broken pipe","error":"config"}\n'
 
 
+class TestExistingOutputFile:
+    """The file named by ``--output`` keeps its bytes unless the command
+    writes to it, and then holds exactly what it wrote."""
+
+    OLD = b"old bytes" * 100
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["run", "--strategy", "nope"], EXIT_UNKNOWN_STRATEGY),
+            (["gap", "--strategy", "nope"], EXIT_UNKNOWN_STRATEGY),
+            (["run", "--strategy", "cheat"], EXIT_VIOLATION),
+            (["gap", "--strategy", "cheat"], EXIT_VIOLATION),
+            (["gap", "--strategy", "negotiation", "--tape-bytes", "1"], EXIT_CONFIG),
+            (["run", "--strategy", "negotiation", "--tape-bytes", "1", "--format", "jsonl"], EXIT_CONFIG),
+            (["verify-censor", "--strategy", "fixed-RRG"], EXIT_VIOLATION),
+        ],
+        ids=["run-unknown", "gap-unknown", "run-cheat", "gap-cheat", "gap-config", "run-jsonl-config", "verify-leak"],
+    )
+    def test_a_failed_command_leaves_the_file_as_it_was(self, capsys, tmp_path, monkeypatch, argv, code):
+        monkeypatch.setattr(cli, "build_registry", _leaky_registry)
+        target = tmp_path / "out"
+        target.write_bytes(self.OLD)
+        assert run_cli(capsys, *argv, "--n", "10", "--output", str(target))[0] == code
+        assert target.read_bytes() == self.OLD
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["list-strategies"], EXIT_OK),
+            # a censor abort of run 0 still writes the JSONL header
+            (["run", "--strategy", "cheat", "--n", "10", "--format", "jsonl"], EXIT_VIOLATION),
+        ],
+        ids=["list-strategies", "run-jsonl-cheat"],
+    )
+    def test_a_short_output_replaces_a_longer_file(self, capsys, tmp_path, monkeypatch, argv, code):
+        monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
+        target = tmp_path / "out"
+        target.write_bytes(self.OLD)
+        assert run_cli(capsys, *argv, "--output", str(target))[0] == code
+        written = target.read_text()
+        assert run_cli(capsys, *argv)[:2] == (code, written)
+        assert 0 < len(written) < len(self.OLD)
+
+
 class TestParserBuiltOnce:
     """``main`` builds its parser on the first call and reuses it: nothing
     one call parses or reads from the environment reaches the next."""

@@ -233,8 +233,9 @@ class TestExecuteRun:
     def test_protocol_error_carries_the_completed_runs(self, fault):
         rrg, broken = self._broken_from_run_5(fault)
         sink = io.StringIO()
-        with pytest.raises(self.ABORTS[fault]) as excinfo:
+        with pytest.raises(ExperimentAborted) as excinfo:
             run_experiment(CFG, broken, 100, 1, sink=sink)
+        assert type(excinfo.value) is self.ABORTS[fault]
         assert excinfo.value.completed_runs == 5
         assert excinfo.value.partial_stats == run_experiment(CFG, rrg, 5, 1)
         expected = io.StringIO()
@@ -249,10 +250,15 @@ class TestExecuteRun:
         assert excinfo.value.completed_runs is None
         assert excinfo.value.partial_stats is None
 
-    def test_experiment_aborted_names_the_censor_violation(self):
+    def test_experiment_aborted_is_the_base_of_both_aborts(self):
         import bellgame
 
-        assert bellgame.ExperimentAborted is bellgame.CensorViolation
+        assert bellgame.ExperimentAborted.__bases__ == (Exception,)
+        for abort in (bellgame.CensorViolation, bellgame.ProtocolError):
+            assert abort.__bases__ == (bellgame.ExperimentAborted,)
+            # the partial results are declared once, on the base
+            assert "completed_runs" not in vars(abort)
+            assert "partial_stats" not in vars(abort)
 
     @pytest.mark.parametrize("wing", [Wing.LEFT, Wing.RIGHT])
     @pytest.mark.parametrize("bad_setting", list(Setting))

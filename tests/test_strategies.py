@@ -86,13 +86,28 @@ class TestRegistry:
         broken = type(base)(
             "", base.init, base.transition, base.emit, base.flash
         )
-        with pytest.raises(StrategyError):
+        with pytest.raises(StrategyError, match="^strategy id must be non-empty$"):
             validate_strategy(broken)
 
     def test_rejects_unknown_read(self):
         broken = negotiation_strategy().replace(reads=("slice",))
         with pytest.raises(StrategyError, match="'slice'"):
             validate_strategy(broken)
+
+    def test_rejects_an_id_that_is_not_a_string(self):
+        # the record encoder would raise TypeError at the first record
+        with pytest.raises(StrategyError, match="^strategy id must be a string, got 5$"):
+            validate_strategy(negotiation_strategy().replace(strategy_id=5))
+
+    @pytest.mark.parametrize("reads", [None, "shared", b"shared"], ids=["none", "str", "bytes"])
+    def test_rejects_reads_that_is_not_a_collection_of_names(self, reads):
+        # a string would be read one letter at a time
+        with pytest.raises(StrategyError, match=f"^negotiation: reads must be a tuple, list or set of names, got {reads!r}$"):
+            validate_strategy(negotiation_strategy().replace(reads=reads))
+
+    @pytest.mark.parametrize("reads", [["shared"], {"shared"}, frozenset(), ()], ids=["list", "set", "frozenset", "empty"])
+    def test_accepts_reads_in_any_collection(self, reads):
+        validate_strategy(negotiation_strategy().replace(reads=reads))
 
 
 ALL_READS = ("shared", "private", "slices")
