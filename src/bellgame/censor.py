@@ -73,14 +73,21 @@ class ExperimentAborted(Exception):
     ``ProtocolError``.
 
     Raised out of an experiment, it carries the number of runs completed
-    before it and their tallies; raised by a bare run, both are None."""
+    before it and their tallies; raised by a bare run, both are None. Its
+    ``kind`` and ``to_json_dict`` give the ``error`` and fields of its CLI line."""
 
     completed_runs = None
     partial_stats = None
+    kind = "experiment-aborted"
+
+    def to_json_dict(self) -> dict:
+        return {"completed_runs": self.completed_runs, "detail": str(self)}
 
 
 class CensorViolation(ExperimentAborted):
     """Raised when an emission depends on the emitting wing's setting."""
+
+    kind = "censor-violation"
 
     def __init__(self, violation: Violation):
         self.violation = violation
@@ -89,6 +96,9 @@ class CensorViolation(ExperimentAborted):
             f"differs between settings {int(violation.setting_a)} and "
             f"{int(violation.setting_b)}"
         )
+
+    def to_json_dict(self) -> dict:
+        return {"completed_runs": self.completed_runs, "violation": self.violation.to_json_dict()}
 
 
 def vet_emission(strategy, wing: Wing, state, round: int, inbox, randomness_slice: bytes) -> bytes:

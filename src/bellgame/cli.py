@@ -10,7 +10,7 @@ which ``_write_report`` writes: ``_RunReport`` here, ``BoundReport`` and
 
 Exit codes: 0 success, 1 floor enumeration defect, 2 configuration or usage
 error, or a failed write (a closed pipe, a full disk), 3 unknown strategy,
-4 censor violation or failed noninterference check.
+4 censor violation, protocol error or failed noninterference check.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .analysis import (
     hoeffding_radius,
     prove_bound,
 )
-from .censor import CensorViolation, verify_transcript_invariance
+from .censor import ExperimentAborted, verify_transcript_invariance
 from .core import ALL_SETTING_PAIRS, canonical_json
 from .protocol import (
     DEFAULT_PAYLOAD_BYTES,
@@ -65,7 +65,7 @@ exit codes:
   {EXIT_DEFECT}  floor enumeration defect (prove-bound)
   {EXIT_CONFIG}  configuration or usage error, failed write
   {EXIT_UNKNOWN_STRATEGY}  unknown strategy id
-  {EXIT_VIOLATION}  censor violation / failed noninterference check
+  {EXIT_VIOLATION}  censor violation, protocol error / failed noninterference check
 
 environment:
   {SEED_ENV}    default master seed when --seed is not given
@@ -173,17 +173,26 @@ def _open_output(args):
         sys.stdout.flush()  # a buffered stdout's failed write is raised here, not at exit
         return
     # opened without truncating, so a command that fails before its first
-    # write leaves the file as it was; that write empties a regular file (a
-    # device or a FIFO cannot be truncated)
-    with open(path, "w", newline="\n", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+    # write leaves the file as it was, or absent if it made the file; that
+    # write empties a regular file (a device or a FIFO cannot be truncated)
+    try:
+        fd, created = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+    except FileExistsError:
+        fd, created = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), False
+    with open(fd, "w", newline="\n") as fh:
+        if stat.S_ISREG(os.fstat(fd).st_mode):
             def first_write(text):
                 del fh.write  # every later write is the file's own
                 fh.truncate(0)
                 return fh.write(text)
 
             fh.write = first_write
-        yield fh
+        try:
+            yield fh
+        except BaseException:
+            if created and "write" in vars(fh):  # failed before its first write
+                os.unlink(path)
+            raise
 
 
 def _config_from(args, censor_enabled: bool = True) -> RunConfig:
@@ -349,13 +358,13 @@ def _cmd_verify_censor(args) -> None:
                     raise
                 out.write(f"{sid}: {rejected}; skipped\n")
                 continue
-            except CensorViolation as leaked:
-                # under 'all' a leak fails its strategy and the sweep goes on;
-                # one asked for by name exits with the censor-violation line
+            except ExperimentAborted as aborted:
+                # under 'all' a broken rule fails its strategy and the sweep
+                # goes on; one asked for by name exits with the abort's line
                 if wanted != "all":
                     raise
                 failures += 1
-                out.write(f"{sid}: censor violation: {leaked}\n")
+                out.write(f"{sid}: {aborted.kind.replace('-', ' ')}: {aborted}\n")
                 continue
             if bad:
                 failures += 1
@@ -390,9 +399,10 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command and return its exit code. The CLI's one error path: a
-    censor violation exits 4, a ValueError or OSError (a failed write, also of
-    ``--help`` or ``--version``) 2.
+    """Run one command and return its exit code. The CLI's one error path: an
+    ExperimentAborted (a censor violation or a protocol error) exits 4 with
+    its own line, a ValueError or OSError (a failed write, of ``--help`` or
+    ``--version`` too) 2.
 
     ``main`` may be called any number of times in one process: the parser is
     built on the first call and reused, and ``BELLGAME_SEED``,
@@ -402,11 +412,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             args = build_parser().parse_args(argv)
             _COMMANDS[args.command](args)
             return EXIT_OK
-        except CensorViolation as aborted:
-            _fail(
-                EXIT_VIOLATION, "censor-violation", strategy=args.strategy,
-                completed_runs=aborted.completed_runs, violation=aborted.violation.to_json_dict(),
-            )
+        except ExperimentAborted as aborted:
+            _fail(EXIT_VIOLATION, aborted.kind, strategy=args.strategy, **aborted.to_json_dict())
         except (ValueError, OSError) as exc:
             _fail(EXIT_CONFIG, "config", detail=str(exc))
     except SystemExit as exc:

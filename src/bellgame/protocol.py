@@ -18,7 +18,7 @@ from typing import IO, Optional
 
 from ._version import __version__
 from .analysis import ExperimentStats
-from .censor import CensorViolation, ExperimentAborted, vet_emission
+from .censor import ExperimentAborted, vet_emission
 from .core import (
     _GREEN,
     _LEFT,
@@ -65,6 +65,8 @@ _SETTINGS_BLOCK = b"settings" + _FIRST_BLOCK  # the message of the settings stre
 class ProtocolError(ExperimentAborted):
     """A strategy broke the framing contract: a payload of the wrong type or
     size, or a flash that is not a Color."""
+
+    kind = "protocol-error"
 
 
 class RunConfig(_Frozen):
@@ -287,11 +289,11 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
     the run's ``RunRecord``, or None from a source without a transcript, for
     which one is built only to be written.
 
-    The header goes out with the first record, or with a censor abort of run
-    0, so a configuration error raised by run 0 leaves the sink empty. An
-    ExperimentAborted propagates with the completed runs and their tallies
-    attached. Master seeds lie in [0, 2**64), where ``derive_run_seed``
-    gives each its own runs."""
+    The header goes out with the first record, or with an abort of run 0
+    other than a ProtocolError, so a configuration error or a malformed frame
+    or flash in run 0 leaves the sink empty. An ExperimentAborted propagates
+    with the completed runs and their tallies attached. Master seeds lie in
+    [0, 2**64), where ``derive_run_seed`` gives each its own runs."""
     for name, value in (("n_runs", n_runs), ("master_seed", master_seed)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -318,7 +320,7 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
         try:
             colors, record = play(settings, seed_i, keyed, i)
         except ExperimentAborted as exc:
-            if header and isinstance(exc, CensorViolation):
+            if header and not isinstance(exc, ProtocolError):
                 sink.write(header)
             exc.completed_runs = i
             exc.partial_stats = stats

@@ -338,6 +338,16 @@ def _leaky_registry(*args):
     return registry
 
 
+def _bad_flash_registry(*args):
+    """The registry, with a ``fixed-RRG`` that flashes the string ``"R"``, not a Color."""
+    registry = build_registry(*args)
+    registry["fixed-RRG"] = registry["fixed-RRG"].replace(flash=lambda state, full_inbox, setting: "R")
+    return registry
+
+
+BAD_FLASH = "wing L, setting 1: flash must return Color.R or Color.G, got 'R'"
+
+
 def _counting_registry(*args):
     """The registry, plus a ``run-counter`` whose frames spell how many wings
     it has set up in this process: its three emits agree, so vetting passes
@@ -419,19 +429,28 @@ class TestVerifyCensor:
         assert len(by_name) == 3
         assert seen["near-leak"] == by_name
 
-    def test_all_names_a_leaking_strategy_and_goes_on(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "build_registry", _leaky_registry)
+    @staticmethod
+    def _sweep_names_fixed_rrg_and_goes_on(capsys, monkeypatch, registry, line):
+        monkeypatch.setattr(cli, "build_registry", registry)
         monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
         code, out, err = run_cli(capsys, "verify-censor", "--n", "2")
         assert code == EXIT_VIOLATION
         assert err == '{"error":"noninterference-failure","strategies":1}\n'
         lines = out.splitlines()
         assert lines[0] == "negotiation: ok (2 runs, transcripts setting-invariant)"
-        assert lines[1] == "fixed-RRG: censor violation: wing L, round 1: payload differs between settings 1 and 2"
+        assert lines[1] == f"fixed-RRG: {line}"
         assert lines[-1] == "cheat: declared censor-off; skipped"
         checked = lines[2:-1]
         assert len(checked) == 11
         assert all(line.endswith(": ok (2 runs, transcripts setting-invariant)") for line in checked)
+
+    def test_all_names_a_leaking_strategy_and_goes_on(self, capsys, monkeypatch):
+        line = "censor violation: wing L, round 1: payload differs between settings 1 and 2"
+        self._sweep_names_fixed_rrg_and_goes_on(capsys, monkeypatch, _leaky_registry, line)
+
+    def test_all_names_a_strategy_with_a_bad_flash_and_goes_on(self, capsys, monkeypatch):
+        line = f"protocol error: {BAD_FLASH}"
+        self._sweep_names_fixed_rrg_and_goes_on(capsys, monkeypatch, _bad_flash_registry, line)
 
     @pytest.mark.parametrize("wanted", ["run-counter", "all"])
     def test_a_strategy_that_counts_its_runs_fails(self, capsys, monkeypatch, wanted):
@@ -592,6 +611,27 @@ class TestOneErrorPath:
             "payload_a": "01" * 32, "payload_b": "02" * 32,
         }
 
+    @pytest.mark.parametrize(
+        "argv, completed_runs",
+        [
+            (["run", "--strategy", "fixed-RRG"], 0),
+            (["run", "--strategy", "fixed-RRG", "--format", "jsonl"], 0),
+            (["run", "--strategy", "fixed-RRG", "--format", "csv"], 0),
+            (["gap", "--strategy", "fixed-RRG"], 0),
+            # verify-censor replays bare runs, so its abort counts no runs
+            (["verify-censor", "--strategy", "fixed-RRG"], None),
+        ],
+        ids=["run-text", "run-jsonl", "run-csv", "gap", "verify-censor"],
+    )
+    def test_protocol_error(self, capsys, monkeypatch, argv, completed_runs):
+        monkeypatch.setattr(cli, "build_registry", _bad_flash_registry)
+        monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
+        code, out, err = run_cli(capsys, *argv, "--n", "3")
+        assert (code, out) == (EXIT_VIOLATION, "")
+        assert err == cli.canonical_json({
+            "completed_runs": completed_runs, "detail": BAD_FLASH, "error": "protocol-error", "strategy": "fixed-RRG",
+        }) + "\n"
+
     @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize(
         "argv",
@@ -628,11 +668,12 @@ class TestOneErrorPath:
 
 class TestExistingOutputFile:
     """The file named by ``--output`` keeps its bytes unless the command
-    writes to it, and then holds exactly what it wrote."""
+    writes to it, and then holds exactly what it wrote; a failed command
+    that wrote nothing leaves no file where there was none."""
 
     OLD = b"old bytes" * 100
 
-    @pytest.mark.parametrize(
+    FAILED_COMMANDS = pytest.mark.parametrize(
         "argv, code",
         [
             (["run", "--strategy", "nope"], EXIT_UNKNOWN_STRATEGY),
@@ -645,12 +686,21 @@ class TestExistingOutputFile:
         ],
         ids=["run-unknown", "gap-unknown", "run-cheat", "gap-cheat", "gap-config", "run-jsonl-config", "verify-leak"],
     )
+
+    @FAILED_COMMANDS
     def test_a_failed_command_leaves_the_file_as_it_was(self, capsys, tmp_path, monkeypatch, argv, code):
         monkeypatch.setattr(cli, "build_registry", _leaky_registry)
         target = tmp_path / "out"
         target.write_bytes(self.OLD)
         assert run_cli(capsys, *argv, "--n", "10", "--output", str(target))[0] == code
         assert target.read_bytes() == self.OLD
+
+    @FAILED_COMMANDS
+    def test_a_failed_command_leaves_no_file_where_there_was_none(self, capsys, tmp_path, monkeypatch, argv, code):
+        monkeypatch.setattr(cli, "build_registry", _leaky_registry)
+        target = tmp_path / "out"
+        assert run_cli(capsys, *argv, "--n", "10", "--output", str(target))[0] == code
+        assert not target.exists()
 
     @pytest.mark.parametrize(
         "argv, code",

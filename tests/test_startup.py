@@ -1,6 +1,6 @@
 """What start-up loads: importing bellgame, building the registry, proving
-the bound and the CLI's run, prove-bound, list-strategies and verify-censor
-commands load no module they never use.
+the bound and the CLI's run, prove-bound, list-strategies, verify-censor and
+gap commands load no module they never use.
 
 Each check runs in a fresh interpreter with ``src`` on PYTHONPATH and the
 flags of this one, and is compared with a bare interpreter started the same
@@ -42,6 +42,7 @@ def test_cli_commands_load_none_of_them():
         "    assert cli.main(['run', '--strategy', 'quantum-oracle', '--n', '5']) == 0\n"
         "    assert cli.main(['run', '--strategy', 'negotiation', '--n', '5']) == 0\n"
         "    assert cli.main(['list-strategies']) == 0\n"
-        "    assert cli.main(['verify-censor', '--n', '1']) == 0"
+        "    assert cli.main(['verify-censor', '--n', '1']) == 0\n"
+        "    assert cli.main(['gap', '--n', '5']) == 0"
     )
     assert loaded - _loaded_after("") == set()
