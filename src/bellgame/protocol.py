@@ -34,6 +34,7 @@ from .core import (
     SettingPair,
     Wing,
     _Frozen,
+    _keep_state,
     canonical_json,
 )
 from .randomness import _FIRST_BLOCK, MASK64, ByteStream, blake2b, derive_run_seed, stream_bytes
@@ -189,11 +190,17 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
         def emit(strategy, wing, state, rnd, inbox, rand):
             return unvetted(state, rnd, inbox, rand, setting_l if wing is left else setting_r)
 
+    # the identity transition cannot change a state, so it is not called
     transition = strategy.transition
-    # each wing's inbox of its peer's payloads, where index r - 1 holds round
-    # r; the transcript, every payload in the order sent, is built from the
-    # two once the rounds are over, not copied whole each round
+    if transition is _keep_state:
+        transition = None
+    # Each wing's payloads go on a list, appended once a round. A strategy
+    # that reads its inbox gets a new tuple of its peer's payloads each round,
+    # where index r - 1 holds round r, so no object is shared between a
+    # frame's three counterfactual emit calls; one that does not is passed ().
+    reads_inbox = "inbox" in reads
     inbox_l = inbox_r = ()
+    sent_l, sent_r = [], []
     cut = 0
     for rnd in range(1, rounds + 1):
         end = cut + RANDOMNESS_SLICE_BYTES
@@ -204,13 +211,19 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
         if type(payload_r) is not bytes or len(payload_r) != payload_bytes:
             raise _frame_error(right, rnd, payload_bytes, payload_r)
         cut = end
-        inbox_l += (payload_r,)
-        inbox_r += (payload_l,)
-        state_l = transition(state_l, rnd, inbox_l)
-        state_r = transition(state_r, rnd, inbox_r)
+        sent_l.append(payload_l)
+        sent_r.append(payload_r)
+        if reads_inbox:
+            inbox_l = tuple(sent_r)
+            inbox_r = tuple(sent_l)
+        if transition is not None:
+            state_l = transition(state_l, rnd, inbox_l)
+            state_r = transition(state_r, rnd, inbox_r)
+    # the transcript, every payload in the order sent, is built once the
+    # rounds are over, not copied whole each round
     transcript = [None] * (2 * rounds)
-    transcript[0::2] = inbox_r  # Left's payloads
-    transcript[1::2] = inbox_l  # Right's
+    transcript[0::2] = sent_l  # Left's payloads
+    transcript[1::2] = sent_r  # Right's
     transcript = tuple(transcript)
 
     # every flash under every setting, in a fixed order, so that no strategy

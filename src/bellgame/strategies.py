@@ -20,12 +20,15 @@ transcript is every payload in the order sent, Left's before Right's in each
 round, so payload ``i`` was sent by Left when ``i`` is even, in round
 ``i // 2 + 1``.
 
-``reads`` names the randomness a strategy uses: ``"shared"`` (the shared
-tape), ``"private"`` (each wing's private tape) and ``"slices"`` (the
-per-round randomness slices); the default is all three. The referee computes
-only the declared streams and passes ``b""`` for the others, so a
-declaration that is too narrow changes what the strategy sees, never what
-the censor checks: randomness never carries a setting.
+``reads`` names the inputs a strategy uses: ``"shared"`` (the shared tape),
+``"private"`` (each wing's private tape), ``"slices"`` (the per-round
+randomness slices) and ``"inbox"``; the default is all four. The referee
+computes only the declared streams and passes ``b""`` for the others, and
+passes ``()`` as ``inbox`` and ``full_inbox`` to a strategy that does not
+declare the inbox. So a declaration that is too narrow changes what the
+strategy sees, never what the censor checks: every frame is still vetted
+under all three settings. A strategy whose ``transition`` is the identity
+``_keep_state`` has none of its transition calls made.
 
 Strategies are untrusted but do not inspect or patch the interpreter (the
 threat model is in ``censor``). With the censor on, ``emit`` and ``flash``
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import _GREEN, _LEFT, _RED, INSTRUCTION_SETS, InstructionSet, _Frozen
+from .core import _GREEN, _LEFT, _RED, INSTRUCTION_SETS, InstructionSet, _Frozen, _keep_state
 from .protocol import DEFAULT_PAYLOAD_BYTES
 from .quantum import _AGREE_BELOW, _OUTCOMES
 
@@ -53,8 +56,8 @@ __all__ = [
 ]
 
 
-# The randomness streams a strategy may declare in ``reads``.
-_READABLE = ("shared", "private", "slices")
+# What a strategy may declare in ``reads``: the randomness streams and the inbox.
+_READABLE = ("shared", "private", "slices", "inbox")
 
 
 class WingStrategy(_Frozen):
@@ -64,6 +67,10 @@ class WingStrategy(_Frozen):
 
     ``agreement_based`` marks strategies whose wings flash from one common
     instruction set every run (so equal settings always give equal colors).
+    ``reads`` names the inputs the slots use, all of them by default (see
+    the module docstring). ``"inbox"`` is one of those names, so a narrowed
+    declaration must list it when ``emit``, ``transition`` or ``flash``
+    reads the inbox: without it they are passed ``()``.
     """
 
     __slots__ = ("strategy_id", "init", "transition", "emit", "flash", "requires_censor_off", "agreement_based", "reads")
@@ -119,11 +126,6 @@ def validate_strategy(strategy: WingStrategy) -> None:
             raise StrategyError(f"{sid}: {shape}")
 
 
-def _keep_state(state, round, inbox):
-    """The identity transition, for strategies whose state never changes."""
-    return state
-
-
 def _agreed_flash(state, full_inbox, setting):
     """Flash from the instruction set the state holds: its ``color_for``
     without the method call, as the referee flashes six times a run."""
@@ -174,7 +176,7 @@ def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
         return state[1].color_for(setting)
 
     return WingStrategy(
-        "negotiation", init, transition, emit, flash, agreement_based=True, reads=("shared",)
+        "negotiation", init, transition, emit, flash, agreement_based=True, reads=("shared", "inbox")
     )
 
 
@@ -223,7 +225,7 @@ def cheat_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrategy:
         return _OUTCOMES[2 * (color_byte & 1) + (setting == full_inbox[0][0] or same_byte < _AGREE_BELOW)][side]
 
     return WingStrategy(
-        "cheat", init, _keep_state, emit, flash, requires_censor_off=True, reads=("shared",)
+        "cheat", init, _keep_state, emit, flash, requires_censor_off=True, reads=("shared", "inbox")
     )
 
 
@@ -289,7 +291,7 @@ def tape_mixing_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
         return state[3].color_for(setting)
 
     return WingStrategy(
-        "tape-mixing", init, transition, emit, flash, agreement_based=True, reads=("shared",)
+        "tape-mixing", init, transition, emit, flash, agreement_based=True, reads=("shared", "inbox")
     )
 
 
@@ -346,7 +348,7 @@ def near_leak_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrate
     def flash(state, full_inbox, setting):
         return state[1]
 
-    return WingStrategy("near-leak", init, _keep_state, emit, flash, reads=("private", "slices"))
+    return WingStrategy("near-leak", init, _keep_state, emit, flash, reads=("private", "slices", "inbox"))
 
 
 def build_registry(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> dict[str, WingStrategy]:

@@ -250,7 +250,7 @@ def _flash_stash(kind):
         same = setting is left or same_byte < 64
         return left_color if same else (Color.G if left_color is Color.R else Color.R)
 
-    strategy = WingStrategy(f"{kind}-stash", init, transition, emit, flash, reads=("shared",))
+    strategy = WingStrategy(f"{kind}-stash", init, transition, emit, flash, reads=("shared", "inbox"))
     validate_strategy(strategy)
     return strategy
 

@@ -110,7 +110,7 @@ class TestRegistry:
         validate_strategy(negotiation_strategy().replace(reads=reads))
 
 
-ALL_READS = ("shared", "private", "slices")
+ALL_READS = ("shared", "private", "slices", "inbox")
 LONG_EXCHANGE = RunConfig(rounds=32, payload_bytes=256, shared_tape_bytes=256)
 
 
@@ -121,8 +121,8 @@ def _jsonl_sha256(config, strategy, n, master_seed):
 
 
 class TestReadsDeclarations:
-    """Each shipped ``reads`` is exact: computing every stream instead gives
-    the same record stream, byte for byte."""
+    """Each shipped ``reads`` is exact: computing every stream and passing
+    the inbox instead gives the same record stream, byte for byte."""
 
     @pytest.mark.parametrize(
         "config, payload_bytes",
@@ -140,9 +140,9 @@ class TestReadsDeclarations:
     def test_declared_reads(self):
         reads = {sid: s.reads for sid, s in build_registry().items()}
         assert reads.pop("max-random") == ("shared", "slices")
-        assert reads.pop("near-leak") == ("private", "slices")
+        assert reads.pop("near-leak") == ("private", "slices", "inbox")
         for sid in ("negotiation", "tape-mixing", "cheat"):
-            assert reads.pop(sid) == ("shared",), sid
+            assert reads.pop(sid) == ("shared", "inbox"), sid
         assert set(reads.values()) == {()}  # the fixed sets and clock-keyed
 
 
@@ -332,7 +332,7 @@ class TestWingStrategyClass:
             strategy.agreement_based = False
         with pytest.raises(AttributeError):
             del strategy.reads
-        assert strategy.agreement_based and strategy.reads == ("shared",)
+        assert strategy.agreement_based and strategy.reads == ("shared", "inbox")
 
     def test_keyword_construction(self):
         # the keyword shape perfbench's tracer builds strategies with
@@ -368,7 +368,7 @@ class TestWingStrategyClass:
         assert repr(base) == (
             f"WingStrategy(strategy_id='negotiation', init={base.init!r}, "
             f"transition={base.transition!r}, emit={base.emit!r}, flash={base.flash!r}, "
-            "requires_censor_off=False, agreement_based=True, reads=('shared',))"
+            "requires_censor_off=False, agreement_based=True, reads=('shared', 'inbox'))"
         )
 
     @pytest.mark.parametrize("sid", list(build_registry()))
