@@ -2,7 +2,9 @@
 
 Subcommands: run, prove-bound, gap, verify-censor, list-strategies. All
 machine-readable output is byte-identical across identical command lines,
-including the seed. Error paths emit one JSON line on stderr.
+including the seed. ``main`` opens the output path before any check of every
+command. One function, ``_fail``, prints each JSON diagnostic line on stderr;
+a stderr that refuses it loses the line but never changes the exit code.
 
 run, prove-bound and gap each build a report with one method per --format,
 which ``_write_report`` writes: ``_RunReport`` here, ``BoundReport`` and
@@ -74,8 +76,9 @@ environment:
 
 
 def _fail(code: int, kind: str, **fields) -> NoReturn:
-    """Print the one machine-parsable diagnostic line on stderr and exit."""
-    print(canonical_json({"error": kind, **fields}), file=sys.stderr)
+    """Print one JSON diagnostic line on stderr, if it takes it; exit with ``code``."""
+    with contextlib.suppress(OSError):
+        print(canonical_json({"error": kind, **fields}), file=sys.stderr, flush=True)
     raise SystemExit(code)
 
 
@@ -134,34 +137,42 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_options(p_run)
     p_run.add_argument("--censor", choices=("on", "off"), default="on")
     _add_output_options(p_run, ("text", "jsonl", "csv"))
+    p_run.set_defaults(command_fn=_cmd_run)
 
     p_bound = sub.add_parser("prove-bound", help="exact floor over the eight instruction sets")
     _add_output_options(p_bound, ("text", "jsonl", "csv"))
+    p_bound.set_defaults(command_fn=_cmd_prove_bound)
 
     p_gap = sub.add_parser("gap", help="classical strategy vs the quantum oracle")
     p_gap.add_argument("--strategy", default="negotiation", help="classical strategy id")
     _add_experiment_options(p_gap)
     _add_output_options(p_gap, ("text", "jsonl"))
+    p_gap.set_defaults(command_fn=_cmd_gap)
 
     p_verify = sub.add_parser("verify-censor", help="whole-run counterfactual replay checks")
     p_verify.add_argument("--strategy", default="all", help="strategy id or 'all'")
     _add_experiment_options(p_verify)
-    p_verify.set_defaults(n=100)
+    p_verify.set_defaults(n=100, command_fn=_cmd_verify_censor)
     _add_output_options(p_verify)
 
     p_list = sub.add_parser("list-strategies", help="available strategy ids")
     _add_output_options(p_list)
+    p_list.set_defaults(command_fn=_cmd_list_strategies)
 
     return parser
 
 
 def _resolve_seed(args) -> int:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get(SEED_ENV)
-        seed = int(env) if env else DEFAULT_SEED
+    seed, env, source = args.seed, os.environ.get(SEED_ENV), ""
+    if seed is None and env:
+        source = f"{SEED_ENV}: "  # names the variable as argparse names --seed
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"{source}invalid int value: {env!r}") from None
+    seed = DEFAULT_SEED if seed is None else seed
     if not 0 <= seed <= MASK64:
-        raise ValueError(f"master seed must be in [0, 2**64), got {seed}")
+        raise ValueError(f"{source}master seed must be in [0, 2**64), got {seed}")
     return seed
 
 
@@ -292,117 +303,105 @@ def _run_source(args, config: RunConfig, seed: int, sink=None):
     return run_experiment(config, strategy, args.n, seed, sink=sink)
 
 
-def _cmd_run(args) -> None:
+def _cmd_run(args, out) -> None:
     seed = _resolve_seed(args)
     config = _config_from(args, censor_enabled=args.censor == "on")
-    with _open_output(args) as out:
-        stats = _run_source(args, config, seed, out if args.format == "jsonl" else None)
-        _write_report(out, _RunReport(args.strategy, stats), args.format)
+    stats = _run_source(args, config, seed, out if args.format == "jsonl" else None)
+    _write_report(out, _RunReport(args.strategy, stats), args.format)
 
 
-def _cmd_prove_bound(args) -> None:
+def _cmd_prove_bound(args, out) -> None:
     try:
         report = prove_bound()
     except RuntimeError as defect:
         _fail(EXIT_DEFECT, "bound-defect", detail=str(defect))
-    with _open_output(args) as out:
-        _write_report(out, report, args.format)
+    _write_report(out, report, args.format)
 
 
-def _cmd_gap(args) -> None:
+def _cmd_gap(args, out) -> None:
     seed = _resolve_seed(args)
     config = _config_from(args)
-    with _open_output(args) as out:
-        classical = _run_source(args, config, seed)
-        quantum = quantum_experiment(args.n, seed, config=config)
-        report = bell_gap_report(classical, quantum)
-        if args.format == "text":
-            out.write(f"classical strategy: {args.strategy}\n")
-        _write_report(out, report, args.format)
+    classical = _run_source(args, config, seed)
+    quantum = quantum_experiment(args.n, seed, config=config)
+    report = bell_gap_report(classical, quantum)
+    if args.format == "text":
+        out.write(f"classical strategy: {args.strategy}\n")
+    _write_report(out, report, args.format)
     if report.warning:
-        print(canonical_json({"error": "power-warning", "detail": report.warning}), file=sys.stderr)
+        out.flush()  # the report first: a write that fails exits 2 without the warning
+        _fail(EXIT_OK, "power-warning", detail=report.warning)
 
 
-def _cmd_verify_censor(args) -> None:
+def _cmd_verify_censor(args, out) -> None:
     seed = _resolve_seed(args)
     config = _config_from(args)
     registry = build_registry(config.payload_bytes)
     wanted = args.strategy
     if wanted not in ("all", QUANTUM_ORACLE_ID):
         _lookup_strategy(registry, wanted)
+    if wanted == QUANTUM_ORACLE_ID:
+        out.write(f"{QUANTUM_ORACLE_ID}: color source, no wings; skipped\n")
 
     failures = 0
-    with _open_output(args) as out:
-        if wanted == QUANTUM_ORACLE_ID:
-            out.write(f"{QUANTUM_ORACLE_ID}: color source, no wings; skipped\n")
-        # a strategy's trial seeds follow from its registry position, so it
-        # is checked on the same runs by name as in the sweep
-        for index, (sid, strategy) in enumerate(registry.items()):
-            if wanted not in ("all", sid):
-                continue
-            if strategy.requires_censor_off:
-                out.write(f"{sid}: declared censor-off; skipped\n")
-                continue
-            lane = mix64(seed ^ (index + 1))
-            bad = 0
-            try:
-                for trial in range(args.n):
-                    trial_seed = derive_run_seed(lane, trial)
-                    settings = run_settings(trial_seed)
-                    if not verify_transcript_invariance(config, strategy, settings, trial_seed, run_index=trial):
-                        bad += 1
-            except ValueError as rejected:
-                # a strategy that rejects this frame or tape size fails alone
-                # under 'all'; one asked for by name is a configuration error
-                if wanted != "all":
-                    raise
-                out.write(f"{sid}: {rejected}; skipped\n")
-                continue
-            except ExperimentAborted as aborted:
-                # under 'all' a broken rule fails its strategy and the sweep
-                # goes on; one asked for by name exits with the abort's line
-                if wanted != "all":
-                    raise
-                failures += 1
-                out.write(f"{sid}: {aborted.kind.replace('-', ' ')}: {aborted}\n")
-                continue
-            if bad:
-                failures += 1
-                out.write(f"{sid}: FAILED {bad}/{args.n} counterfactual replays\n")
-            else:
-                out.write(f"{sid}: ok ({args.n} runs, transcripts setting-invariant)\n")
+    # a strategy's trial seeds follow from its registry position, so it is
+    # checked on the same runs by name as in the sweep
+    for index, (sid, strategy) in enumerate(registry.items()):
+        if wanted not in ("all", sid):
+            continue
+        if strategy.requires_censor_off:
+            out.write(f"{sid}: declared censor-off; skipped\n")
+            continue
+        lane = mix64(seed ^ (index + 1))
+        bad = 0
+        try:
+            for trial in range(args.n):
+                trial_seed = derive_run_seed(lane, trial)
+                settings = run_settings(trial_seed)
+                if not verify_transcript_invariance(config, strategy, settings, trial_seed, run_index=trial):
+                    bad += 1
+        except ValueError as rejected:
+            # a strategy that rejects this frame or tape size fails alone
+            # under 'all'; one asked for by name is a configuration error
+            if wanted != "all":
+                raise
+            out.write(f"{sid}: {rejected}; skipped\n")
+            continue
+        except ExperimentAborted as aborted:
+            # under 'all' a broken rule fails its strategy and the sweep goes
+            # on; one asked for by name exits with the abort's line
+            if wanted != "all":
+                raise
+            failures += 1
+            out.write(f"{sid}: {aborted.kind.replace('-', ' ')}: {aborted}\n")
+            continue
+        if bad:
+            failures += 1
+            out.write(f"{sid}: FAILED {bad}/{args.n} counterfactual replays\n")
+        else:
+            out.write(f"{sid}: ok ({args.n} runs, transcripts setting-invariant)\n")
     if failures:
+        out.flush()  # the lines first: a write that fails exits 2 without the count
         _fail(EXIT_VIOLATION, "noninterference-failure", strategies=failures)
 
 
-def _cmd_list_strategies(args) -> None:
-    registry = build_registry()
-    with _open_output(args) as out:
-        for sid, strategy in registry.items():
-            notes = []
-            if strategy.agreement_based:
-                notes.append("agreed-set")
-            if strategy.requires_censor_off:
-                notes.append("requires censor off")
-            suffix = f"  ({', '.join(notes)})" if notes else ""
-            out.write(f"{sid}{suffix}\n")
-        out.write(f"{QUANTUM_ORACLE_ID}  (color source, no wings)\n")
-
-
-_COMMANDS = {
-    "run": _cmd_run,
-    "prove-bound": _cmd_prove_bound,
-    "gap": _cmd_gap,
-    "verify-censor": _cmd_verify_censor,
-    "list-strategies": _cmd_list_strategies,
-}
+def _cmd_list_strategies(args, out) -> None:
+    for sid, strategy in build_registry().items():
+        notes = []
+        if strategy.agreement_based:
+            notes.append("agreed-set")
+        if strategy.requires_censor_off:
+            notes.append("requires censor off")
+        suffix = f"  ({', '.join(notes)})" if notes else ""
+        out.write(f"{sid}{suffix}\n")
+    out.write(f"{QUANTUM_ORACLE_ID}  (color source, no wings)\n")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command and return its exit code. The CLI's one error path: an
-    ExperimentAborted (a censor violation or a protocol error) exits 4 with
-    its own line, a ValueError or OSError (a failed write, of ``--help`` or
-    ``--version`` too) 2.
+    """Run one command and return its exit code, even if stderr refuses its
+    line. The CLI's one I/O and error path: parse, open ``--output``, then run
+    the command, which writes only there. An ExperimentAborted (a censor
+    violation or a protocol error) exits 4 with its own line, a ValueError or
+    OSError (a failed write, of ``--help`` or ``--version`` too) 2.
 
     ``main`` may be called any number of times in one process: the parser is
     built on the first call and reused, and ``BELLGAME_SEED``,
@@ -410,7 +409,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         try:
             args = build_parser().parse_args(argv)
-            _COMMANDS[args.command](args)
+            with _open_output(args) as out:
+                args.command_fn(args, out)
             return EXIT_OK
         except ExperimentAborted as aborted:
             _fail(EXIT_VIOLATION, aborted.kind, strategy=args.strategy, **aborted.to_json_dict())

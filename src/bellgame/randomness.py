@@ -84,22 +84,11 @@ class ByteStream:
         self._pos = 0
 
     def take(self, n: int) -> bytes:
-        """The next ``n`` bytes of the stream."""
+        """The next ``n`` bytes of the stream, read one ``u8`` at a time: the
+        reference reader that ``stream_bytes`` is tested against."""
         if n < 0:
             raise ValueError("cannot take a negative number of bytes")
-        pos, block = self._pos, self._block
-        if pos + n <= len(block):
-            self._pos = pos + n
-            return block[pos : pos + n]
-        parts = [block[pos:]]
-        need = n - len(parts[0])
-        while need > 0:
-            self._refill()
-            chunk = self._block[:need] if need < BLOCK_BYTES else self._block
-            parts.append(chunk)
-            self._pos = len(chunk)
-            need -= len(chunk)
-        return b"".join(parts)
+        return bytes([self.u8() for _ in range(n)])
 
     def u8(self) -> int:
         """The next byte as an integer in [0, 255]."""

@@ -527,6 +527,32 @@ def test_every_command_documents_output(capsys, monkeypatch, command):
     assert line.endswith("output path, '-' for stdout (env BELLGAME_OUTPUT)")
 
 
+def _broken_floor():
+    raise RuntimeError("floor enumeration produced 1/2, not 5/9")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--strategy", "nope"],
+        ["gap", "--strategy", "nope"],
+        ["verify-censor", "--strategy", "nope"],
+        ["prove-bound"],
+    ],
+    ids=["run", "gap", "verify-censor", "prove-bound"],
+)
+def test_every_command_opens_its_output_before_its_own_checks(capsys, tmp_path, monkeypatch, argv):
+    # an unknown strategy (exit 3) or a broken floor (exit 1) is found only
+    # after the output path fails to open (exit 2)
+    monkeypatch.setattr(cli, "prove_bound", _broken_floor)
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert (code, out) == (EXIT_CONFIG, "")
+    diag = json.loads(err)
+    assert diag["error"] == "config"
+    assert str(target) in diag["detail"]
+
+
 class TestUsageErrors:
     def test_unknown_flag_single_line_diagnostic(self, capsys):
         code, _, err = run_cli(capsys, "run", "--strategy", "negotiation", "--frobnicate")
@@ -549,16 +575,34 @@ class TestUsageErrors:
         ids=["run-flag", "verify-censor-flag", "gap-env"],
     )
     def test_master_seed_outside_64_bits(self, capsys, monkeypatch, argv, env_seed, seed):
-        # derive_run_seed reduces mod 2**64, so such a seed would alias another
+        # derive_run_seed reduces mod 2**64, so such a seed would alias another;
+        # a seed from the environment names its variable
         monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
         if env_seed is None:
             monkeypatch.delenv("BELLGAME_SEED", raising=False)
         else:
             monkeypatch.setenv("BELLGAME_SEED", env_seed)
         code, out, err = run_cli(capsys, *argv)
+        source = "" if env_seed is None else "BELLGAME_SEED: "
         assert code == EXIT_CONFIG
         assert out == ""
-        assert json.loads(err) == {"error": "config", "detail": f"master seed must be in [0, 2**64), got {seed}"}
+        assert json.loads(err) == {"error": "config", "detail": f"{source}master seed must be in [0, 2**64), got {seed}"}
+
+    @pytest.mark.parametrize(
+        "argv, env_seed, detail",
+        [
+            (["run", "--strategy", "fixed-RRG", "--n", "2"], "abc", "BELLGAME_SEED: invalid int value: 'abc'"),
+            (["gap", "--n", "2"], "1.5", "BELLGAME_SEED: invalid int value: '1.5'"),
+            (["run", "--strategy", "fixed-RRG", "--n", "2", "--seed", "abc"], "7", "argument --seed: invalid int value: 'abc'"),
+        ],
+        ids=["run-env", "gap-env", "run-flag"],
+    )
+    def test_seed_that_is_not_an_integer_names_its_source(self, capsys, monkeypatch, argv, env_seed, detail):
+        monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
+        monkeypatch.setenv("BELLGAME_SEED", env_seed)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert json.loads(err) == {"error": "config", "detail": detail}
 
 
 def _child_env() -> dict:
@@ -664,6 +708,56 @@ class TestOneErrorPath:
             os.close(write_end)
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr == '{"detail":"[Errno 32] Broken pipe","error":"config"}\n'
+
+    REFUSED_STDERR_CASES = pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["run", "--strategy", "nope"], EXIT_UNKNOWN_STRATEGY),
+            (["run", "--strategy", "negotiation", "--rounds", "0"], EXIT_CONFIG),
+            (["run", "--n", "0"], EXIT_CONFIG),
+            (["run", "--strategy", "cheat", "--n", "3"], EXIT_VIOLATION),
+            (["gap", "--n", "50"], EXIT_OK),  # with a power-warning line
+            (["prove-bound"], EXIT_OK),
+        ],
+        ids=["unknown-strategy", "config", "usage", "censor-violation", "power-warning", "prove-bound"],
+    )
+
+    @REFUSED_STDERR_CASES
+    @pytest.mark.parametrize("refusal", ["closed-pipe", "full-disk"])
+    def test_refused_stderr_keeps_the_exit_code(self, argv, code, refusal):
+        # the diagnostic line is lost, but the code is still the command's
+        # and not the 1 of a traceback
+        if refusal == "full-disk" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        env = _child_env()
+        env.pop("BELLGAME_OUTPUT", None)
+        env.pop("BELLGAME_SEED", None)
+        if refusal == "closed-pipe":
+            read_end, stderr = os.pipe()
+            os.close(read_end)
+        else:
+            stderr = os.open("/dev/full", os.O_WRONLY)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bellgame", *argv], stdout=subprocess.DEVNULL, stderr=stderr, env=env
+            )
+        finally:
+            os.close(stderr)
+        assert proc.returncode == code
+
+    @REFUSED_STDERR_CASES
+    def test_main_returns_when_stderr_refuses(self, capsys, monkeypatch, argv, code):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
+        monkeypatch.delenv("BELLGAME_SEED", raising=False)
+        monkeypatch.setattr(sys, "stderr", ClosedPipe())
+        assert main(argv) == code
 
 
 class TestExistingOutputFile:
