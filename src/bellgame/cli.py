@@ -397,15 +397,14 @@ def _cmd_list_strategies(args, out) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command and return its exit code, even if stderr refuses its
-    line. The CLI's one I/O and error path: parse, open ``--output``, then run
-    the command, which writes only there. An ExperimentAborted (a censor
-    violation or a protocol error) exits 4 with its own line, a ValueError or
-    OSError (a failed write, of ``--help`` or ``--version`` too) 2.
-
-    ``main`` may be called any number of times in one process: the parser is
-    built on the first call and reused, and ``BELLGAME_SEED``,
-    ``BELLGAME_OUTPUT`` and ``COLUMNS`` are read at each call."""
+    """Run one command and return its exit code, even if stdout or stderr
+    refuses its bytes (they are dropped). The CLI's one I/O and error path:
+    parse, open ``--output``, then run the command, which writes only there.
+    An ExperimentAborted (a censor violation or a protocol error) exits 4 with
+    its own line, a ValueError or OSError (a failed write, of ``--help`` or
+    ``--version`` too) 2. ``main`` may be called any number of times in one
+    process: the parser is built once; ``BELLGAME_SEED``, ``BELLGAME_OUTPUT``
+    and ``COLUMNS`` are read at each call."""
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -419,11 +418,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     finally:
-        try:
-            sys.stdout.flush()
-        except OSError:  # stdout refused its bytes: drop them, so the flush at exit cannot fail again
-            with open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except OSError:  # a refused write stays buffered: drop it, or the flush at exit fails (exit 120)
+                with contextlib.suppress(AttributeError, OSError), open(os.devnull, "w") as devnull:
+                    os.dup2(devnull.fileno(), stream.fileno())  # a stand-in stream has no descriptor
 
 
 if __name__ == "__main__":

@@ -724,14 +724,19 @@ class TestOneErrorPath:
 
     @REFUSED_STDERR_CASES
     @pytest.mark.parametrize("refusal", ["closed-pipe", "full-disk"])
-    def test_refused_stderr_keeps_the_exit_code(self, argv, code, refusal):
-        # the diagnostic line is lost, but the code is still the command's
-        # and not the 1 of a traceback
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    def test_refused_stderr_keeps_the_exit_code(self, argv, code, refusal, buffered):
+        # the diagnostic line is lost, but the code is still the command's:
+        # not the 1 of a traceback, nor the 120 of a buffered stderr whose
+        # refused bytes fail again at interpreter exit
         if refusal == "full-disk" and not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
         env = _child_env()
         env.pop("BELLGAME_OUTPUT", None)
         env.pop("BELLGAME_SEED", None)
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
         if refusal == "closed-pipe":
             read_end, stderr = os.pipe()
             os.close(read_end)

@@ -58,12 +58,6 @@ def test_take_is_prefix_stable():
     assert combined == ByteStream(5, b"x").take(70)
 
 
-def test_u8_matches_take():
-    s = ByteStream(5, b"x")
-    from_u8 = bytes(s.u8() for _ in range(130))
-    assert from_u8 == ByteStream(5, b"x").take(130)
-
-
 def test_take_zero_and_negative():
     s = ByteStream(5, b"x")
     assert s.take(0) == b""
