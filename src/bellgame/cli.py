@@ -335,18 +335,19 @@ def _cmd_gap(args, out) -> None:
 def _cmd_verify_censor(args, out) -> None:
     seed = _resolve_seed(args)
     config = _config_from(args)
-    registry = build_registry(config.payload_bytes)
-    wanted = args.strategy
-    if wanted not in ("all", QUANTUM_ORACLE_ID):
-        _lookup_strategy(registry, wanted)
-    if wanted == QUANTUM_ORACLE_ID:
+    if args.strategy == QUANTUM_ORACLE_ID:
         out.write(f"{QUANTUM_ORACLE_ID}: color source, no wings; skipped\n")
+        return
+    registry = build_registry(config.payload_bytes)
+    sweep = args.strategy == "all"
+    if not sweep:
+        _lookup_strategy(registry, args.strategy)
 
     failures = 0
     # a strategy's trial seeds follow from its registry position, so it is
     # checked on the same runs by name as in the sweep
     for index, (sid, strategy) in enumerate(registry.items()):
-        if wanted not in ("all", sid):
+        if not (sweep or sid == args.strategy):
             continue
         if strategy.requires_censor_off:
             out.write(f"{sid}: declared censor-off; skipped\n")
@@ -362,14 +363,14 @@ def _cmd_verify_censor(args, out) -> None:
         except ValueError as rejected:
             # a strategy that rejects this frame or tape size fails alone
             # under 'all'; one asked for by name is a configuration error
-            if wanted != "all":
+            if not sweep:
                 raise
             out.write(f"{sid}: {rejected}; skipped\n")
             continue
         except ExperimentAborted as aborted:
             # under 'all' a broken rule fails its strategy and the sweep goes
             # on; one asked for by name exits with the abort's line
-            if wanted != "all":
+            if not sweep:
                 raise
             failures += 1
             out.write(f"{sid}: {aborted.kind.replace('-', ' ')}: {aborted}\n")

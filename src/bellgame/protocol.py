@@ -162,7 +162,6 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
     and ``colors_r`` are each wing's flashes under settings 1, 2 and 3."""
     rounds = config.rounds
     payload_bytes = config.payload_bytes
-    left, right = _LEFT, _RIGHT
     setting_l, setting_r = settings
     # only the streams the strategy declares are computed; the others are b""
     reads = strategy.reads
@@ -179,8 +178,8 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
         rand_l = stream_bytes(seed, b"slices/L", rounds * RANDOMNESS_SLICE_BYTES)
         rand_r = stream_bytes(seed, b"slices/R", rounds * RANDOMNESS_SLICE_BYTES)
 
-    state_l = strategy.init(left, shared, private_l, run_index)
-    state_r = strategy.init(right, shared, private_r, run_index)
+    state_l = strategy.init(_LEFT, shared, private_l, run_index)
+    state_r = strategy.init(_RIGHT, shared, private_r, run_index)
 
     if config.censor_enabled:
         emit = vet_emission  # the module name, looked up once per run
@@ -188,7 +187,7 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
         unvetted = strategy.emit
 
         def emit(strategy, wing, state, rnd, inbox, rand):
-            return unvetted(state, rnd, inbox, rand, setting_l if wing is left else setting_r)
+            return unvetted(state, rnd, inbox, rand, setting_l if wing is _LEFT else setting_r)
 
     # the identity transition cannot change a state, so it is not called
     transition = strategy.transition
@@ -204,12 +203,12 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
     cut = 0
     for rnd in range(1, rounds + 1):
         end = cut + RANDOMNESS_SLICE_BYTES
-        payload_l = emit(strategy, left, state_l, rnd, inbox_l, rand_l[cut:end])
+        payload_l = emit(strategy, _LEFT, state_l, rnd, inbox_l, rand_l[cut:end])
         if type(payload_l) is not bytes or len(payload_l) != payload_bytes:
-            raise _frame_error(left, rnd, payload_bytes, payload_l)
-        payload_r = emit(strategy, right, state_r, rnd, inbox_r, rand_r[cut:end])
+            raise _frame_error(_LEFT, rnd, payload_bytes, payload_l)
+        payload_r = emit(strategy, _RIGHT, state_r, rnd, inbox_r, rand_r[cut:end])
         if type(payload_r) is not bytes or len(payload_r) != payload_bytes:
-            raise _frame_error(right, rnd, payload_bytes, payload_r)
+            raise _frame_error(_RIGHT, rnd, payload_bytes, payload_r)
         cut = end
         sent_l.append(payload_l)
         sent_r.append(payload_r)
@@ -231,15 +230,9 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
     flash = strategy.flash
     colors_l = (flash(state_l, inbox_l, _ONE), flash(state_l, inbox_l, _TWO), flash(state_l, inbox_l, _THREE))
     colors_r = (flash(state_r, inbox_r, _ONE), flash(state_r, inbox_r, _TWO), flash(state_r, inbox_r, _THREE))
-    # unrolled `is` tests: a loop costs twice as much, and a set lookup more,
-    # as Color.__hash__ runs Python code
-    l1, l2, l3 = colors_l
-    r1, r2, r3 = colors_r
-    if not (
-        (l1 is _RED or l1 is _GREEN) and (l2 is _RED or l2 is _GREEN) and (l3 is _RED or l3 is _GREEN)
-        and (r1 is _RED or r1 is _GREEN) and (r2 is _RED or r2 is _GREEN) and (r3 is _RED or r3 is _GREEN)
-    ):
-        raise _flash_error(colors_l, colors_r)
+    for color in colors_l + colors_r:
+        if color is not _RED and color is not _GREEN:
+            raise _flash_error(colors_l, colors_r)
     colors = (colors_l[setting_l - 1], colors_r[setting_r - 1])
     # the tuple RunRecord(...) builds, without its Python-level __new__
     record = _new_tuple(RunRecord, (run_index, settings, colors, transcript, seed, strategy.strategy_id))

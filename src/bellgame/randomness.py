@@ -74,15 +74,6 @@ class ByteStream:
         self._block = b""
         self._pos = 0
 
-    def _refill(self) -> None:
-        self._block = blake2b(
-            self._label + self._counter.to_bytes(8, "little"),
-            key=self._key,
-            digest_size=BLOCK_BYTES,
-        ).digest()
-        self._counter += 1
-        self._pos = 0
-
     def take(self, n: int) -> bytes:
         """The next ``n`` bytes of the stream, read one ``u8`` at a time: the
         reference reader that ``stream_bytes`` is tested against."""
@@ -93,7 +84,10 @@ class ByteStream:
     def u8(self) -> int:
         """The next byte as an integer in [0, 255]."""
         if self._pos >= len(self._block):
-            self._refill()
+            message = self._label + self._counter.to_bytes(8, "little")
+            self._block = blake2b(message, key=self._key, digest_size=BLOCK_BYTES).digest()
+            self._counter += 1
+            self._pos = 0
         b = self._block[self._pos]
         self._pos += 1
         return b

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from bellgame import analysis
 from bellgame.analysis import (
     DEFAULT_FAILURE_PROBABILITY,
     ExperimentStats,
@@ -101,6 +102,21 @@ class TestProveBound:
         assert doc["minimum"] == "5/9"
         assert doc["per_set"]["RRG"] == "5/9"
         assert len(doc["minimizers"]) == 6
+
+    def test_a_wrong_minimum_is_a_defect(self, monkeypatch):
+        monkeypatch.setattr(analysis, "same_color_fraction", lambda iset: Fraction(1, 2))
+        with pytest.raises(RuntimeError, match=r"^floor enumeration produced 1/2, not 5/9$"):
+            prove_bound()
+
+    def test_a_constant_set_at_the_floor_is_a_defect(self, monkeypatch):
+        exact = analysis.same_color_fraction
+
+        def rrr_at_the_floor(iset):
+            return Fraction(5, 9) if iset.label == "RRR" else exact(iset)
+
+        monkeypatch.setattr(analysis, "same_color_fraction", rrr_at_the_floor)
+        with pytest.raises(RuntimeError, match=r"^unexpected minimizers: "):
+            prove_bound()
 
 
 class TestHoeffdingRadius:

@@ -1,13 +1,23 @@
 """Censor semantics: per-emission vetting and whole-run invariance."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from bellgame.analysis import check_feature_i
 from bellgame.censor import CensorViolation, verify_transcript_invariance, vet_emission
-from bellgame.core import INSTRUCTION_SETS, SETTINGS, Color, InstructionSet, Setting, SettingPair, Wing
+from bellgame.core import (
+    ALL_SETTING_PAIRS,
+    INSTRUCTION_SETS,
+    SETTINGS,
+    Color,
+    InstructionSet,
+    Setting,
+    SettingPair,
+    Wing,
+)
 from bellgame.protocol import ProtocolError, RunConfig, execute_run, run_experiment, run_settings
 from bellgame.randomness import derive_run_seed
 from bellgame.strategies import (
@@ -452,3 +462,96 @@ class TestWholeRunInvariance:
         with_censor = execute_run(CFG, strat, pair, 400)
         without = execute_run(RunConfig(censor_enabled=False), strat, pair, 400)
         assert with_censor.transcript == without.transcript
+
+
+# Every one-bit strategy that reads only its shared tape, as lookup tables,
+# run through the real referee at the smallest config. The tape is one byte
+# and a wing's state is its low bit: seed 3 gives bit 0 and seed 0 bit 1.
+TABLE_CFG = RunConfig(rounds=1, payload_bytes=1, shared_tape_bytes=1)
+TABLE_SEEDS = {3: 0, 0: 1}  # seed: tape bit
+TABLE_RUNS = [(seed, pair) for seed in TABLE_SEEDS for pair in ALL_SETTING_PAIRS]
+
+
+def _entry(table: int, bit: int, setting: Setting) -> int:
+    """Entry (tape bit, setting) of a six-entry one-bit table."""
+    return table >> (3 * bit + setting - 1) & 1
+
+
+def _table_strategy(emit_tables=((None, None),), flash_tables=(0, 0)):
+    """``emit_tables[round - 1]`` holds that round's (Left, Right) tables: a
+    wing sends entry (tape bit, setting) of its table as its byte, or a zero
+    byte where the table is None. A wing flashes G where its entry of
+    ``flash_tables`` (Left, Right) is 1, R elsewhere."""
+
+    def init(wing_id, shared_tape, private_tape, run_index):
+        return (0 if wing_id is Wing.LEFT else 1), shared_tape[0] & 1
+
+    def emit(state, round, inbox, rand, setting):
+        side, bit = state
+        table = emit_tables[round - 1][side]
+        return b"\x00" if table is None else bytes([_entry(table, bit, setting)])
+
+    def flash(state, full_inbox, setting):
+        side, bit = state
+        return Color.G if _entry(flash_tables[side], bit, setting) else Color.R
+
+    return _strategy(emit, "table").replace(init=init, flash=flash, reads=("shared",))
+
+
+class TestTableStrategies:
+    def test_censor_aborts_exactly_the_setting_dependent_emit_tables(self):
+        aborted, expected = set(), set()
+        for table in range(64):
+            strategy = _table_strategy(emit_tables=((table, None),))
+            for seed, pair in TABLE_RUNS:
+                row = {_entry(table, TABLE_SEEDS[seed], setting) for setting in SETTINGS}
+                if len(row) > 1:
+                    expected.add((table, seed, pair))
+                try:
+                    record = execute_run(TABLE_CFG, strategy, pair, seed)
+                except CensorViolation as violation:
+                    assert (violation.violation.round, violation.violation.wing) == (1, Wing.LEFT)
+                    aborted.add((table, seed, pair))
+                else:
+                    assert record.transcript == (bytes(row), b"\x00")
+        assert len(aborted) == 864
+        assert aborted == expected
+
+    @given(
+        st.tuples(*[st.tuples(st.integers(0, 63), st.integers(0, 63))] * 2),
+        st.sampled_from(TABLE_RUNS),
+    )
+    @hsettings(max_examples=200, deadline=None)
+    def test_censor_names_the_first_setting_dependent_frame(self, emit_tables, run):
+        seed, pair = run
+        frames = [
+            (rnd, wing, [_entry(table, TABLE_SEEDS[seed], setting) for setting in SETTINGS])
+            for rnd, tables in enumerate(emit_tables, 1)
+            for wing, table in zip((Wing.LEFT, Wing.RIGHT), tables)
+        ]
+        leaks = [frame for frame in frames if len(set(frame[2])) > 1]
+        strategy = _table_strategy(emit_tables=emit_tables)
+        if not leaks:
+            record = execute_run(TABLE_CFG.replace(rounds=2), strategy, pair, seed)
+            assert record.transcript == tuple(bytes(row[:1]) for _, _, row in frames)
+            return
+        with pytest.raises(CensorViolation) as excinfo:
+            execute_run(TABLE_CFG.replace(rounds=2), strategy, pair, seed)
+        rnd, wing, row = leaks[0]
+        violation = excinfo.value.violation
+        assert (violation.round, violation.wing) == (rnd, wing)
+        assert (violation.setting_a, violation.setting_b) == (
+            (Setting.ONE, Setting.TWO) if row[0] != row[1] else (Setting.ONE, Setting.THREE)
+        )
+
+    def test_flash_tables_with_feature_i_sit_at_or_above_the_floor(self):
+        kept = {}
+        for flash_l in range(64):
+            for flash_r in range(64):
+                strategy = _table_strategy(flash_tables=(flash_l, flash_r))
+                runs = [(pair, execute_run(TABLE_CFG, strategy, pair, seed).colors) for seed, pair in TABLE_RUNS]
+                if all(left is right for pair, (left, right) in runs if pair.left == pair.right):
+                    same = sum(left is right for _, (left, right) in runs)
+                    kept[flash_l, flash_r] = Fraction(same, len(runs))
+        assert sorted(kept) == [(table, table) for table in range(64)]
+        assert min(kept.values()) == Fraction(5, 9)

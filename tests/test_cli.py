@@ -387,6 +387,14 @@ class TestVerifyCensor:
         assert out == "quantum-oracle: color source, no wings; skipped\n"
         assert err == ""
 
+    def test_quantum_oracle_builds_no_registry(self, capsys, monkeypatch):
+        def no_registry(*args):
+            raise AssertionError("the oracle needs no registry")
+
+        monkeypatch.setattr(cli, "build_registry", no_registry)
+        code, out, err = run_cli(capsys, "verify-censor", "--strategy", "quantum-oracle", "--n", "3")
+        assert (code, out, err) == (EXIT_OK, "quantum-oracle: color source, no wings; skipped\n", "")
+
     def test_all_goes_on_past_a_rejected_frame_size(self, capsys):
         code, out, err = run_cli(capsys, "verify-censor", "--payload-bytes", "2", "--n", "2")
         assert code == EXIT_OK
