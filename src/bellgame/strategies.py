@@ -30,6 +30,11 @@ strategy sees, never what the censor checks: every frame is still vetted
 under all three settings. A strategy whose ``transition`` is the identity
 ``_keep_state`` has none of its transition calls made.
 
+Every declared randomness slice is exactly ``RANDOMNESS_SLICE_BYTES`` (16)
+long, and an undeclared one is ``b""``. The shipped strategies rely on it:
+they size their frames from constants computed once in the factory, not
+from each slice's length.
+
 Strategies are untrusted but do not inspect or patch the interpreter (the
 threat model is in ``censor``). With the censor on, ``emit`` and ``flash``
 are each called under settings 1, 2 and 3 in a fixed order, so no strategy
@@ -42,7 +47,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .core import _GREEN, _LEFT, _RED, INSTRUCTION_SETS, InstructionSet, _Frozen, _keep_state
-from .protocol import DEFAULT_PAYLOAD_BYTES
+from .protocol import DEFAULT_PAYLOAD_BYTES, RANDOMNESS_SLICE_BYTES
 from .quantum import _AGREE_BELOW, _OUTCOMES
 
 __all__ = [
@@ -70,7 +75,9 @@ class WingStrategy(_Frozen):
     ``reads`` names the inputs the slots use, all of them by default (see
     the module docstring). ``"inbox"`` is one of those names, so a narrowed
     declaration must list it when ``emit``, ``transition`` or ``flash``
-    reads the inbox: without it they are passed ``()``.
+    reads the inbox: without it they are passed ``()``. ``emit`` gets a
+    randomness slice of exactly ``RANDOMNESS_SLICE_BYTES`` bytes when
+    ``"slices"`` is declared and ``b""`` when it is not.
     """
 
     __slots__ = ("strategy_id", "init", "transition", "emit", "flash", "requires_censor_off", "agreement_based", "reads")
@@ -132,9 +139,18 @@ def _agreed_flash(state, full_inbox, setting):
     return state[setting - 1]
 
 
-def _decode_instruction_set(raw: bytes) -> InstructionSet:
-    # two-bit decode per setting: low bits 0..1 pick R, 2..3 pick G (uniform)
-    return InstructionSet(*(_RED if (b & 3) < 2 else _GREEN for b in raw[:3]))
+# Every one-byte ``bytes``, by value: indexing costs less than ``bytes([b])``.
+_BYTE = tuple(bytes((b,)) for b in range(256))
+
+# The instruction set three tape bytes decode to, two bits per setting: low
+# bits 0..1 pick R and 2..3 pick G (uniform), so bit 1 alone decides. The
+# set of ``raw`` is ``_TAPE_SETS[_tape_set_index(raw)]``.
+_TAPE_SETS = tuple(InstructionSet(*(_GREEN if i & bit else _RED for bit in (4, 2, 1))) for i in range(8))
+
+
+def _tape_set_index(raw: bytes) -> int:
+    """Bit 1 of each of the first three bytes of ``raw``, read as a number below 8."""
+    return (raw[0] & 2) << 1 | raw[1] & 2 | (raw[2] & 2) >> 1
 
 
 def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrategy:
@@ -148,6 +164,8 @@ def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
     """
     filler = bytes(payload_bytes)
     pad = bytes(max(payload_bytes - 3, 0))
+    # Left's state for each proposal: the set and its round-1 frame
+    left_states = tuple((_LEFT, iset, iset.label.encode("ascii") + pad) for iset in _TAPE_SETS)
 
     def init(wing_id, shared_tape, private_tape, run_index):
         if payload_bytes < 3:
@@ -155,8 +173,7 @@ def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
         if len(shared_tape) < 3:
             raise ValueError("negotiation needs at least 3 shared tape bytes")
         if wing_id is _LEFT:
-            proposal = _decode_instruction_set(shared_tape)
-            return (wing_id, proposal, proposal.label.encode("ascii") + pad)
+            return left_states[_tape_set_index(shared_tape)]
         return (wing_id, None, None)
 
     def transition(state, round, inbox):
@@ -173,7 +190,7 @@ def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
         return inbox[0] if inbox else filler
 
     def flash(state, full_inbox, setting):
-        return state[1].color_for(setting)
+        return state[1][setting - 1]
 
     return WingStrategy(
         "negotiation", init, transition, emit, flash, agreement_based=True, reads=("shared", "inbox")
@@ -217,7 +234,7 @@ def cheat_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrategy:
 
     def emit(state, round, inbox, randomness_slice, setting):
         if round == 1:
-            return bytes([setting]) + tail
+            return _BYTE[setting] + tail
         return filler
 
     def flash(state, full_inbox, setting):
@@ -256,7 +273,8 @@ def tape_mixing_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
     received, so the final set genuinely depends on the transcript.
     """
     filler = bytes(payload_bytes)
-    tail = filler[1:]
+    # round 1's frame for each value a wing can send: the value, then zeros
+    firsts = tuple(_BYTE[value] + filler[1:] for value in range(8))
 
     def init(wing_id, shared_tape, private_tape, run_index):
         if len(shared_tape) < 4:
@@ -283,12 +301,11 @@ def tape_mixing_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
     def emit(state, round, inbox, randomness_slice, setting):
         wing_id, proposal, mix, agreed = state
         if round == 1:
-            value = proposal if wing_id is _LEFT else mix
-            return bytes([value]) + tail
+            return firsts[proposal if wing_id is _LEFT else mix]
         return filler
 
     def flash(state, full_inbox, setting):
-        return state[3].color_for(setting)
+        return state[3][setting - 1]
 
     return WingStrategy(
         "tape-mixing", init, transition, emit, flash, agreement_based=True, reads=("shared", "inbox")
@@ -302,15 +319,17 @@ def max_randomness_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingS
     cannot modulate anything the other wing observes based on the setting.
     The flash still follows a tape-agreed instruction set.
     """
+    # the slice repeated to fill all but the last byte, the round mod 256
+    reps = -(-payload_bytes // RANDOMNESS_SLICE_BYTES)
+    cut = payload_bytes - 1
 
     def init(wing_id, shared_tape, private_tape, run_index):
         if len(shared_tape) < 3:
             raise ValueError("max-random needs at least 3 shared tape bytes")
-        return _decode_instruction_set(shared_tape)
+        return _TAPE_SETS[_tape_set_index(shared_tape)]
 
     def emit(state, round, inbox, randomness_slice, setting):
-        reps = -(-payload_bytes // len(randomness_slice))
-        return (randomness_slice * reps)[: payload_bytes - 1] + bytes([round & 0xFF])
+        return (randomness_slice * reps)[:cut] + _BYTE[round & 0xFF]
 
     return WingStrategy(
         "max-random", init, _keep_state, emit, _agreed_flash, agreement_based=True,
@@ -326,6 +345,8 @@ def near_leak_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrate
     emission. The flash is the private coin, so the wings do not implement
     any agreed set (equal settings agree only about half the time).
     """
+    # a 5-byte head, then as many slices as the rest of the frame needs
+    reps = -(-max(payload_bytes - 5, 0) // RANDOMNESS_SLICE_BYTES)
 
     def init(wing_id, shared_tape, private_tape, run_index):
         coin = _RED if private_tape[0] & 1 == 0 else _GREEN
@@ -343,7 +364,7 @@ def near_leak_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrate
                 0 if coin is _RED else 1,
             )
         )
-        return (head + randomness_slice * payload_bytes)[:payload_bytes]
+        return (head + randomness_slice * reps)[:payload_bytes]
 
     def flash(state, full_inbox, setting):
         return state[1]

@@ -3,8 +3,10 @@
 import functools
 import hashlib
 import io
+import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bellgame.censor import CensorViolation
 from bellgame.core import (
@@ -17,6 +19,7 @@ from bellgame.core import (
     Wing,
 )
 from bellgame.protocol import (
+    ProtocolError,
     RunConfig,
     draw_settings,
     execute_run,
@@ -26,8 +29,10 @@ from bellgame.protocol import (
 from bellgame.quantum import sample_quantum_run
 from bellgame.randomness import ByteStream, derive_run_seed
 from bellgame.strategies import (
+    _TAPE_SETS,
     StrategyError,
     WingStrategy,
+    _tape_set_index,
     build_registry,
     cheat_strategy,
     clock_keyed_strategy,
@@ -400,3 +405,177 @@ class TestWingStrategyClass:
         broken = negotiation_strategy().replace(**{slot: _wrapped(bad) if wrap else bad})
         with pytest.raises(StrategyError, match=shape):
             validate_strategy(broken)
+
+
+# Reference slot bodies for the strategies that compute frame parts and
+# decodes once, in the factory or at import: the same frames, recomputed on
+# every call from the slice length, ``bytes([...])``, the instruction set's
+# label and a generator decode.
+
+
+def _generator_decode(raw):
+    # two-bit decode per setting: low bits 0..1 pick R, 2..3 pick G
+    return InstructionSet(*(Color.R if (b & 3) < 2 else Color.G for b in raw[:3]))
+
+
+def _reference_max_random(payload_bytes):
+    def init(wing_id, shared_tape, private_tape, run_index):
+        if len(shared_tape) < 3:
+            raise ValueError("max-random needs at least 3 shared tape bytes")
+        return _generator_decode(shared_tape)
+
+    def emit(state, round, inbox, randomness_slice, setting):
+        reps = -(-payload_bytes // len(randomness_slice))
+        return (randomness_slice * reps)[: payload_bytes - 1] + bytes([round & 0xFF])
+
+    def flash(state, full_inbox, setting):
+        return state.color_for(setting)
+
+    return {"init": init, "emit": emit, "flash": flash}
+
+
+def _reference_near_leak(payload_bytes):
+    def init(wing_id, shared_tape, private_tape, run_index):
+        coin = Color.R if private_tape[0] & 1 == 0 else Color.G
+        return (wing_id, coin, run_index & 0xFF)
+
+    def emit(state, round, inbox, randomness_slice, setting):
+        wing_id, coin, clock = state
+        last = inbox[-1][0] if inbox else 0
+        head = bytes(
+            (round & 0xFF, clock, last, 0 if wing_id is Wing.LEFT else 1, 0 if coin is Color.R else 1)
+        )
+        return (head + randomness_slice * payload_bytes)[:payload_bytes]
+
+    def flash(state, full_inbox, setting):
+        return state[1]
+
+    return {"init": init, "emit": emit, "flash": flash}
+
+
+def _reference_negotiation(payload_bytes):
+    filler = bytes(payload_bytes)
+    pad = bytes(max(payload_bytes - 3, 0))
+
+    def init(wing_id, shared_tape, private_tape, run_index):
+        if payload_bytes < 3:
+            raise ValueError("negotiation needs payload frames of at least 3 bytes")
+        if len(shared_tape) < 3:
+            raise ValueError("negotiation needs at least 3 shared tape bytes")
+        if wing_id is Wing.LEFT:
+            proposal = _generator_decode(shared_tape)
+            return (wing_id, proposal, proposal.label.encode("ascii") + pad)
+        return (wing_id, None, None)
+
+    def transition(state, round, inbox):
+        wing_id, agreed, payload = state
+        if agreed is None and inbox:
+            return (wing_id, InstructionSet.from_label(inbox[0][:3].decode("ascii")), None)
+        return state
+
+    def emit(state, round, inbox, randomness_slice, setting):
+        wing_id, agreed, payload = state
+        if wing_id is Wing.LEFT:
+            return payload if round == 1 else filler
+        return inbox[0] if inbox else filler
+
+    def flash(state, full_inbox, setting):
+        return state[1].color_for(setting)
+
+    return {"init": init, "transition": transition, "emit": emit, "flash": flash}
+
+
+def _reference_tape_mixing(payload_bytes):
+    filler = bytes(payload_bytes)
+
+    def init(wing_id, shared_tape, private_tape, run_index):
+        if len(shared_tape) < 4:
+            raise ValueError("tape-mixing needs at least 4 shared tape bytes")
+        proposal = ((shared_tape[0] & 1) << 2) | ((shared_tape[1] & 1) << 1) | (shared_tape[2] & 1)
+        return (wing_id, proposal, shared_tape[3] & 7, None)
+
+    def transition(state, round, inbox):
+        wing_id, proposal, mix, agreed = state
+        if agreed is None and inbox:
+            peer_value = inbox[0][0] & 7
+            idx = (proposal + peer_value) % 8 if wing_id is Wing.LEFT else (peer_value + mix) % 8
+            return (wing_id, proposal, mix, INSTRUCTION_SETS[idx])
+        return state
+
+    def emit(state, round, inbox, randomness_slice, setting):
+        wing_id, proposal, mix, agreed = state
+        if round == 1:
+            return bytes([proposal if wing_id is Wing.LEFT else mix]) + filler[1:]
+        return filler
+
+    def flash(state, full_inbox, setting):
+        return state[3].color_for(setting)
+
+    return {"init": init, "transition": transition, "emit": emit, "flash": flash}
+
+
+def _reference_cheat(payload_bytes):
+    filler = bytes(payload_bytes)
+
+    def emit(state, round, inbox, randomness_slice, setting):
+        return bytes([setting]) + filler[1:] if round == 1 else filler
+
+    return {"emit": emit}
+
+
+_REFERENCE_SLOTS = {
+    "cheat": _reference_cheat,
+    "max-random": _reference_max_random,
+    "near-leak": _reference_near_leak,
+    "negotiation": _reference_negotiation,
+    "tape-mixing": _reference_tape_mixing,
+}
+
+
+def _outcome(config, strategy, n, master_seed):
+    """The JSONL stream of an experiment, with the type and text of the
+    ValueError that ended it, if one did."""
+    sink = io.StringIO()
+    try:
+        run_experiment(config, strategy, n, master_seed, sink=sink)
+    except ValueError as exc:
+        return sink.getvalue(), type(exc), str(exc)
+    return sink.getvalue(), None, None
+
+
+class TestComputedOnce:
+    """Frame parts and decodes computed once give the frames that recomputing
+    them on every call gives, byte for byte."""
+
+    @pytest.mark.parametrize("payload_bytes", [1, 2, 3, 4, 5, 6, 15, 16, 17, 255, 257])
+    # round 260 wraps the round byte of max-random and near-leak
+    @pytest.mark.parametrize("rounds, n_runs", [(1, 200), (17, 30), (260, 5)], ids=["1", "17", "260"])
+    @pytest.mark.parametrize("sid", list(_REFERENCE_SLOTS))
+    def test_same_record_stream_as_the_reference_slots(self, sid, rounds, n_runs, payload_bytes):
+        strategy = build_registry(payload_bytes)[sid]
+        config = RunConfig(rounds=rounds, payload_bytes=payload_bytes, censor_enabled=not strategy.requires_censor_off)
+        reference = strategy.replace(**_REFERENCE_SLOTS[sid](payload_bytes))
+        shipped = _outcome(config, strategy, n_runs, 5)
+        assert shipped == _outcome(config, reference, n_runs, 5)
+        # negotiation refuses frames below 3 bytes; every other case runs
+        assert shipped[1] is (ValueError if sid == "negotiation" and payload_bytes < 3 else None)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=63), min_size=3, max_size=3),
+        st.binary(max_size=8),
+    )
+    def test_table_decode_matches_the_generator_decode(self, high_bits, rest):
+        for low_bits in itertools.product(range(4), repeat=3):
+            raw = bytes(high << 2 | low for high, low in zip(high_bits, low_bits)) + rest
+            assert _TAPE_SETS[_tape_set_index(raw)] == _generator_decode(raw), raw
+
+    @pytest.mark.parametrize(
+        "sid, reads, size", [("max-random", ("shared",), 1), ("near-leak", ("private", "inbox"), 5)]
+    )
+    def test_a_frame_without_its_slices_is_a_protocol_error(self, sid, reads, size):
+        # with b"" for a slice, the frame is only its last byte or its head
+        strategy = build_registry()[sid].replace(reads=reads)
+        message = f"^wing L, round 1: payload must be exactly 32 bytes, got {size}$"
+        with pytest.raises(ProtocolError, match=message) as excinfo:
+            run_experiment(CFG, strategy, 3, 0)
+        assert excinfo.value.completed_runs == 0
