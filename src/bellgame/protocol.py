@@ -14,6 +14,9 @@ constructor checks again.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import repeat
+from struct import Struct
 from typing import IO, Optional
 
 from ._version import __version__
@@ -60,6 +63,11 @@ PRIVATE_TAPE_BYTES = 64
 RANDOMNESS_SLICE_BYTES = 16
 
 _new_tuple = tuple.__new__
+# an undeclared wing's randomness slice every round: one endless iterator
+# that every run shares
+_NO_SLICES = repeat(b"")
+# each wing's last checked frame before its first; never a strategy's return value
+_UNCHECKED = object()
 _SETTINGS_BLOCK = b"settings" + _FIRST_BLOCK  # the message of the settings stream's block 0
 
 
@@ -129,6 +137,13 @@ def run_settings(seed: int) -> SettingPair:
     return _keyed_settings(blake2b(key=(seed & MASK64).to_bytes(8, "little")), seed)
 
 
+@cache
+def _slice_cutter(rounds: int):
+    """``cut(stream) -> slices``: the ``rounds`` randomness slices of one
+    wing's stream, in round order; one ``Struct`` per round count."""
+    return Struct(f"{RANDOMNESS_SLICE_BYTES}s" * rounds).unpack
+
+
 def _frame_error(wing: Wing, rnd: int, payload_bytes: int, payload) -> ProtocolError:
     """The error naming the frame, and its size or, when it is not exact
     ``bytes``, its type."""
@@ -165,7 +180,8 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
     setting_l, setting_r = settings
     # only the streams the strategy declares are computed; the others are b""
     reads = strategy.reads
-    shared = private_l = private_r = rand_l = rand_r = b""
+    shared = private_l = private_r = b""
+    slices_l = slices_r = _NO_SLICES
     if "shared" in reads:
         shared = stream_bytes(seed, b"tape/shared", config.shared_tape_bytes)
     if "private" in reads:
@@ -173,10 +189,11 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
         private_r = stream_bytes(seed, b"tape/private/R", PRIVATE_TAPE_BYTES)
     if "slices" in reads:
         # round r's randomness slice is bytes 16(r-1) to 16r of its wing's
-        # stream; past 4 rounds the read spans blocks, each a digest on a copy
-        # of one keyed state (``stream_bytes``)
-        rand_l = stream_bytes(seed, b"slices/L", rounds * RANDOMNESS_SLICE_BYTES)
-        rand_r = stream_bytes(seed, b"slices/R", rounds * RANDOMNESS_SLICE_BYTES)
+        # stream, all cut by one unpack; past 4 rounds the read spans blocks,
+        # each a digest on a copy of one keyed state (``stream_bytes``)
+        cut = _slice_cutter(rounds)
+        slices_l = cut(stream_bytes(seed, b"slices/L", rounds * RANDOMNESS_SLICE_BYTES))
+        slices_r = cut(stream_bytes(seed, b"slices/R", rounds * RANDOMNESS_SLICE_BYTES))
 
     state_l = strategy.init(_LEFT, shared, private_l, run_index)
     state_r = strategy.init(_RIGHT, shared, private_r, run_index)
@@ -200,16 +217,20 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
     reads_inbox = "inbox" in reads
     inbox_l = inbox_r = ()
     sent_l, sent_r = [], []
-    cut = 0
-    for rnd in range(1, rounds + 1):
-        end = cut + RANDOMNESS_SLICE_BYTES
-        payload_l = emit(strategy, _LEFT, state_l, rnd, inbox_l, rand_l[cut:end])
-        if type(payload_l) is not bytes or len(payload_l) != payload_bytes:
-            raise _frame_error(_LEFT, rnd, payload_bytes, payload_l)
-        payload_r = emit(strategy, _RIGHT, state_r, rnd, inbox_r, rand_r[cut:end])
-        if type(payload_r) is not bytes or len(payload_r) != payload_bytes:
-            raise _frame_error(_RIGHT, rnd, payload_bytes, payload_r)
-        cut = end
+    # A frame that is the very object of its wing's last checked frame is not
+    # checked again: exact bytes cannot change, so it is still valid.
+    last_l = last_r = _UNCHECKED
+    for rnd, rand_l, rand_r in zip(range(1, rounds + 1), slices_l, slices_r):
+        payload_l = emit(strategy, _LEFT, state_l, rnd, inbox_l, rand_l)
+        if payload_l is not last_l:
+            if type(payload_l) is not bytes or len(payload_l) != payload_bytes:
+                raise _frame_error(_LEFT, rnd, payload_bytes, payload_l)
+            last_l = payload_l
+        payload_r = emit(strategy, _RIGHT, state_r, rnd, inbox_r, rand_r)
+        if payload_r is not last_r:
+            if type(payload_r) is not bytes or len(payload_r) != payload_bytes:
+                raise _frame_error(_RIGHT, rnd, payload_bytes, payload_r)
+            last_r = payload_r
         sent_l.append(payload_l)
         sent_r.append(payload_r)
         if reads_inbox:

@@ -173,24 +173,32 @@ class TestExecuteRun:
         b = execute_run(CFG, RRR, pair, seed)
         assert a == b
 
-    @pytest.mark.parametrize("wing", [Wing.LEFT, Wing.RIGHT])
-    def test_bad_frame_size_rejected(self, wing):
-        # only ``wing`` sends a short frame; the error names it
-        def init(wing_id, shared_tape, private_tape, run_index):
-            return wing_id
+    class _Frame(bytes):
+        """A ``bytes`` subclass: never a valid frame, whatever its length."""
 
-        def transition(state, round, inbox):
-            return state
+    @pytest.mark.parametrize("censor", [True, False], ids=["censor-on", "censor-off"])
+    @pytest.mark.parametrize("bad", ["short", "subclass"])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("wing", [Wing.LEFT, Wing.RIGHT])
+    def test_bad_frame_rejected(self, wing, k, bad, censor):
+        # only ``wing`` sends a bad frame, in round k + 1, after k rounds of
+        # one valid frame object that the referee need not check again; the
+        # error names that wing and round
+        good = bytes(32)
+        frame = {"short": b"short", "subclass": self._Frame(32)}[bad]
+        got = {"short": "5", "subclass": "bytes subclass '_Frame'"}[bad]
 
         def emit(state, round, inbox, randomness_slice, setting):
-            return b"short" if state is wing else bytes(32)
+            return frame if state is wing and round > k else good
 
-        def flash(state, full_inbox, setting):
-            return Color.R
-
-        broken = WingStrategy("bad-frames", init, transition, emit, flash)
-        with pytest.raises(ProtocolError, match=f"^wing {wing.value}, round 1: .*exactly 32 bytes, got 5$"):
-            execute_run(CFG, broken, SettingPair(Setting.ONE, Setting.ONE), 1)
+        broken = WingStrategy(
+            "bad-frames", lambda wing_id, shared_tape, private_tape, run_index: wing_id,
+            _keep_state, emit, lambda state, full_inbox, setting: Color.R,
+        )
+        config = CFG.replace(rounds=k + 2, censor_enabled=censor)
+        message = f"wing {wing.value}, round {k + 1}: payload must be exactly 32 bytes, got {got}"
+        with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+            execute_run(config, broken, SettingPair(Setting.ONE, Setting.ONE), 1)
 
 
     @pytest.mark.parametrize("sink", [None, io.StringIO()], ids=["no-sink", "sink"])
@@ -341,8 +349,10 @@ class TestIsolation:
         assert captured[Wing.LEFT][0] == captured[Wing.RIGHT][0]
         assert captured[Wing.LEFT][1] != captured[Wing.RIGHT][1]
 
-    def test_undeclared_randomness_is_empty(self):
+    @pytest.mark.parametrize("rounds", [4, 32])
+    def test_undeclared_randomness_is_empty(self, rounds):
         captured = {}
+        config = CFG.replace(rounds=rounds)
 
         def init(wing_id, shared_tape, private_tape, run_index):
             captured[wing_id] = [shared_tape, private_tape]
@@ -356,13 +366,39 @@ class TestIsolation:
             return Color.G
 
         probe = WingStrategy("probe", init, lambda state, round, inbox: state, emit, flash, reads=("shared",))
-        execute_run(CFG, probe, SettingPair(Setting.TWO, Setting.THREE), 99)
+        execute_run(config, probe, SettingPair(Setting.TWO, Setting.THREE), 99)
         for wing in Wing:
             shared, private, *slices = captured[wing]
-            assert len(shared) == CFG.shared_tape_bytes
+            assert len(shared) == config.shared_tape_bytes
             assert private == b""
-            assert len(slices) == 3 * CFG.rounds  # the censor emits under every setting
+            assert len(slices) == 3 * rounds  # the censor emits under every setting
             assert set(slices) == {b""}
+
+    @pytest.mark.parametrize("rounds", [1, 4, 5, 32, 40])
+    def test_declared_slices_cut_each_wing_stream_in_order(self, rounds):
+        # round r's slice is bytes 16(r - 1) to 16r of its wing's stream, and
+        # a frame's three counterfactual emit calls get the same slice object
+        seed = 4242
+        captured = {Wing.LEFT: [], Wing.RIGHT: []}
+
+        def emit(state, round, inbox, randomness_slice, setting):
+            captured[state].append((round, randomness_slice))
+            return bytes(32)
+
+        probe = WingStrategy(
+            "slice-probe", lambda wing_id, shared_tape, private_tape, run_index: wing_id,
+            _keep_state, emit, lambda state, full_inbox, setting: Color.G, reads=("slices",),
+        )
+        execute_run(CFG.replace(rounds=rounds), probe, SettingPair(Setting.ONE, Setting.TWO), seed)
+        for wing, label in ((Wing.LEFT, b"slices/L"), (Wing.RIGHT, b"slices/R")):
+            stream = randomness.stream_bytes(seed, label, 16 * rounds)
+            calls = captured[wing]
+            assert [rnd for rnd, _ in calls] == [r for r in range(1, rounds + 1) for _ in range(3)]
+            for r in range(1, rounds + 1):
+                first, second, third = (piece for _, piece in calls[3 * (r - 1):3 * r])
+                assert type(first) is bytes and len(first) == 16
+                assert first == stream[16 * (r - 1):16 * r]
+                assert first is second is third
 
 
 def _inbox_probe(config, reads, calls):

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import io
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -192,6 +193,19 @@ class TestNegotiation:
         stats = run_experiment(CFG, negotiation_strategy(), 5_000, 2)
         # expectation is 2/3 under a uniform agreement distribution
         assert 0.62 <= stats.overall_same_float <= 0.71
+
+    @pytest.mark.parametrize(
+        "head, error, message",
+        [
+            (b"R\xffG", UnicodeDecodeError, "'ascii' codec can't decode byte 0xff in position 1"),
+            (b"RGX", ValueError, "instruction set label must be three R/G letters, got 'RGX'"),
+            (b"rgr", ValueError, "instruction set label must be three R/G letters, got 'rgr'"),
+        ],
+    )
+    def test_a_head_that_is_no_label_raises_as_the_decode_did(self, head, error, message):
+        transition = negotiation_strategy().transition
+        with pytest.raises(error, match=re.escape(message)):
+            transition((Wing.RIGHT, None, None), 1, (head + bytes(29),))
 
     def test_rejects_tiny_frames(self):
         strategy = negotiation_strategy(payload_bytes=2)  # building it is fine
