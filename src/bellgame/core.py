@@ -9,6 +9,7 @@ float comparison.
 from __future__ import annotations
 
 import json
+import re
 from binascii import a2b_base64, b2a_base64
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -220,46 +221,21 @@ class RunRecord(NamedTuple):
 
     @classmethod
     def from_json_line(cls, line: str) -> "RunRecord":
-        """Parse one line written by ``to_json_line``. A line that is not
-        JSON, misses a key or holds a value of the wrong type, length or
-        range, or a transcript entry out of place, raises ValueError. So
-        does any line that ``to_json_line`` would not write for the record it
-        holds: whitespace, another key order, an unknown or repeated key, or
-        a payload or seed spelled another way."""
+        """Parse one line written by ``to_json_line``. A line is accepted only
+        when it is the line ``to_json_line`` writes for the record it holds:
+        whitespace, another key order, an unknown or repeated key, or a
+        payload, seed or id spelled another way is refused, as is a line that
+        is not JSON, misses a key or holds a value of the wrong type, length
+        or range, or a transcript entry out of place; each raises ValueError.
+        A valid line is read by pattern and proven by writing it again;
+        ``json.loads`` runs only to name what is wrong with a refused line,
+        or for a strategy id that needs JSON escapes."""
         try:
-            obj = json.loads(line)
-        except RecursionError:
-            raise ValueError("malformed run record: nested too deeply") from None
-        try:
-            (left, right), letters, seed = obj["settings"], obj["colors"], obj["seed"]
-            strategy_id, entries = obj["strategy"], obj["transcript"]
-            if type(entries) is not list or len(entries) % 2:
-                raise ValueError(f"transcript must be a list of whole rounds, got {entries!r:.80}")
-            # senders and rounds are checked by the round trip below
-            payloads = tuple([a2b_base64(entry["payload"]) for entry in entries])
-            run_index = _wire_int(obj["run"], 0)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed run record: {exc!r}") from None
-        colors = _COLOR_PAIRS.get(letters) if type(letters) is str else None
-        if colors is None:
-            raise ValueError(f"colors must be two R/G letters, got {letters!r}")
-        if type(seed) is not str or not seed.isdigit() or int(seed) >> 64:
-            raise ValueError(f"seed must be a 64-bit decimal string, got {seed!r}")
-        if type(strategy_id) is not str or not strategy_id:
-            raise ValueError(f"strategy must be a non-empty string, got {strategy_id!r}")
-        record = cls(
-            run_index,
-            ALL_SETTING_PAIRS[3 * _wire_int(left, 1, 3) + _wire_int(right, 1, 3) - 4],
-            colors,
-            payloads,
-            int(seed),
-            strategy_id,
-        )
-        if _record_line(record) != line:
-            raise ValueError(
-                _misplaced_entry(entries) or f"run record is not the line to_json_line writes for it: {line!r:.80}"
-            )
-        return record
+            record = _canonical_record(cls, line)
+        except Exception:
+            # the json path below decides the line and raises its own error
+            record = None
+        return _json_record(cls, line) if record is None else record
 
 
 # The one spelling of a record line, byte-identical to canonical_json of the
@@ -291,3 +267,80 @@ def _record_line(record: RunRecord) -> str:
         encode_basestring_ascii(record.strategy_id),
         (entries % tuple([b2a_base64(payload, newline=False) for payload in transcript])).decode("ascii"),
     )
+
+
+# (fullmatch, findall) of the two patterns a canonical record line is read
+# by, compiled on the first parse: the whole line, whose id holds no '"' or
+# '\' and so needs no JSON escape, and each payload in its transcript
+_CANONICAL = None
+
+
+def _canonical_record(cls, line: str):
+    """The record ``line`` holds, read by pattern, when the line is the one
+    ``_record_line`` writes for it; None for any other line."""
+    global _CANONICAL
+    if _CANONICAL is None:
+        _CANONICAL = (
+            re.compile(
+                r'\{"colors":"([RG][RG])","run":([0-9]+),"seed":"([0-9]+)",'
+                r'"settings":\[([1-3]),([1-3])\],"strategy":"([^"\\]+)","transcript":\[(.*)\]\}'
+            ).fullmatch,
+            re.compile(r'"payload":"([^"]*)"').findall,
+        )
+    match, find_payloads = _CANONICAL
+    found = match(line)
+    if found is None:
+        return None
+    letters, run_index, seed, left, right, strategy_id, entries = found.groups()
+    payloads = find_payloads(entries)
+    seed = int(seed)
+    if len(payloads) % 2 or seed >> 64:
+        return None
+    record = cls(
+        int(run_index),
+        ALL_SETTING_PAIRS[3 * int(left) + int(right) - 4],
+        _COLOR_PAIRS[letters],
+        tuple([a2b_base64(payload) for payload in payloads]),
+        seed,
+        strategy_id,
+    )
+    return record if _record_line(record) == line else None
+
+
+def _json_record(cls, line: str) -> RunRecord:
+    """``from_json_line`` by ``json.loads``: the record of a valid line, or
+    the ValueError that names what is wrong with it."""
+    try:
+        obj = json.loads(line)
+    except RecursionError:
+        raise ValueError("malformed run record: nested too deeply") from None
+    try:
+        (left, right), letters, seed = obj["settings"], obj["colors"], obj["seed"]
+        strategy_id, entries = obj["strategy"], obj["transcript"]
+        if type(entries) is not list or len(entries) % 2:
+            raise ValueError(f"transcript must be a list of whole rounds, got {entries!r:.80}")
+        # senders and rounds are checked by the round trip below
+        payloads = tuple([a2b_base64(entry["payload"]) for entry in entries])
+        run_index = _wire_int(obj["run"], 0)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed run record: {exc!r}") from None
+    colors = _COLOR_PAIRS.get(letters) if type(letters) is str else None
+    if colors is None:
+        raise ValueError(f"colors must be two R/G letters, got {letters!r}")
+    if type(seed) is not str or not (seed.isascii() and seed.isdigit()) or int(seed) >> 64:
+        raise ValueError(f"seed must be a 64-bit decimal string, got {seed!r}")
+    if type(strategy_id) is not str or not strategy_id:
+        raise ValueError(f"strategy must be a non-empty string, got {strategy_id!r}")
+    record = cls(
+        run_index,
+        ALL_SETTING_PAIRS[3 * _wire_int(left, 1, 3) + _wire_int(right, 1, 3) - 4],
+        colors,
+        payloads,
+        int(seed),
+        strategy_id,
+    )
+    if _record_line(record) != line:
+        raise ValueError(
+            _misplaced_entry(entries) or f"run record is not the line to_json_line writes for it: {line!r:.80}"
+        )
+    return record

@@ -110,13 +110,16 @@ class RunConfig(_Frozen):
 
 def draw_settings(stream: ByteStream) -> SettingPair:
     """Independent uniform settings for the two wings, one stream byte each;
-    a 255 is skipped, as 256 % 3 would bias the draw."""
-    drawn = []
-    while len(drawn) < 2:
-        b = stream.u8()
-        if b != 255:
-            drawn.append(SETTINGS[b % 3])
-    return SettingPair(*drawn)
+    a 255 is skipped, as 256 % 3 would bias the draw. The pair returned is
+    the member of ``ALL_SETTING_PAIRS``, as ``run_settings`` returns."""
+    u8 = stream.u8
+    left = u8()
+    while left == 255:
+        left = u8()
+    right = u8()
+    while right == 255:
+        right = u8()
+    return ALL_SETTING_PAIRS[3 * (left % 3) + right % 3]
 
 
 def _keyed_settings(keyed, seed: int) -> SettingPair:

@@ -3,11 +3,12 @@
 import base64
 import itertools
 import json
+import string
 import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings as hsettings, strategies as st
 
 from bellgame.core import (
     ALL_SETTING_PAIRS,
@@ -18,9 +19,14 @@ from bellgame.core import (
     RunRecord,
     Setting,
     SettingPair,
+    _canonical_record,
+    _json_record,
     canonical_json,
     same_color_fraction,
 )
+from bellgame.protocol import RunConfig, run_experiment
+from bellgame.quantum import quantum_experiment
+from bellgame.strategies import near_leak_strategy, negotiation_strategy
 
 # Independent oracle: brute-force count over the 9 pairs, frozen by hand.
 # A non-constant triple matches on the 3 diagonal pairs plus the two orders
@@ -218,19 +224,21 @@ class TestRunRecordSerialization:
         assert type(rec.transcript) is tuple
 
 
-def _negotiation_line():
-    """A real record line: run 0 of negotiation at the default config."""
+def _first_record_line(run):
+    """A real record line: run 0 of ``run(n_runs, master_seed, sink=...)``."""
     import io
 
-    from bellgame.protocol import RunConfig, run_experiment
-    from bellgame.strategies import negotiation_strategy
-
     sink = io.StringIO()
-    run_experiment(RunConfig(), negotiation_strategy(), 1, 7, sink=sink)
+    run(1, 7, sink=sink)
     return sink.getvalue().splitlines()[1]
 
 
-REAL_LINE = _negotiation_line()
+def _strategy_line(strategy, config=RunConfig()):
+    return _first_record_line(lambda n, seed, sink: run_experiment(config, strategy, n, seed, sink=sink))
+
+
+# run 0 of negotiation at the default config
+REAL_LINE = _strategy_line(negotiation_strategy())
 REAL_OBJ = json.loads(REAL_LINE)
 # Left's round-1 proposal and Right's round-1 filler, as written
 PAYLOAD_L1 = REAL_OBJ["transcript"][0]["payload"]
@@ -264,6 +272,9 @@ def _with(path, value=None, delete=False):
     return canonical_json(obj)
 
 
+# Seeds of decimal digits outside ASCII: int() refuses the first two and
+# reads the third as 3
+NON_ASCII_SEEDS = ["\u00b2", "1\u00b2", "\u0663"]
 # Values to_json_line never writes: wrong type, length or range, an entry
 # out of its place, a payload or seed not in its one canonical form, or a
 # key it never writes.
@@ -290,6 +301,7 @@ CORRUPT_VALUES = [
     (("seed",), str(2**64)),
     (("seed",), "000" + REAL_OBJ["seed"]),
     (("seed",), "0" + REAL_OBJ["seed"]),
+    *[(("seed",), seed) for seed in NON_ASCII_SEEDS],
     (("strategy",), ""),
     (("strategy",), None),
     (("transcript", 0, "round"), "1"),
@@ -350,6 +362,11 @@ class TestRunRecordParsing:
         with pytest.raises(ValueError):
             RunRecord.from_json_line(_with(path, value))
 
+    @pytest.mark.parametrize("seed", NON_ASCII_SEEDS)
+    def test_non_ascii_seed_digits_rejected_as_a_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be a 64-bit decimal string"):
+            RunRecord.from_json_line(_with(("seed",), seed))
+
     @pytest.mark.parametrize("kind", sorted(FORGED_LINES))
     def test_forged_spelling_rejected(self, kind):
         line = FORGED_LINES[kind]
@@ -396,6 +413,82 @@ class TestRunRecordParsing:
             entry["payload"] = base64.b64encode(bytes([0xFF - i]) * payload_bytes).decode("ascii")
         line = canonical_json(obj)
         assert RunRecord.from_json_line(line).to_json_line() == line
+
+
+# real lines for the parser to agree on: two strategies at the default
+# shape, the oracle's empty transcript and 32 rounds of 256-byte frames
+DIFFERENTIAL_LINES = {
+    "negotiation": REAL_LINE,
+    "near-leak": _strategy_line(near_leak_strategy()),
+    "oracle": _first_record_line(quantum_experiment),
+    "near-leak-32x256": _strategy_line(near_leak_strategy(256), RunConfig(rounds=32, payload_bytes=256)),
+}
+# JSON's structural characters, digits, letters, base64's three others, a
+# non-ASCII letter and a newline
+EDIT_CHARS = '{}[]",:\\ ' + string.digits + string.ascii_letters + "+/=\u00e9\n"
+
+
+@st.composite
+def _edited_lines(draw):
+    """A real record line with one character inserted, deleted or replaced."""
+    line = DIFFERENTIAL_LINES[draw(st.sampled_from(sorted(DIFFERENTIAL_LINES)))]
+    at = draw(st.integers(0, len(line)))
+    edit = draw(st.sampled_from(("insert", "delete", "replace")))
+    char = draw(st.sampled_from(EDIT_CHARS))
+    if edit == "insert":
+        return line[:at] + char + line[at:]
+    return line[:at] + (char if edit == "replace" else "") + line[at + 1 :]
+
+
+def _outcome(parse, line):
+    """The record ``parse`` returns for ``line``, or its ValueError's message."""
+    try:
+        return parse(line)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _by_json(line):
+    return _json_record(RunRecord, line)
+
+
+class TestParserAgreesWithJson:
+    """``from_json_line`` reads a canonical line by pattern; the json parser
+    it falls back to is the reference for every other line."""
+
+    @pytest.mark.parametrize("kind", sorted(DIFFERENTIAL_LINES))
+    def test_real_lines_take_the_pattern_path(self, kind):
+        line = DIFFERENTIAL_LINES[kind]
+        record = _canonical_record(RunRecord, line)
+        assert record is not None
+        assert record == _by_json(line) == RunRecord.from_json_line(line)
+
+    @hsettings(max_examples=400, deadline=None)
+    @given(_edited_lines())
+    def test_one_edit_parses_alike(self, line):
+        assert _outcome(RunRecord.from_json_line, line) == _outcome(_by_json, line)
+
+    @hsettings(deadline=None)
+    @given(RECORDS)
+    def test_any_record_parses_alike(self, rec):
+        # not every record comes back: an empty id is refused, and a
+        # surrogate pair written as two escapes reads back as one character
+        line = rec.to_json_line()
+        assert _outcome(RunRecord.from_json_line, line) == _outcome(_by_json, line)
+
+    @pytest.mark.parametrize("strategy_id", ['a"b', "a\\b", "\u00e9", "\x01"])
+    def test_ids_that_need_escapes_round_trip(self, strategy_id):
+        rec = RunRecord.from_json_line(REAL_LINE)._replace(strategy_id=strategy_id)
+        line = rec.to_json_line()
+        assert _canonical_record(RunRecord, line) is None
+        assert RunRecord.from_json_line(line) == rec
+
+    def test_run_index_past_the_int_digit_limit_rejected(self):
+        line = REAL_LINE.replace('"run":0,', '"run":' + "1" * 5000 + ",", 1)
+        assert line != REAL_LINE
+        with pytest.raises(ValueError):
+            RunRecord.from_json_line(line)
+        assert _outcome(RunRecord.from_json_line, line) == _outcome(_by_json, line)
 
 
 # The names ``bellgame`` exports, written out so that any change to the

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings as hsettings, strategies as st
 
 from bellgame import randomness
+from bellgame.core import ALL_SETTING_PAIRS
 from bellgame.protocol import draw_settings, run_settings
 from bellgame.randomness import ByteStream, derive_run_seed, mix64, stream_bytes
 
@@ -140,6 +141,19 @@ def test_run_settings_rejected_byte(seed, head):
     else:
         assert first_two[head] == 255 and first_two[1 - head] != 255
     assert run_settings(seed) == draw_settings(ByteStream(seed, b"settings"))
+
+
+@hsettings(max_examples=300, deadline=None)
+@given(seed=_SEEDS)
+@example(seed=156)
+@example(seed=158)
+@example(seed=101802)
+def test_settings_are_the_shared_pairs(seed):
+    # both paths hand out the members of ALL_SETTING_PAIRS themselves, the
+    # redraw after a 255 included
+    pair = draw_settings(ByteStream(seed, b"settings"))
+    assert pair is ALL_SETTING_PAIRS[3 * pair.left + pair.right - 4]
+    assert run_settings(seed) is pair
 
 
 def test_blake2b_is_hashlib_blake2b():
