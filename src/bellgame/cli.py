@@ -322,7 +322,7 @@ def _cmd_gap(args, out) -> None:
     seed = _resolve_seed(args)
     config = _config_from(args)
     classical = _run_source(args, config, seed)
-    quantum = quantum_experiment(args.n, seed, config=config)
+    quantum = quantum_experiment(args.n, seed)
     report = bell_gap_report(classical, quantum)
     if args.format == "text":
         out.write(f"classical strategy: {args.strategy}\n")

@@ -248,7 +248,13 @@ _ENTRIES: dict[int, bytes] = {}
 
 
 def _record_line(record: RunRecord) -> str:
-    """The line ``to_json_line`` writes: the record filled into templates."""
+    """The line ``to_json_line`` writes: the record filled into templates.
+    An empty id, or one holding a surrogate code point, is refused, so each
+    line written reads back as its record (JSON reads a pair of ``\\u``
+    escapes as one character, and no UTF-8 text holds a lone one)."""
+    strategy_id = record.strategy_id
+    if not strategy_id or not strategy_id.isascii() and any("\ud800" <= ch <= "\udfff" for ch in strategy_id):
+        raise ValueError(f"strategy id must be non-empty and hold no surrogate code point, got {strategy_id!r}")
     transcript = record.transcript
     count = len(transcript)
     entries = _ENTRIES.get(count)
@@ -264,7 +270,7 @@ def _record_line(record: RunRecord) -> str:
     setting_l, setting_r = record.settings
     return _LINE % (
         left._value_, right._value_, record.run_index, record.seed, setting_l, setting_r,
-        encode_basestring_ascii(record.strategy_id),
+        encode_basestring_ascii(strategy_id),
         (entries % tuple([b2a_base64(payload, newline=False) for payload in transcript])).decode("ascii"),
     )
 

@@ -175,7 +175,7 @@ def _flash_error(colors_l, colors_r) -> ProtocolError:
     )
 
 
-def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_index: int = 0):
+def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_index: int):
     """The referee loop: ``(record, colors_l, colors_r)``, where ``colors_l``
     and ``colors_r`` are each wing's flashes under settings 1, 2 and 3."""
     rounds = config.rounds
@@ -319,11 +319,10 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
     the run's ``RunRecord``, or None from a source without a transcript, for
     which one is built only to be written.
 
-    The header goes out with the first record, or with an abort of run 0
-    other than a ProtocolError, so a configuration error or a malformed frame
-    or flash in run 0 leaves the sink empty. An ExperimentAborted propagates
-    with the completed runs and their tallies attached. Master seeds lie in
-    [0, 2**64), where ``derive_run_seed`` gives each its own runs."""
+    The header goes out with the first record, so whatever ends run 0 leaves
+    the sink empty. An ExperimentAborted propagates with the completed runs
+    and their tallies attached. Master seeds lie in [0, 2**64), where
+    ``derive_run_seed`` gives each its own runs."""
     for name, value in (("n_runs", n_runs), ("master_seed", master_seed)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -350,8 +349,6 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
         try:
             colors, record = play(settings, seed_i, keyed, i)
         except ExperimentAborted as exc:
-            if header and not isinstance(exc, ProtocolError):
-                sink.write(header)
             exc.completed_runs = i
             exc.partial_stats = stats
             raise

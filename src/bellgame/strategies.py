@@ -148,10 +148,6 @@ _BYTE = tuple(bytes((b,)) for b in range(256))
 _TAPE_SETS = tuple(InstructionSet(*(_GREEN if i & bit else _RED for bit in (4, 2, 1))) for i in range(8))
 
 
-# The set a frame head names, keyed by its three ASCII label bytes.
-_BY_HEAD = {iset.label.encode("ascii"): iset for iset in _TAPE_SETS}
-
-
 def _tape_set_index(raw: bytes) -> int:
     """Bit 1 of each of the first three bytes of ``raw``, read as a number below 8."""
     return (raw[0] & 2) << 1 | raw[1] & 2 | (raw[2] & 2) >> 1
@@ -183,12 +179,8 @@ def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
     def transition(state, round, inbox):
         wing_id, agreed, payload = state
         if agreed is None and inbox:
-            head = inbox[0][:3]
-            agreed = _BY_HEAD.get(head)
-            if agreed is None:
-                # not a label: the decode or the lookup raises, naming the head
-                agreed = InstructionSet.from_label(head.decode("ascii"))
-            return (wing_id, agreed, None)
+            # a head that is no label fails the decode or the lookup
+            return (wing_id, InstructionSet.from_label(inbox[0][:3].decode("ascii")), None)
         return state
 
     def emit(state, round, inbox, randomness_slice, setting):

@@ -258,6 +258,14 @@ class TestStatsAlgebra:
         stats = _uniform_stats(0.5, 7)
         assert stats.merge(ExperimentStats.empty()) == stats
 
+    def test_stats_equal_only_stats(self):
+        # __eq__ returns NotImplemented for another type, so Python falls
+        # back to identity
+        stats = _uniform_stats(0.5, 7)
+        assert stats != object()
+        assert (stats == 1) is False
+        assert stats.__eq__(1) is NotImplemented
+
 
 class TestInducedInstructionSet:
     def test_fixed_strategy_round_trip(self):

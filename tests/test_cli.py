@@ -786,12 +786,13 @@ class TestExistingOutputFile:
             (["run", "--strategy", "nope"], EXIT_UNKNOWN_STRATEGY),
             (["gap", "--strategy", "nope"], EXIT_UNKNOWN_STRATEGY),
             (["run", "--strategy", "cheat"], EXIT_VIOLATION),
+            (["run", "--strategy", "cheat", "--format", "jsonl"], EXIT_VIOLATION),
             (["gap", "--strategy", "cheat"], EXIT_VIOLATION),
             (["gap", "--strategy", "negotiation", "--tape-bytes", "1"], EXIT_CONFIG),
             (["run", "--strategy", "negotiation", "--tape-bytes", "1", "--format", "jsonl"], EXIT_CONFIG),
             (["verify-censor", "--strategy", "fixed-RRG"], EXIT_VIOLATION),
         ],
-        ids=["run-unknown", "gap-unknown", "run-cheat", "gap-cheat", "gap-config", "run-jsonl-config", "verify-leak"],
+        ids=["run-unknown", "gap-unknown", "run-cheat", "run-jsonl-cheat", "gap-cheat", "gap-config", "run-jsonl-config", "verify-leak"],
     )
 
     @FAILED_COMMANDS
@@ -809,15 +810,7 @@ class TestExistingOutputFile:
         assert run_cli(capsys, *argv, "--n", "10", "--output", str(target))[0] == code
         assert not target.exists()
 
-    @pytest.mark.parametrize(
-        "argv, code",
-        [
-            (["list-strategies"], EXIT_OK),
-            # a censor abort of run 0 still writes the JSONL header
-            (["run", "--strategy", "cheat", "--n", "10", "--format", "jsonl"], EXIT_VIOLATION),
-        ],
-        ids=["list-strategies", "run-jsonl-cheat"],
-    )
+    @pytest.mark.parametrize("argv, code", [(["list-strategies"], EXIT_OK)], ids=["list-strategies"])
     def test_a_short_output_replaces_a_longer_file(self, capsys, tmp_path, monkeypatch, argv, code):
         monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
         target = tmp_path / "out"

@@ -90,7 +90,6 @@ CHEAT_VIOLATION = {
     "setting_b": 2,
     "wing": "L",
 }
-CHEAT_ABORT_STREAM_SHA256 = "a7d2813bfe7fcc3535f41b580db047eabbda0bd411d65d24d68cf42f7cbebc8c"
 
 REGISTRY = build_registry()
 LONG_REGISTRY = build_registry(LONG_PAYLOAD_BYTES)
@@ -172,7 +171,7 @@ def test_cheat_abort_diagnostic():
         CHEAT_VIOLATION, sort_keys=True, separators=(",", ":")
     )
     assert aborted.partial_stats.n_runs == 0
-    assert _sha256(sink.getvalue()) == CHEAT_ABORT_STREAM_SHA256
+    assert sink.getvalue() == ""  # the header goes out only with run 0's record
 
 
 _RUN = ("run", "--strategy", "negotiation", "--n", "2000", "--seed", "2024")

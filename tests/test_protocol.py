@@ -214,33 +214,39 @@ class TestExecuteRun:
             assert sink.getvalue() == ""
 
     @staticmethod
-    def _broken_from_run_5(fault):
-        """A copy of fixed-RRG that breaks the contract from run 5 on: its
-        flash returns a letter, not a Color, or its emit leaks the setting."""
+    def _broken_from_run(first_bad, fault):
+        """A copy of fixed-RRG that breaks the contract from run ``first_bad``
+        on: its flash returns a letter, not a Color, its emit leaks the
+        setting or sends a short frame, or its init is negotiation's at
+        2-byte frames, which raises a ValueError."""
         rrg = build_registry()["fixed-RRG"]
+        tiny = negotiation_strategy(payload_bytes=2)
+
+        def init(wing, shared, private, run_index):
+            if fault == "init" and run_index >= first_bad:
+                return tiny.init(wing, shared, private, run_index)
+            return (run_index, rrg.init(wing, shared, private, run_index))
 
         def flash(state, full_inbox, setting):
-            if fault == "flash" and state[0] >= 5:
+            if fault == "flash" and state[0] >= first_bad:
                 return "R"
             return rrg.flash(state[1], full_inbox, setting)
 
         def emit(state, round, inbox, randomness_slice, setting):
-            if fault == "leak" and state[0] >= 5:
+            if fault == "leak" and state[0] >= first_bad:
                 return bytes([setting]) * CFG.payload_bytes
+            if fault == "short" and state[0] >= first_bad:
+                return bytes(CFG.payload_bytes - 1)
             return rrg.emit(state[1], round, inbox, randomness_slice, setting)
 
-        return rrg, rrg.replace(
-            init=lambda wing, shared, private, run_index: (run_index, rrg.init(wing, shared, private, run_index)),
-            emit=emit,
-            flash=flash,
-        )
+        return rrg, rrg.replace(init=init, emit=emit, flash=flash)
 
     # one way out of an experiment: both faults leave the same attributes
     ABORTS = {"flash": ProtocolError, "leak": CensorViolation}
 
     @pytest.mark.parametrize("fault", sorted(ABORTS))
     def test_protocol_error_carries_the_completed_runs(self, fault):
-        rrg, broken = self._broken_from_run_5(fault)
+        rrg, broken = self._broken_from_run(5, fault)
         sink = io.StringIO()
         with pytest.raises(ExperimentAborted) as excinfo:
             run_experiment(CFG, broken, 100, 1, sink=sink)
@@ -251,9 +257,28 @@ class TestExecuteRun:
         run_experiment(CFG, rrg, 5, 1, sink=expected)
         assert sink.getvalue() == expected.getvalue()  # the header and runs 0 to 4
 
+    # what ends a run from run k on: a censor abort, a framing abort, or a
+    # configuration error, which is no abort
+    ENDINGS = {"leak": CensorViolation, "short": ProtocolError, "init": ValueError}
+
+    @pytest.mark.parametrize("first_bad", [0, 3])
+    @pytest.mark.parametrize("fault", sorted(ENDINGS))
+    def test_a_sink_holds_only_the_completed_runs(self, fault, first_bad):
+        # the header goes out with run 0's record, so whatever ends run 0
+        # leaves the sink empty
+        rrg, broken = self._broken_from_run(first_bad, fault)
+        sink = io.StringIO()
+        with pytest.raises(self.ENDINGS[fault]):
+            run_experiment(CFG, broken, 10, 1, sink=sink)
+        expected = io.StringIO()
+        if first_bad:
+            run_experiment(CFG, rrg, first_bad, 1, sink=expected)
+        assert sink.getvalue() == expected.getvalue()
+        assert sink.getvalue().count("\n") == (1 + first_bad if first_bad else 0)
+
     @pytest.mark.parametrize("fault", sorted(ABORTS))
     def test_bare_run_protocol_error_carries_nothing(self, fault):
-        _, broken = self._broken_from_run_5(fault)
+        _, broken = self._broken_from_run(5, fault)
         with pytest.raises(self.ABORTS[fault]) as excinfo:
             execute_run(CFG, broken, SettingPair(Setting.ONE, Setting.TWO), 1, run_index=5)
         assert excinfo.value.completed_runs is None
