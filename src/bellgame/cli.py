@@ -147,12 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.add_argument("--strategy", default="negotiation", help="classical strategy id")
     _add_experiment_options(p_gap)
     _add_output_options(p_gap, ("text", "jsonl"))
-    p_gap.set_defaults(command_fn=_cmd_gap)
+    p_gap.set_defaults(censor="on", command_fn=_cmd_gap)
 
     p_verify = sub.add_parser("verify-censor", help="whole-run counterfactual replay checks")
     p_verify.add_argument("--strategy", default="all", help="strategy id or 'all'")
     _add_experiment_options(p_verify)
-    p_verify.set_defaults(n=100, command_fn=_cmd_verify_censor)
+    p_verify.set_defaults(n=100, censor="on", command_fn=_cmd_verify_censor)
     _add_output_options(p_verify)
 
     p_list = sub.add_parser("list-strategies", help="available strategy ids")
@@ -162,7 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int:
+def _experiment_inputs(args) -> tuple[int, RunConfig]:
+    """An experiment command's master seed and run config, the seed read
+    first: from ``--seed``, else ``BELLGAME_SEED``, else the default."""
     seed, env, source = args.seed, os.environ.get(SEED_ENV), ""
     if seed is None and env:
         source = f"{SEED_ENV}: "  # names the variable as argparse names --seed
@@ -173,7 +175,10 @@ def _resolve_seed(args) -> int:
     seed = DEFAULT_SEED if seed is None else seed
     if not 0 <= seed <= MASK64:
         raise ValueError(f"{source}master seed must be in [0, 2**64), got {seed}")
-    return seed
+    return seed, RunConfig(
+        rounds=args.rounds, payload_bytes=args.payload_bytes, shared_tape_bytes=args.tape_bytes,
+        censor_enabled=args.censor == "on",
+    )
 
 
 @contextlib.contextmanager
@@ -204,13 +209,6 @@ def _open_output(args):
             if created and "write" in vars(fh):  # failed before its first write
                 os.unlink(path)
             raise
-
-
-def _config_from(args, censor_enabled: bool = True) -> RunConfig:
-    return RunConfig(
-        rounds=args.rounds, payload_bytes=args.payload_bytes, shared_tape_bytes=args.tape_bytes,
-        censor_enabled=censor_enabled,
-    )
 
 
 def _lookup_strategy(registry, strategy_id: str):
@@ -304,8 +302,7 @@ def _run_source(args, config: RunConfig, seed: int, sink=None):
 
 
 def _cmd_run(args, out) -> None:
-    seed = _resolve_seed(args)
-    config = _config_from(args, censor_enabled=args.censor == "on")
+    seed, config = _experiment_inputs(args)
     stats = _run_source(args, config, seed, out if args.format == "jsonl" else None)
     _write_report(out, _RunReport(args.strategy, stats), args.format)
 
@@ -319,8 +316,7 @@ def _cmd_prove_bound(args, out) -> None:
 
 
 def _cmd_gap(args, out) -> None:
-    seed = _resolve_seed(args)
-    config = _config_from(args)
+    seed, config = _experiment_inputs(args)
     classical = _run_source(args, config, seed)
     quantum = quantum_experiment(args.n, seed)
     report = bell_gap_report(classical, quantum)
@@ -333,8 +329,7 @@ def _cmd_gap(args, out) -> None:
 
 
 def _cmd_verify_censor(args, out) -> None:
-    seed = _resolve_seed(args)
-    config = _config_from(args)
+    seed, config = _experiment_inputs(args)
     if args.strategy == QUANTUM_ORACLE_ID:
         out.write(f"{QUANTUM_ORACLE_ID}: color source, no wings; skipped\n")
         return

@@ -346,7 +346,9 @@ def _json_record(cls, line: str) -> RunRecord:
         strategy_id,
     )
     if _record_line(record) != line:
+        # the cut repr cannot show a line break at the end of a long line
+        broken = "; it ends with a line break, which to_json_line never writes" if line.endswith(("\n", "\r")) else ""
         raise ValueError(
-            _misplaced_entry(entries) or f"run record is not the line to_json_line writes for it: {line!r:.80}"
+            _misplaced_entry(entries) or f"run record is not the line to_json_line writes for it: {line!r:.80}{broken}"
         )
     return record

@@ -371,7 +371,8 @@ def run_experiment(
     """A long series of runs with per-run seeds split off the master seed.
 
     Identical arguments produce identical stats and an identical record
-    stream. The first censor violation aborts with partial tallies attached.
+    stream. The first ExperimentAborted, a censor violation or a protocol
+    error, aborts with partial tallies attached.
     """
 
     def play(settings, seed, keyed, run_index):

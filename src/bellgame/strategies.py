@@ -139,6 +139,17 @@ def _agreed_flash(state, full_inbox, setting):
     return state[setting - 1]
 
 
+def _zero_frame_strategy(strategy_id: str, init: Callable, payload_bytes: int) -> WingStrategy:
+    """A strategy that reads nothing and says nothing: every frame is zeros,
+    and each wing flashes from the instruction set ``init`` returns."""
+    filler = bytes(payload_bytes)
+
+    def emit(state, round, inbox, randomness_slice, setting):
+        return filler
+
+    return WingStrategy(strategy_id, init, _keep_state, emit, _agreed_flash, agreement_based=True, reads=())
+
+
 # Every one-byte ``bytes``, by value: indexing costs less than ``bytes([b])``.
 _BYTE = tuple(bytes((b,)) for b in range(256))
 
@@ -163,9 +174,8 @@ def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
     not the settings happen to be equal.
     """
     filler = bytes(payload_bytes)
-    pad = bytes(max(payload_bytes - 3, 0))
     # Left's state for each proposal: the set and its round-1 frame
-    left_states = tuple((_LEFT, iset, iset.label.encode("ascii") + pad) for iset in _TAPE_SETS)
+    left_states = tuple((_LEFT, iset, iset.label.encode("ascii") + filler[3:]) for iset in _TAPE_SETS)
 
     def init(wing_id, shared_tape, private_tape, run_index):
         if payload_bytes < 3:
@@ -201,17 +211,11 @@ def fixed_instruction_strategy(
     iset: InstructionSet, payload_bytes: int = DEFAULT_PAYLOAD_BYTES
 ) -> WingStrategy:
     """Both wings carry the same predetermined instruction set every run."""
-    filler = bytes(payload_bytes)
 
     def init(wing_id, shared_tape, private_tape, run_index):
         return iset
 
-    def emit(state, round, inbox, randomness_slice, setting):
-        return filler
-
-    return WingStrategy(
-        f"fixed-{iset.label}", init, _keep_state, emit, _agreed_flash, agreement_based=True, reads=()
-    )
+    return _zero_frame_strategy(f"fixed-{iset.label}", init, payload_bytes)
 
 
 def cheat_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrategy:
@@ -252,17 +256,11 @@ def clock_keyed_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
     No communication is needed at all; synchronized clocks alone coordinate
     the wings, and every emission is inert filler.
     """
-    filler = bytes(payload_bytes)
 
     def init(wing_id, shared_tape, private_tape, run_index):
         return INSTRUCTION_SETS[run_index % 8]
 
-    def emit(state, round, inbox, randomness_slice, setting):
-        return filler
-
-    return WingStrategy(
-        "clock-keyed", init, _keep_state, emit, _agreed_flash, agreement_based=True, reads=()
-    )
+    return _zero_frame_strategy("clock-keyed", init, payload_bytes)
 
 
 def tape_mixing_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrategy:

@@ -384,6 +384,12 @@ class TestRunRecordParsing:
         with pytest.raises(ValueError, match="not the line to_json_line writes for it"):
             RunRecord.from_json_line(line)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_a_line_read_with_its_break_says_so(self, end):
+        # for line in open(path) keeps the break, past the 80 characters the message quotes
+        with pytest.raises(ValueError, match=r"writes for it: '.*; it ends with a line break, which to_json_line never writes$"):
+            RunRecord.from_json_line(REAL_LINE + end)
+
     @pytest.mark.parametrize(
         "line",
         [
