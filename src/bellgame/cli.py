@@ -47,7 +47,7 @@ from .protocol import (
 )
 from .quantum import QUANTUM_ORACLE_ID, quantum_experiment
 from .randomness import MASK64, derive_run_seed, mix64
-from .strategies import build_registry
+from .strategies import _FACTORIES, build_registry
 
 EXIT_OK = 0
 EXIT_DEFECT = 1
@@ -211,11 +211,13 @@ def _open_output(args):
             raise
 
 
-def _lookup_strategy(registry, strategy_id: str):
-    if strategy_id not in registry:
-        available = sorted(registry) + [QUANTUM_ORACLE_ID]
+def _build_strategy(strategy_id: str, payload_bytes: int):
+    """The one registry strategy ``strategy_id`` names, built alone."""
+    factory = _FACTORIES.get(strategy_id)
+    if factory is None:
+        available = sorted(_FACTORIES) + [QUANTUM_ORACLE_ID]
         _fail(EXIT_UNKNOWN_STRATEGY, "unknown-strategy", strategy=strategy_id, available=available)
-    return registry[strategy_id]
+    return factory(payload_bytes)
 
 
 class _RunReport(NamedTuple):
@@ -294,10 +296,10 @@ def _write_report(out, report, fmt: str) -> None:
 
 def _run_source(args, config: RunConfig, seed: int, sink=None):
     """Stats of ``--n`` runs of ``--strategy``, the quantum oracle or a registry
-    strategy; the registry is built only for the latter."""
+    strategy; only the latter builds a strategy, and only that one."""
     if args.strategy == QUANTUM_ORACLE_ID:
         return quantum_experiment(args.n, seed, config=config, sink=sink)
-    strategy = _lookup_strategy(build_registry(config.payload_bytes), args.strategy)
+    strategy = _build_strategy(args.strategy, config.payload_bytes)
     return run_experiment(config, strategy, args.n, seed, sink=sink)
 
 
@@ -333,21 +335,20 @@ def _cmd_verify_censor(args, out) -> None:
     if args.strategy == QUANTUM_ORACLE_ID:
         out.write(f"{QUANTUM_ORACLE_ID}: color source, no wings; skipped\n")
         return
-    registry = build_registry(config.payload_bytes)
     sweep = args.strategy == "all"
-    if not sweep:
-        _lookup_strategy(registry, args.strategy)
+    if sweep:
+        targets = build_registry(config.payload_bytes).items()
+    else:
+        targets = [(args.strategy, _build_strategy(args.strategy, config.payload_bytes))]
 
     failures = 0
     # a strategy's trial seeds follow from its registry position, so it is
     # checked on the same runs by name as in the sweep
-    for index, (sid, strategy) in enumerate(registry.items()):
-        if not (sweep or sid == args.strategy):
-            continue
+    for sid, strategy in targets:
         if strategy.requires_censor_off:
             out.write(f"{sid}: declared censor-off; skipped\n")
             continue
-        lane = mix64(seed ^ (index + 1))
+        lane = mix64(seed ^ (list(_FACTORIES).index(sid) + 1))
         bad = 0
         try:
             for trial in range(args.n):

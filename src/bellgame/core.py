@@ -227,14 +227,14 @@ class RunRecord(NamedTuple):
         payload, seed or id spelled another way is refused, as is a line that
         is not JSON, misses a key or holds a value of the wrong type, length
         or range, or a transcript entry out of place; each raises ValueError.
-        A valid line is read by pattern and proven by writing it again;
-        ``json.loads`` runs only to name what is wrong with a refused line,
-        or for a strategy id that needs JSON escapes."""
-        try:
-            record = _canonical_record(cls, line)
-        except Exception:
-            # the json path below decides the line and raises its own error
-            record = None
+        A line that is not a ``str`` raises TypeError: decode bytes as ASCII.
+        A valid line is read by a pattern that fixes every field's spelling,
+        and its payloads are proven by encoding them again into the entries
+        template ``to_json_line`` fills; ``json.loads`` runs only to name what
+        is wrong with a refused line, or for a strategy id that needs escapes."""
+        if not isinstance(line, str):
+            raise TypeError(f"a record line must be a str, got {type(line).__name__}: decode it as ASCII first")
+        record = _canonical_record(cls, line)
         return _json_record(cls, line) if record is None else record
 
 
@@ -255,7 +255,17 @@ def _record_line(record: RunRecord) -> str:
     strategy_id = record.strategy_id
     if not strategy_id or not strategy_id.isascii() and any("\ud800" <= ch <= "\udfff" for ch in strategy_id):
         raise ValueError(f"strategy id must be non-empty and hold no surrogate code point, got {strategy_id!r}")
-    transcript = record.transcript
+    # _value_ is what the .value property returns, without its lookup
+    left, right = record.colors
+    setting_l, setting_r = record.settings
+    return _LINE % (
+        left._value_, right._value_, record.run_index, record.seed, setting_l, setting_r,
+        encode_basestring_ascii(strategy_id), _entries_text(record.transcript),
+    )
+
+
+def _entries_text(transcript) -> str:
+    """The transcript's entries as the writer writes and the reader expects them."""
     count = len(transcript)
     entries = _ENTRIES.get(count)
     if entries is None:
@@ -265,31 +275,26 @@ def _record_line(record: RunRecord) -> str:
             b'{"payload":"%%s","round":%d,"sender":"%s"}' % (i // 2 + 1, b"R" if i & 1 else b"L")
             for i in range(count)
         )
-    # _value_ is what the .value property returns, without its lookup
-    left, right = record.colors
-    setting_l, setting_r = record.settings
-    return _LINE % (
-        left._value_, right._value_, record.run_index, record.seed, setting_l, setting_r,
-        encode_basestring_ascii(strategy_id),
-        (entries % tuple([b2a_base64(payload, newline=False) for payload in transcript])).decode("ascii"),
-    )
+    return (entries % tuple([b2a_base64(payload, newline=False) for payload in transcript])).decode("ascii")
 
 
 # (fullmatch, findall) of the two patterns a canonical record line is read
-# by, compiled on the first parse: the whole line, whose id holds no '"' or
-# '\' and so needs no JSON escape, and each payload in its transcript
+# by, compiled on the first parse: the whole line, which fixes the spelling of
+# all but the payloads (run and seed in canonical decimal, an id of printable
+# ASCII but '"' and '\', as encode_basestring_ascii leaves it), and each payload
 _CANONICAL = None
 
 
 def _canonical_record(cls, line: str):
     """The record ``line`` holds, read by pattern, when the line is the one
-    ``_record_line`` writes for it; None for any other line."""
+    ``_record_line`` writes for it; None for any other line. The decoded
+    payloads, encoded again, must give back the line's transcript text."""
     global _CANONICAL
     if _CANONICAL is None:
         _CANONICAL = (
             re.compile(
-                r'\{"colors":"([RG][RG])","run":([0-9]+),"seed":"([0-9]+)",'
-                r'"settings":\[([1-3]),([1-3])\],"strategy":"([^"\\]+)","transcript":\[(.*)\]\}'
+                r'\{"colors":"([RG][RG])","run":(0|[1-9][0-9]*),"seed":"(0|[1-9][0-9]*)",'
+                r'"settings":\[([1-3]),([1-3])\],"strategy":"([ !#-\[\]-~]+)","transcript":\[(.*)\]\}'
             ).fullmatch,
             re.compile(r'"payload":"([^"]*)"').findall,
         )
@@ -298,19 +303,19 @@ def _canonical_record(cls, line: str):
     if found is None:
         return None
     letters, run_index, seed, left, right, strategy_id, entries = found.groups()
-    payloads = find_payloads(entries)
-    seed = int(seed)
-    if len(payloads) % 2 or seed >> 64:
+    try:
+        # int() refuses a number past its digit limit, a2b_base64 a payload
+        # with bad padding or a character outside ASCII, _entries_text an odd count
+        seed = int(seed)
+        transcript = tuple([a2b_base64(payload) for payload in find_payloads(entries)])
+        if seed >> 64 or _entries_text(transcript) != entries:
+            return None
+        run_index = int(run_index)
+    except ValueError:
         return None
-    record = cls(
-        int(run_index),
-        ALL_SETTING_PAIRS[3 * int(left) + int(right) - 4],
-        _COLOR_PAIRS[letters],
-        tuple([a2b_base64(payload) for payload in payloads]),
-        seed,
-        strategy_id,
+    return tuple.__new__(
+        cls, (run_index, ALL_SETTING_PAIRS[3 * int(left) + int(right) - 4], _COLOR_PAIRS[letters], transcript, seed, strategy_id)
     )
-    return record if _record_line(record) == line else None
 
 
 def _json_record(cls, line: str) -> RunRecord:

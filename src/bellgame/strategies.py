@@ -44,6 +44,7 @@ to the peer through side state loses feature (i).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from .core import _GREEN, _LEFT, _RED, INSTRUCTION_SETS, InstructionSet, _Frozen, _keep_state
@@ -348,41 +349,40 @@ def near_leak_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrate
 
     def init(wing_id, shared_tape, private_tape, run_index):
         coin = _RED if private_tape[0] & 1 == 0 else _GREEN
-        return (wing_id, coin, run_index & 0xFF)
+        # the coin, then the head's clock byte and its wing-and-coin bytes
+        return (coin, _BYTE[run_index & 0xFF], bytes((wing_id is not _LEFT, coin is not _RED)))
 
     def emit(state, round, inbox, randomness_slice, setting):
-        wing_id, coin, clock = state
-        last = inbox[-1][0] if inbox else 0
-        head = bytes(
-            (
-                round & 0xFF,
-                clock,
-                last,
-                0 if wing_id is _LEFT else 1,
-                0 if coin is _RED else 1,
-            )
-        )
-        return (head + randomness_slice * reps)[:payload_bytes]
+        # head: round, clock, first byte of the last frame received, wing,
+        # coin; cut to size, so a frame under 5 bytes is the head's first
+        # bytes, and one cut from b"" (no "slices" declared) stays short
+        coin, clock, wing_coin = state
+        return b"".join(
+            (_BYTE[round & 0xFF], clock, _BYTE[inbox[-1][0]] if inbox else b"\0", wing_coin, randomness_slice * reps)
+        )[:payload_bytes]
 
     def flash(state, full_inbox, setting):
-        return state[1]
+        return state[0]
 
     return WingStrategy("near-leak", init, _keep_state, emit, flash, reads=("private", "slices", "inbox"))
 
 
+# Every shipped strategy's factory of ``payload_bytes``, by id, in list
+# order: the agreed-set explanations, then the stress cases (clock
+# coordination, transcript-dependent agreement, maximal randomness use,
+# near-leak payloads and an open leak). The CLI builds only the strategy it
+# is asked for, and a strategy's position here fixes its verify-censor seeds.
+_FACTORIES: dict[str, Callable[[int], WingStrategy]] = {
+    "negotiation": negotiation_strategy,
+    **{f"fixed-{iset.label}": partial(fixed_instruction_strategy, iset) for iset in INSTRUCTION_SETS},
+    "clock-keyed": clock_keyed_strategy,
+    "tape-mixing": tape_mixing_strategy,
+    "max-random": max_randomness_strategy,
+    "near-leak": near_leak_strategy,
+    "cheat": cheat_strategy,
+}
+
+
 def build_registry(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> dict[str, WingStrategy]:
     """Every shipped strategy keyed by id, in list order; the tests validate them."""
-    strategies = [negotiation_strategy(payload_bytes)]
-    strategies.extend(
-        fixed_instruction_strategy(iset, payload_bytes) for iset in INSTRUCTION_SETS
-    )
-    strategies += [
-        # stress cases: clock coordination, transcript-dependent agreement,
-        # maximal randomness use, near-leak payloads and an open leak
-        clock_keyed_strategy(payload_bytes),
-        tape_mixing_strategy(payload_bytes),
-        max_randomness_strategy(payload_bytes),
-        near_leak_strategy(payload_bytes),
-        cheat_strategy(payload_bytes),
-    ]
-    return {s.strategy_id: s for s in strategies}
+    return {sid: factory(payload_bytes) for sid, factory in _FACTORIES.items()}

@@ -21,7 +21,7 @@ from bellgame.cli import (
     main,
 )
 from bellgame.core import ALL_SETTING_PAIRS, Color, Setting, SettingPair
-from bellgame.strategies import build_registry
+from bellgame.strategies import _FACTORIES
 
 
 def run_cli(capsys, *argv):
@@ -311,10 +311,7 @@ class TestOracleBuildsNoRegistry:
 
     @pytest.fixture(autouse=True)
     def no_registry(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the quantum oracle built the strategy registry")
-
-        monkeypatch.setattr(cli, "build_registry", refuse)
+        _refuse_every_build(monkeypatch, "the quantum oracle built a strategy")
         monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
 
     def test_run(self, capsys):
@@ -329,43 +326,55 @@ class TestOracleBuildsNoRegistry:
         assert hashlib.sha256(out.encode()).hexdigest() == self.GAP_SHA256
 
 
-def _leaky_registry(*args):
-    """The registry, with a ``fixed-RRG`` whose frames spell the emitting wing's setting."""
-    registry = build_registry(*args)
-    registry["fixed-RRG"] = registry["fixed-RRG"].replace(
-        emit=lambda state, round, inbox, rand, setting: bytes([setting]) * 32
-    )
-    return registry
+def _patch_fixed_rrg(monkeypatch, **slots):
+    """Make the CLI build ``fixed-RRG`` with ``slots`` changed, by name and
+    in the registry alike: both build from the strategy factory table."""
+    make = _FACTORIES["fixed-RRG"]
+    monkeypatch.setitem(_FACTORIES, "fixed-RRG", lambda payload_bytes: make(payload_bytes).replace(**slots))
 
 
-def _bad_flash_registry(*args):
-    """The registry, with a ``fixed-RRG`` that flashes the string ``"R"``, not a Color."""
-    registry = build_registry(*args)
-    registry["fixed-RRG"] = registry["fixed-RRG"].replace(flash=lambda state, full_inbox, setting: "R")
-    return registry
+def _leak_settings(monkeypatch):
+    """A ``fixed-RRG`` whose frames spell the emitting wing's setting."""
+    _patch_fixed_rrg(monkeypatch, emit=lambda state, round, inbox, rand, setting: bytes([setting]) * 32)
+
+
+def _flash_a_string(monkeypatch):
+    """A ``fixed-RRG`` that flashes the string ``"R"``, not a Color."""
+    _patch_fixed_rrg(monkeypatch, flash=lambda state, full_inbox, setting: "R")
 
 
 BAD_FLASH = "wing L, setting 1: flash must return Color.R or Color.G, got 'R'"
 
 
-def _counting_registry(*args):
-    """The registry, plus a ``run-counter`` whose frames spell how many wings
+def _add_run_counter(monkeypatch):
+    """A ``run-counter`` last in the table, whose frames spell how many wings
     it has set up in this process: its three emits agree, so vetting passes
     it, but no rerun repeats a transcript."""
-    registry = build_registry(*args)
     inits = [0]
 
     def init(wing_id, shared_tape, private_tape, run_index):
         inits[0] += 1
         return inits[0]
 
-    registry["run-counter"] = registry["fixed-RRG"].replace(
-        strategy_id="run-counter",
-        init=init,
-        emit=lambda state, round, inbox, rand, setting: state.to_bytes(32, "big"),
-        flash=lambda state, full_inbox, setting: Color.R,
-    )
-    return registry
+    def factory(payload_bytes):
+        return _FACTORIES["fixed-RRG"](payload_bytes).replace(
+            strategy_id="run-counter",
+            init=init,
+            emit=lambda state, round, inbox, rand, setting: state.to_bytes(32, "big"),
+            flash=lambda state, full_inbox, setting: Color.R,
+        )
+
+    monkeypatch.setitem(_FACTORIES, "run-counter", factory)
+
+
+def _refuse_every_build(monkeypatch, message):
+    """Make building any strategy, alone or in the registry, fail the test."""
+
+    def refuse(*args):
+        raise AssertionError(message)
+
+    for sid in _FACTORIES:
+        monkeypatch.setitem(_FACTORIES, sid, refuse)
 
 
 class TestVerifyCensor:
@@ -388,10 +397,7 @@ class TestVerifyCensor:
         assert err == ""
 
     def test_quantum_oracle_builds_no_registry(self, capsys, monkeypatch):
-        def no_registry(*args):
-            raise AssertionError("the oracle needs no registry")
-
-        monkeypatch.setattr(cli, "build_registry", no_registry)
+        _refuse_every_build(monkeypatch, "the oracle needs no strategy")
         code, out, err = run_cli(capsys, "verify-censor", "--strategy", "quantum-oracle", "--n", "3")
         assert (code, out, err) == (EXIT_OK, "quantum-oracle: color source, no wings; skipped\n", "")
 
@@ -438,8 +444,8 @@ class TestVerifyCensor:
         assert seen["near-leak"] == by_name
 
     @staticmethod
-    def _sweep_names_fixed_rrg_and_goes_on(capsys, monkeypatch, registry, line):
-        monkeypatch.setattr(cli, "build_registry", registry)
+    def _sweep_names_fixed_rrg_and_goes_on(capsys, monkeypatch, patch, line):
+        patch(monkeypatch)
         monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
         code, out, err = run_cli(capsys, "verify-censor", "--n", "2")
         assert code == EXIT_VIOLATION
@@ -454,15 +460,15 @@ class TestVerifyCensor:
 
     def test_all_names_a_leaking_strategy_and_goes_on(self, capsys, monkeypatch):
         line = "censor violation: wing L, round 1: payload differs between settings 1 and 2"
-        self._sweep_names_fixed_rrg_and_goes_on(capsys, monkeypatch, _leaky_registry, line)
+        self._sweep_names_fixed_rrg_and_goes_on(capsys, monkeypatch, _leak_settings, line)
 
     def test_all_names_a_strategy_with_a_bad_flash_and_goes_on(self, capsys, monkeypatch):
         line = f"protocol error: {BAD_FLASH}"
-        self._sweep_names_fixed_rrg_and_goes_on(capsys, monkeypatch, _bad_flash_registry, line)
+        self._sweep_names_fixed_rrg_and_goes_on(capsys, monkeypatch, _flash_a_string, line)
 
     @pytest.mark.parametrize("wanted", ["run-counter", "all"])
     def test_a_strategy_that_counts_its_runs_fails(self, capsys, monkeypatch, wanted):
-        monkeypatch.setattr(cli, "build_registry", _counting_registry)
+        _add_run_counter(monkeypatch)
         monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
         code, out, err = run_cli(capsys, "verify-censor", "--strategy", wanted, "--n", "3")
         assert code == EXIT_VIOLATION
@@ -632,6 +638,26 @@ def test_module_entry_point():
     assert "negotiation" in proc.stdout
 
 
+@pytest.mark.skipif(sys.platform == "win32", reason="the resource module is POSIX-only")
+@pytest.mark.parametrize("command", ["run", "verify-censor"])
+def test_a_named_strategy_is_built_alone(command):
+    # a fresh interpreter whose only child is the command, so RUSAGE_CHILDREN
+    # is the command's peak; building all 14 strategies at this frame size
+    # took about 200 MB, the one named about 15 MB
+    argv = [command, "--strategy", "fixed-RRG", "--n", "1", "--payload-bytes", "10000000"]
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        f"subprocess.run([sys.executable, '-m', 'bellgame', *{argv!r}], check=True, stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    env = _child_env()
+    env.pop("BELLGAME_OUTPUT", None)
+    proc = subprocess.run([sys.executable, "-c", wrapper], capture_output=True, text=True, env=env, check=True)
+    # ru_maxrss counts bytes on macOS and KiB elsewhere
+    peak_mb = int(proc.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mb < 60
+
+
 class TestOneErrorPath:
     """``main`` turns every failure into its exit code and one stderr line:
     a failed write is a configuration error, never a traceback."""
@@ -648,7 +674,7 @@ class TestOneErrorPath:
 
     def test_censor_violation_outside_an_experiment(self, capsys, monkeypatch):
         # verify-censor replays bare runs, so its abort counts no runs
-        monkeypatch.setattr(cli, "build_registry", _leaky_registry)
+        _leak_settings(monkeypatch)
         monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
         code, out, err = run_cli(capsys, "verify-censor", "--strategy", "fixed-RRG", "--n", "3")
         assert code == EXIT_VIOLATION
@@ -676,7 +702,7 @@ class TestOneErrorPath:
         ids=["run-text", "run-jsonl", "run-csv", "gap", "verify-censor"],
     )
     def test_protocol_error(self, capsys, monkeypatch, argv, completed_runs):
-        monkeypatch.setattr(cli, "build_registry", _bad_flash_registry)
+        _flash_a_string(monkeypatch)
         monkeypatch.delenv("BELLGAME_OUTPUT", raising=False)
         code, out, err = run_cli(capsys, *argv, "--n", "3")
         assert (code, out) == (EXIT_VIOLATION, "")
@@ -797,7 +823,7 @@ class TestExistingOutputFile:
 
     @FAILED_COMMANDS
     def test_a_failed_command_leaves_the_file_as_it_was(self, capsys, tmp_path, monkeypatch, argv, code):
-        monkeypatch.setattr(cli, "build_registry", _leaky_registry)
+        _leak_settings(monkeypatch)
         target = tmp_path / "out"
         target.write_bytes(self.OLD)
         assert run_cli(capsys, *argv, "--n", "10", "--output", str(target))[0] == code
@@ -805,7 +831,7 @@ class TestExistingOutputFile:
 
     @FAILED_COMMANDS
     def test_a_failed_command_leaves_no_file_where_there_was_none(self, capsys, tmp_path, monkeypatch, argv, code):
-        monkeypatch.setattr(cli, "build_registry", _leaky_registry)
+        _leak_settings(monkeypatch)
         target = tmp_path / "out"
         assert run_cli(capsys, *argv, "--n", "10", "--output", str(target))[0] == code
         assert not target.exists()

@@ -6,10 +6,12 @@ import json
 import string
 import types
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
+from bellgame import core
 from bellgame.core import (
     ALL_SETTING_PAIRS,
     INSTRUCTION_SETS,
@@ -510,6 +512,82 @@ class TestParserAgreesWithJson:
         with pytest.raises(ValueError):
             RunRecord.from_json_line(line)
         assert _outcome(RunRecord.from_json_line, line) == _outcome(_by_json, line)
+
+
+def _raw_line(run="5", seed="7", strategy="neg", payloads=("AAAA", "AAA=")):
+    """A record line spelled field by field, each payload's entry in the
+    place its position fixes."""
+    entries = ",".join(
+        f'{{"payload":"{payload}","round":{i // 2 + 1},"sender":"{"R" if i & 1 else "L"}"}}'
+        for i, payload in enumerate(payloads)
+    )
+    return (
+        f'{{"colors":"RG","run":{run},"seed":"{seed}","settings":[1,3],"strategy":"{strategy}",'
+        f'"transcript":[{entries}]}}'
+    )
+
+
+# Ids the pattern does not read, each spelled raw and as to_json_line
+# escapes it: every ASCII control character, DEL, '"', '\', a non-ASCII
+# letter and a surrogate pair (an astral character escaped)
+_ODD_ID_CHARS = [chr(c) for c in range(0x20)] + ["\x7f", '"', "\\", "\u00e9", "\ud83d\ude00"]
+_PATTERN_CASES = {
+    "canonical": (_raw_line(), True),
+    **{f"raw-id-{ord(ch[0]):04x}": (_raw_line(strategy=f"a{ch}b"), False) for ch in _ODD_ID_CHARS},
+    **{
+        f"escaped-id-{ord(ch[0]):04x}": (_raw_line(strategy=encode_basestring_ascii(f"a{ch}b")[1:-1]), False)
+        for ch in _ODD_ID_CHARS
+    },
+    "run-00": (_raw_line(run="00"), False),
+    "run-07": (_raw_line(run="07"), False),
+    "seed-07": (_raw_line(seed="07"), False),
+    "seed-2**64-1": (_raw_line(seed=str(2**64 - 1)), True),
+    "seed-2**64": (_raw_line(seed=str(2**64)), False),
+    "trailing-bits": (_raw_line(payloads=("AAAA", "AAB=")), False),
+    "missing-padding": (_raw_line(payloads=("AAAA", "AAA")), False),
+    "extra-padding": (_raw_line(payloads=("AAAA", "AAA==")), False),
+    "padded-full-block": (_raw_line(payloads=("AAAA====", "AAA=")), False),
+    "space": (_raw_line(payloads=("AA AA", "AAA=")), False),
+    "raw-line-break": (_raw_line(payloads=("AA\nAA", "AAA=")), False),
+    "escaped-line-break": (_raw_line(payloads=("AA\\nAA", "AAA=")), False),
+    "u-escape": (_raw_line(payloads=("\\u0041AAA", "AAA=")), False),
+    "odd-entry-count": (_raw_line(payloads=("AAAA", "AAA=", "AAAA")), False),
+}
+
+
+class TestCanonicalPattern:
+    """The pattern path reads only a line whose every field is spelled as
+    ``to_json_line`` spells it, and proves the payloads by encoding them
+    again; ``from_json_line`` agrees with the json parser on every case."""
+
+    @pytest.mark.parametrize("kind", sorted(_PATTERN_CASES))
+    def test_reads_only_canonical_lines(self, kind):
+        line, canonical = _PATTERN_CASES[kind]
+        record = _canonical_record(RunRecord, line)
+        if canonical:
+            assert record == _by_json(line)
+            assert record.to_json_line() == line
+        else:
+            assert record is None
+        assert _outcome(RunRecord.from_json_line, line) == _outcome(_by_json, line)
+
+    @pytest.mark.parametrize("kind", sorted(DIFFERENTIAL_LINES))
+    def test_the_pattern_path_writes_no_line(self, kind, monkeypatch):
+        line = DIFFERENTIAL_LINES[kind]
+        expected = _by_json(line)
+
+        def refuse(record):
+            raise AssertionError("the pattern path wrote the record's line")
+
+        monkeypatch.setattr(core, "_record_line", refuse)
+        assert _canonical_record(RunRecord, line) == expected
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, type(None)])
+    def test_a_line_that_is_not_str_is_a_type_error(self, kind):
+        line = None if kind is type(None) else kind(REAL_LINE.encode("ascii"))
+        message = f"^a record line must be a str, got {kind.__name__}: decode it as ASCII first$"
+        with pytest.raises(TypeError, match=message):
+            RunRecord.from_json_line(line)
 
 
 # The names ``bellgame`` exports, written out so that any change to the

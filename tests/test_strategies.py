@@ -79,6 +79,11 @@ class TestRegistry:
         for strategy in build_registry().values():
             validate_strategy(strategy)
 
+    def test_each_is_keyed_by_its_own_id(self):
+        # the CLI finds a strategy by its key and builds it alone
+        for sid, strategy in build_registry().items():
+            assert strategy.strategy_id == sid
+
     def test_flags(self):
         reg = build_registry()
         assert reg["cheat"].requires_censor_off
