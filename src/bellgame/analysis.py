@@ -171,23 +171,36 @@ class BoundReport(NamedTuple):
         )
 
 
+def _exact_minimum(family, statistic, constraint=None):
+    """Every member of ``family`` that meets ``constraint``, mapped to its
+    exact ``statistic``; the least of those values; and the members that reach
+    it, in family order. A value that is not a ``Fraction`` raises TypeError,
+    so no float enters an exact claim. For a maximum, negate the statistic."""
+    values = {}
+    for member in family:
+        if constraint is None or constraint(member):
+            value = values[member] = statistic(member)
+            if not isinstance(value, Fraction):
+                raise TypeError(f"the value of {member!r} must be a Fraction, got {value!r}")
+    least = min(values.values())
+    return values, least, tuple(m for m, v in values.items() if v == least)
+
+
 def prove_bound() -> BoundReport:
     """Enumerate all eight instruction sets in exact arithmetic and verify
     the minimum same-color fraction is exactly 5/9.
 
     A failure here is a build-breaking defect, not a runtime condition.
     """
-    fractions = {iset: same_color_fraction(iset) for iset in INSTRUCTION_SETS}
-    minimum = min(fractions.values())
-    minimizers = tuple(i for i, f in fractions.items() if f == minimum)
-    if minimum != CLASSICAL_FLOOR:
-        raise RuntimeError(f"floor enumeration produced {minimum}, not 5/9")
+    report = BoundReport(*_exact_minimum(INSTRUCTION_SETS, same_color_fraction))
+    if report.minimum != CLASSICAL_FLOOR:
+        raise RuntimeError(f"floor enumeration produced {report.minimum}, not 5/9")
     expected_minimizers = tuple(
         i for i in INSTRUCTION_SETS if len(set(i)) > 1
     )
-    if minimizers != expected_minimizers:
-        raise RuntimeError(f"unexpected minimizers: {minimizers}")
-    return BoundReport(fractions, minimum, minimizers)
+    if report.minimizers != expected_minimizers:
+        raise RuntimeError(f"unexpected minimizers: {report.minimizers}")
+    return report
 
 
 def check_feature_i(stats: ExperimentStats) -> bool:

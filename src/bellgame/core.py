@@ -13,6 +13,7 @@ import re
 from binascii import a2b_base64, b2a_base64
 from enum import Enum, IntEnum
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -241,40 +242,47 @@ class RunRecord(NamedTuple):
 # The one spelling of a record line, byte-identical to canonical_json of the
 # record as a dict: sorted keys, no whitespace, the strategy id ASCII-escaped.
 _LINE = '{"colors":"%s%s","run":%d,"seed":"%d","settings":[%d,%d],"strategy":%s,"transcript":[%s]}'
-# payload count -> the transcript entries of that many payloads, as a bytes
-# template of '{"payload":"%s","round":r,"sender":"L"}' entries with the round
-# and sender each position fixes; it holds one template per round count used
-_ENTRIES: dict[int, bytes] = {}
+# How many templates a memo keyed by round or payload count keeps: a writer
+# uses one count per config, while a stream read may hold any even count
+_MEMO_SIZE = 16
 
 
 def _record_line(record: RunRecord) -> str:
     """The line ``to_json_line`` writes: the record filled into templates.
-    An empty id, or one holding a surrogate code point, is refused, so each
-    line written reads back as its record (JSON reads a pair of ``\\u``
-    escapes as one character, and no UTF-8 text holds a lone one)."""
-    strategy_id = record.strategy_id
+    A run index below 0, a seed outside [0, 2**64), an empty id and an id
+    holding a surrogate code point are refused, so each line written reads
+    back as its record (JSON reads a pair of ``\\u`` escapes as one
+    character, and no UTF-8 text holds a lone one)."""
+    run_index, (setting_l, setting_r), (left, right), transcript, seed, strategy_id = record
+    if run_index < 0:
+        raise ValueError(f"run index must be >= 0, got {run_index!r}")
+    if seed >> 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
     if not strategy_id or not strategy_id.isascii() and any("\ud800" <= ch <= "\udfff" for ch in strategy_id):
         raise ValueError(f"strategy id must be non-empty and hold no surrogate code point, got {strategy_id!r}")
     # _value_ is what the .value property returns, without its lookup
-    left, right = record.colors
-    setting_l, setting_r = record.settings
     return _LINE % (
-        left._value_, right._value_, record.run_index, record.seed, setting_l, setting_r,
-        encode_basestring_ascii(strategy_id), _entries_text(record.transcript),
+        left._value_, right._value_, run_index, seed, setting_l, setting_r,
+        encode_basestring_ascii(strategy_id), _entries_text(transcript),
+    )
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _entries_template(count: int) -> bytes:
+    """The transcript entries of ``count`` payloads, as a bytes template of
+    '{"payload":"%s","round":r,"sender":"L"}' entries with the round and
+    sender each position fixes."""
+    if count % 2:
+        raise ValueError(f"a transcript holds whole rounds, got {count} payloads")
+    return b",".join(
+        b'{"payload":"%%s","round":%d,"sender":"%s"}' % (i // 2 + 1, b"R" if i & 1 else b"L")
+        for i in range(count)
     )
 
 
 def _entries_text(transcript) -> str:
     """The transcript's entries as the writer writes and the reader expects them."""
-    count = len(transcript)
-    entries = _ENTRIES.get(count)
-    if entries is None:
-        if count % 2:
-            raise ValueError(f"a transcript holds whole rounds, got {count} payloads")
-        entries = _ENTRIES[count] = b",".join(
-            b'{"payload":"%%s","round":%d,"sender":"%s"}' % (i // 2 + 1, b"R" if i & 1 else b"L")
-            for i in range(count)
-        )
+    entries = _entries_template(len(transcript))
     return (entries % tuple([b2a_base64(payload, newline=False) for payload in transcript])).decode("ascii")
 
 

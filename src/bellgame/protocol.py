@@ -14,7 +14,7 @@ constructor checks again.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from itertools import repeat
 from struct import Struct
 from typing import IO, Optional
@@ -25,6 +25,7 @@ from .censor import ExperimentAborted, vet_emission
 from .core import (
     _GREEN,
     _LEFT,
+    _MEMO_SIZE,
     _ONE,
     _RED,
     _RIGHT,
@@ -140,10 +141,11 @@ def run_settings(seed: int) -> SettingPair:
     return _keyed_settings(blake2b(key=(seed & MASK64).to_bytes(8, "little")), seed)
 
 
-@cache
+@lru_cache(maxsize=_MEMO_SIZE)
 def _slice_cutter(rounds: int):
     """``cut(stream) -> slices``: the ``rounds`` randomness slices of one
-    wing's stream, in round order; one ``Struct`` per round count."""
+    wing's stream, in round order; one ``Struct`` per round count, for the
+    last ``_MEMO_SIZE`` counts used."""
     return Struct(f"{RANDOMNESS_SLICE_BYTES}s" * rounds).unpack
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from bellgame import analysis
 from bellgame.analysis import (
     DEFAULT_FAILURE_PROBABILITY,
     ExperimentStats,
+    _exact_minimum,
     bell_gap_report,
     check_feature_i,
     check_feature_ii,
@@ -19,6 +21,7 @@ from bellgame.analysis import (
 )
 from bellgame.core import (
     ALL_SETTING_PAIRS,
+    INSTRUCTION_SETS,
     Color,
     InstructionSet,
     RunRecord,
@@ -26,6 +29,7 @@ from bellgame.core import (
     SettingPair,
 )
 from bellgame.protocol import ReplayMismatchError, RunConfig, execute_run, induced_instruction_set
+from bellgame.quantum import singlet_joint
 from bellgame.strategies import fixed_instruction_strategy, negotiation_strategy
 
 CFG = RunConfig()
@@ -117,6 +121,144 @@ class TestProveBound:
         monkeypatch.setattr(analysis, "same_color_fraction", rrr_at_the_floor)
         with pytest.raises(RuntimeError, match=r"^unexpected minimizers: "):
             prove_bound()
+
+
+# A member of each family below is a response table: the two wings' colors on
+# each of the nine setting pairs, in ALL_SETTING_PAIRS order. In the lambdas,
+# a and b are Left's and Right's settings counted from 0, and a one-bit leak
+# sends whether the sender's setting is k.
+SETTING_INDICES = [(a - 1, b - 1) for a, b in ALL_SETTING_PAIRS]
+COLORS_OF_6 = tuple(product(Color, repeat=6))
+
+
+def _table(left, right):
+    """The table of wings whose colors are ``left(a, b)`` and ``right(a, b)``."""
+    return tuple((left(a, b), right(a, b)) for a, b in SETTING_INDICES)
+
+
+def _no_leak():
+    """Each wing's color is a function of its own setting: 8 x 8 pairs."""
+    return (_table(lambda a, b: l[a], lambda a, b: r[b]) for l in INSTRUCTION_SETS for r in INSTRUCTION_SETS)
+
+
+def _one_split_from_left():
+    """Right's color is a function of its setting and Left's bit: 8 x 3 x 64."""
+    return (
+        _table(lambda a, b: l[a], lambda a, b: r[2 * b + (a == k)])
+        for l in INSTRUCTION_SETS for k in range(3) for r in COLORS_OF_6
+    )
+
+
+def _one_split_each_way():
+    """Each wing's color is a function of its setting and the other's bit:
+    3 x 3 x 64 x 64."""
+    return (
+        _table(lambda a, b: l[2 * a + (b == j)], lambda a, b: r[2 * b + (a == k)])
+        for k in range(3) for j in range(3) for l in COLORS_OF_6 for r in COLORS_OF_6
+    )
+
+
+def _whole_setting_from_left():
+    """Right's color is a function of both settings: 8 x 512."""
+    return (_table(lambda a, b: l[a], lambda a, b: r[3 * a + b]) for l in INSTRUCTION_SETS for r in product(Color, repeat=9))
+
+
+def _same_fraction(table):
+    return Fraction(sum(left is right for left, right in table), 9)
+
+
+def _feature_i(table):
+    """All three equal-setting entries agree."""
+    return table[0][0] is table[0][1] and table[4][0] is table[4][1] and table[8][0] is table[8][1]
+
+
+def _frontier(family):
+    """The least same-color fraction over ``family`` with feature (i)."""
+    return _exact_minimum(family, _same_fraction, _feature_i)
+
+
+# Eight one-bit strategies whose equal mixture is the quantum law: Left's
+# instruction set, the settings on which Left sends bit 1, and Right's color
+# for bit 0 and bit 1 under each of its three settings
+ONE_BIT_ROWS = (
+    ("RRG", {3}, "RR RG GG"),
+    ("RGR", {3}, "RG GG RR"),
+    ("RGR", {3}, "RG GG GR"),
+    ("RGR", {2, 3}, "RR GG GR"),
+    ("GRR", {2}, "GG RR RG"),
+    ("GRG", {3}, "GR RR RG"),
+    ("GRG", {3}, "GR RR GG"),
+    ("GGG", {3}, "GG GR RG"),
+)
+
+
+def _one_bit_table(label, sends_one, right_colors):
+    left = InstructionSet.from_label(label)
+    right = [Color(c) for c in right_colors.replace(" ", "")]
+    return _table(lambda a, b: left[a], lambda a, b: right[2 * b + (a + 1 in sends_one)])
+
+
+class TestCensorshipFrontier:
+    """How much may the frames tell before the floor falls? The least
+    same-color fraction with feature (i), exactly, through the enumerator
+    ``prove_bound`` calls: 5/9 with no leak, 4/9 once Left leaks one bit of
+    its setting, 1/3 once a bit goes each way or Left's whole setting goes."""
+
+    @pytest.mark.parametrize(
+        "family, least, members, extremizers",
+        [
+            (_no_leak, Fraction(5, 9), 8, 6),
+            (_one_split_from_left, Fraction(4, 9), 176, 24),
+            (_one_split_each_way, Fraction(1, 3), 3_872, 48),
+            (_whole_setting_from_left, Fraction(1, 3), 512, 8),
+        ],
+    )
+    def test_least_same_fraction(self, family, least, members, extremizers):
+        values, minimum, minimizers = _frontier(family())
+        assert (len(values), minimum, len(minimizers)) == (members, least, extremizers)
+        assert type(minimum) is Fraction
+
+    def test_with_no_leak_the_agreed_non_uniform_sets_are_least(self):
+        minimizers = _frontier(_no_leak())[2]
+        assert minimizers == tuple(_table(lambda a, b: i[a], lambda a, b: i[b]) for i in prove_bound().minimizers)
+
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 4), Fraction(1)])
+    def test_measurement_dependence(self, p):
+        # a fraction p of runs have settings the wings can predict, and they
+        # know which runs those are; those runs take a whole-setting table,
+        # whose least, 1/3, is the least feature (i) allows at all, and the
+        # others a no-leak table
+        predicted, free = _frontier(_whole_setting_from_left())[0], _frontier(_no_leak())[0]
+        least = _exact_minimum(product(predicted, free), lambda m: p * predicted[m[0]] + (1 - p) * free[m[1]])[1]
+        assert least == Fraction(5, 9) - 2 * p / 9
+
+    def test_eight_one_bit_strategies_mix_to_the_quantum_law(self):
+        tables = [_one_bit_table(*row) for row in ONE_BIT_ROWS]
+        values, least, _ = _frontier(tables)
+        assert len(values) == 8  # each row keeps feature (i)
+        assert sorted(values.values()) == [Fraction(4, 9)] * 6 + [Fraction(2, 3)] * 2
+        assert least == Fraction(4, 9)
+        target = singlet_joint()
+        for i, pair in enumerate(ALL_SETTING_PAIRS):
+            assert Fraction(sum(left is right for left, right in (t[i] for t in tables)), 8) == target[pair]
+            # uniform marginals: each wing flashes R in half the rows
+            assert sum(t[i][0] is Color.R for t in tables) == sum(t[i][1] is Color.R for t in tables) == 4
+
+    @pytest.mark.parametrize("value", [0.5, 1, "5/9"])
+    def test_a_value_that_is_not_a_fraction_is_refused(self, value):
+        with pytest.raises(TypeError, match=r"must be a Fraction, got "):
+            _exact_minimum(INSTRUCTION_SETS, lambda iset: value)
+
+    def test_prove_bound_is_one_call_of_the_enumerator(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _exact_minimum(*args)
+
+        monkeypatch.setattr(analysis, "_exact_minimum", spy)
+        prove_bound()
+        assert calls == [(INSTRUCTION_SETS, analysis.same_color_fraction)]
 
 
 class TestHoeffdingRadius:

@@ -1,17 +1,19 @@
 """Vocabulary types and the exact per-set fractions."""
 
 import base64
+import gc
 import itertools
 import json
 import string
+import tracemalloc
 import types
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import pytest
-from hypothesis import given, settings as hsettings, strategies as st
+from hypothesis import example, given, settings as hsettings, strategies as st
 
-from bellgame import core
+from bellgame import core, protocol
 from bellgame.core import (
     ALL_SETTING_PAIRS,
     INSTRUCTION_SETS,
@@ -132,6 +134,11 @@ def test_instruction_set_rejects_bad_labels(bad):
         InstructionSet.from_label(bad)
 
 
+def test_a_color_prints_as_its_letter():
+    assert str(Color.R) == "R"
+    assert f"{Color.G}" == "G"
+
+
 def _dict_line(record):
     """The dict-building encoder that ``to_json_line`` replaced, kept as the
     reference: the record as nested dicts, through ``canonical_json``."""
@@ -223,6 +230,33 @@ class TestRunRecordSerialization:
                 rec.to_json_line()
         else:
             assert rec.to_json_line() == _dict_line(rec)
+
+    @given(st.integers(-(2**70), 2**80), st.integers(-(2**70), 2**70))
+    @example(-1, 0)
+    @example(0, -1)
+    @example(0, 2**64 - 1)
+    @example(0, 2**64)
+    def test_the_writer_writes_only_lines_the_reader_reads(self, run_index, seed):
+        rec = self._record()._replace(run_index=run_index, seed=seed)
+        try:
+            line = rec.to_json_line()
+        except ValueError:
+            assert run_index < 0 or not 0 <= seed < 2**64
+            return
+        assert RunRecord.from_json_line(line) == rec
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("run_index", -1, "run index must be >= 0, got -1"),
+            ("seed", -5, "seed must be in [0, 2**64), got -5"),
+            ("seed", 2**64, "seed must be in [0, 2**64), got 18446744073709551616"),
+        ],
+    )
+    def test_the_writer_names_the_field_it_refuses(self, field, value, message):
+        with pytest.raises(ValueError) as refused:
+            self._record()._replace(**{field: value}).to_json_line()
+        assert str(refused.value) == message
 
     def test_single_line(self):
         assert "\n" not in self._record().to_json_line()
@@ -512,6 +546,44 @@ class TestParserAgreesWithJson:
         with pytest.raises(ValueError):
             RunRecord.from_json_line(line)
         assert _outcome(RunRecord.from_json_line, line) == _outcome(_by_json, line)
+
+
+def _retained_bytes(work) -> int:
+    """The memory still held, by tracemalloc, once ``work()`` has returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        work()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemos:
+    """The templates kept per payload or round count stay few, whatever
+    counts a process meets: reading a stream must not grow memory for
+    good (at most 16 templates are kept, about 0.4 MB of these)."""
+
+    def test_reading_many_payload_counts(self):
+        # spelled without the writer, which would fill the memo first
+        lines = [
+            canonical_json(
+                {
+                    "colors": "RG", "run": 0, "seed": "7", "settings": [1, 2], "strategy": "s",
+                    "transcript": [
+                        {"payload": "", "round": i // 2 + 1, "sender": "R" if i & 1 else "L"} for i in range(count)
+                    ],
+                }
+            )
+            for count in range(2, 602, 2)
+        ]
+        # an unbounded memo keeps all 300 templates: 3.8 MB
+        assert _retained_bytes(lambda: [RunRecord.from_json_line(line) for line in lines]) < 1_000_000
+
+    def test_cutting_many_round_counts(self):
+        # an unbounded memo keeps all 300 cutters: 1.7 MB
+        assert _retained_bytes(lambda: [protocol._slice_cutter(rounds) for rounds in range(1, 301)]) < 500_000
 
 
 def _raw_line(run="5", seed="7", strategy="neg", payloads=("AAAA", "AAA=")):
