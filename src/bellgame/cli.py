@@ -47,7 +47,7 @@ from .protocol import (
 )
 from .quantum import QUANTUM_ORACLE_ID, quantum_experiment
 from .randomness import MASK64, derive_run_seed, mix64
-from .strategies import _FACTORIES, build_registry
+from .strategies import _FACTORIES
 
 EXIT_OK = 0
 EXIT_DEFECT = 1
@@ -336,15 +336,12 @@ def _cmd_verify_censor(args, out) -> None:
         out.write(f"{QUANTUM_ORACLE_ID}: color source, no wings; skipped\n")
         return
     sweep = args.strategy == "all"
-    if sweep:
-        targets = build_registry(config.payload_bytes).items()
-    else:
-        targets = [(args.strategy, _build_strategy(args.strategy, config.payload_bytes))]
-
     failures = 0
-    # a strategy's trial seeds follow from its registry position, so it is
-    # checked on the same runs by name as in the sweep
-    for sid, strategy in targets:
+    # each strategy is built only when its turn comes, and its trial seeds
+    # follow from its registry position, so it is checked on the same runs
+    # by name as in the sweep
+    for sid in _FACTORIES if sweep else [args.strategy]:
+        strategy = _build_strategy(sid, config.payload_bytes)
         if strategy.requires_censor_off:
             out.write(f"{sid}: declared censor-off; skipped\n")
             continue
@@ -356,20 +353,15 @@ def _cmd_verify_censor(args, out) -> None:
                 settings = run_settings(trial_seed)
                 if not verify_transcript_invariance(config, strategy, settings, trial_seed, run_index=trial):
                     bad += 1
-        except ValueError as rejected:
-            # a strategy that rejects this frame or tape size fails alone
-            # under 'all'; one asked for by name is a configuration error
+        except (ValueError, ExperimentAborted) as exc:
+            # one asked for by name exits with the error's line; under 'all'
+            # a strategy that rejects this frame or tape size is skipped, and
+            # one that breaks a rule fails alone while the sweep goes on
             if not sweep:
                 raise
-            out.write(f"{sid}: {rejected}; skipped\n")
-            continue
-        except ExperimentAborted as aborted:
-            # under 'all' a broken rule fails its strategy and the sweep goes
-            # on; one asked for by name exits with the abort's line
-            if not sweep:
-                raise
-            failures += 1
-            out.write(f"{sid}: {aborted.kind.replace('-', ' ')}: {aborted}\n")
+            broke = isinstance(exc, ExperimentAborted)
+            failures += broke
+            out.write(f"{sid}: {exc.kind.replace('-', ' ')}: {exc}\n" if broke else f"{sid}: {exc}; skipped\n")
             continue
         if bad:
             failures += 1
@@ -382,7 +374,8 @@ def _cmd_verify_censor(args, out) -> None:
 
 
 def _cmd_list_strategies(args, out) -> None:
-    for sid, strategy in build_registry().items():
+    for sid in _FACTORIES:
+        strategy = _build_strategy(sid, DEFAULT_PAYLOAD_BYTES)
         notes = []
         if strategy.agreement_based:
             notes.append("agreed-set")

@@ -247,6 +247,15 @@ _LINE = '{"colors":"%s%s","run":%d,"seed":"%d","settings":[%d,%d],"strategy":%s,
 _MEMO_SIZE = 16
 
 
+def _check_run_ids(run_index: int, seed: int) -> None:
+    """Refuse a run index below 0 and a seed outside [0, 2**64), which no
+    record line holds."""
+    if run_index < 0:
+        raise ValueError(f"run index must be >= 0, got {run_index!r}")
+    if seed >> 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
+
+
 def _record_line(record: RunRecord) -> str:
     """The line ``to_json_line`` writes: the record filled into templates.
     A run index below 0, a seed outside [0, 2**64), an empty id and an id
@@ -254,10 +263,7 @@ def _record_line(record: RunRecord) -> str:
     back as its record (JSON reads a pair of ``\\u`` escapes as one
     character, and no UTF-8 text holds a lone one)."""
     run_index, (setting_l, setting_r), (left, right), transcript, seed, strategy_id = record
-    if run_index < 0:
-        raise ValueError(f"run index must be >= 0, got {run_index!r}")
-    if seed >> 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
+    _check_run_ids(run_index, seed)
     if not strategy_id or not strategy_id.isascii() and any("\ud800" <= ch <= "\udfff" for ch in strategy_id):
         raise ValueError(f"strategy id must be non-empty and hold no surrogate code point, got {strategy_id!r}")
     # _value_ is what the .value property returns, without its lookup

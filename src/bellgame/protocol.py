@@ -38,6 +38,7 @@ from .core import (
     SettingPair,
     Wing,
     _Frozen,
+    _check_run_ids,
     _keep_state,
     canonical_json,
 )
@@ -179,7 +180,10 @@ def _flash_error(colors_l, colors_r) -> ProtocolError:
 
 def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_index: int):
     """The referee loop: ``(record, colors_l, colors_r)``, where ``colors_l``
-    and ``colors_r`` are each wing's flashes under settings 1, 2 and 3."""
+    and ``colors_r`` are each wing's flashes under settings 1, 2 and 3. A run
+    index or seed that no record line holds is refused: the byte streams
+    would reduce the seed mod 2**64."""
+    _check_run_ids(run_index, seed)
     rounds = config.rounds
     payload_bytes = config.payload_bytes
     setting_l, setting_r = settings
@@ -275,7 +279,8 @@ def execute_run(
     """One complete run: T censored exchange rounds, then the flashes.
 
     Byte-for-byte deterministic in (config, strategy, settings, seed).
-    Raises CensorViolation if any emission depends on the local setting.
+    Raises CensorViolation if any emission depends on the local setting, and
+    ValueError for a run index or seed that no record line can hold.
     """
     return _play(config, strategy, settings, seed, run_index)[0]
 

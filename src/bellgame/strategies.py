@@ -47,7 +47,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from .core import _GREEN, _LEFT, _RED, INSTRUCTION_SETS, InstructionSet, _Frozen, _keep_state
+from .core import _GREEN, _LEFT, _RED, _RIGHT, INSTRUCTION_SETS, InstructionSet, _Frozen, _keep_state
 from .protocol import DEFAULT_PAYLOAD_BYTES, RANDOMNESS_SLICE_BYTES
 from .quantum import _AGREE_BELOW, _OUTCOMES
 
@@ -175,30 +175,29 @@ def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
     not the settings happen to be equal.
     """
     filler = bytes(payload_bytes)
-    # Left's state for each proposal: the set and its round-1 frame
-    left_states = tuple((_LEFT, iset, iset.label.encode("ascii") + filler[3:]) for iset in _TAPE_SETS)
+    # A wing's state is (wing, agreed set, round-1 frame, later frame). Left
+    # has one per proposal; Right starts with neither set nor echo, and its
+    # transition fills both in at the end of round 1.
+    left_states = tuple((_LEFT, iset, iset.label.encode("ascii") + filler[3:], filler) for iset in _TAPE_SETS)
+    right_start = (_RIGHT, None, filler, filler)
 
     def init(wing_id, shared_tape, private_tape, run_index):
         if payload_bytes < 3:
             raise ValueError("negotiation needs payload frames of at least 3 bytes")
         if len(shared_tape) < 3:
             raise ValueError("negotiation needs at least 3 shared tape bytes")
-        if wing_id is _LEFT:
-            return left_states[_tape_set_index(shared_tape)]
-        return (wing_id, None, None)
+        return left_states[_tape_set_index(shared_tape)] if wing_id is _LEFT else right_start
 
     def transition(state, round, inbox):
-        wing_id, agreed, payload = state
-        if agreed is None and inbox:
-            # a head that is no label fails the decode or the lookup
-            return (wing_id, InstructionSet.from_label(inbox[0][:3].decode("ascii")), None)
+        if state[1] is None and inbox:
+            # the echo is the very frame Left sent; a head that is no label
+            # fails the decode or the lookup
+            echo = inbox[0]
+            return (_RIGHT, InstructionSet.from_label(echo[:3].decode("ascii")), filler, echo)
         return state
 
     def emit(state, round, inbox, randomness_slice, setting):
-        wing_id, agreed, payload = state
-        if wing_id is _LEFT:
-            return payload if round == 1 else filler
-        return inbox[0] if inbox else filler
+        return state[2] if round == 1 else state[3]
 
     def flash(state, full_inbox, setting):
         return state[1][setting - 1]
@@ -276,38 +275,22 @@ def tape_mixing_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
     firsts = tuple(_BYTE[value] + filler[1:] for value in range(8))
 
     def init(wing_id, shared_tape, private_tape, run_index):
+        # a wing's state is the value it sends: Left's proposal or Right's mix
         if len(shared_tape) < 4:
             raise ValueError("tape-mixing needs at least 4 shared tape bytes")
-        proposal = (
-            ((shared_tape[0] & 1) << 2)
-            | ((shared_tape[1] & 1) << 1)
-            | (shared_tape[2] & 1)
-        )
-        mix = shared_tape[3] & 7
-        return (wing_id, proposal, mix, None)
-
-    def transition(state, round, inbox):
-        wing_id, proposal, mix, agreed = state
-        if agreed is None and inbox:
-            peer_value = inbox[0][0] & 7
-            if wing_id is _LEFT:
-                idx = (proposal + peer_value) % 8
-            else:
-                idx = (peer_value + mix) % 8
-            return (wing_id, proposal, mix, INSTRUCTION_SETS[idx])
-        return state
+        if wing_id is _LEFT:
+            return (shared_tape[0] & 1) << 2 | (shared_tape[1] & 1) << 1 | shared_tape[2] & 1
+        return shared_tape[3] & 7
 
     def emit(state, round, inbox, randomness_slice, setting):
-        wing_id, proposal, mix, agreed = state
-        if round == 1:
-            return firsts[proposal if wing_id is _LEFT else mix]
-        return filler
+        return firsts[state] if round == 1 else filler
 
     def flash(state, full_inbox, setting):
-        return state[3][setting - 1]
+        # (proposal + mix) % 8 is the same set from either side
+        return INSTRUCTION_SETS[(state + (full_inbox[0][0] & 7)) % 8][setting - 1]
 
     return WingStrategy(
-        "tape-mixing", init, transition, emit, flash, agreement_based=True, reads=("shared", "inbox")
+        "tape-mixing", init, _keep_state, emit, flash, agreement_based=True, reads=("shared", "inbox")
     )
 
 
@@ -370,8 +353,8 @@ def near_leak_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStrate
 # Every shipped strategy's factory of ``payload_bytes``, by id, in list
 # order: the agreed-set explanations, then the stress cases (clock
 # coordination, transcript-dependent agreement, maximal randomness use,
-# near-leak payloads and an open leak). The CLI builds only the strategy it
-# is asked for, and a strategy's position here fixes its verify-censor seeds.
+# near-leak payloads and an open leak). Every CLI command builds one strategy
+# at a time, and a strategy's position here fixes its verify-censor seeds.
 _FACTORIES: dict[str, Callable[[int], WingStrategy]] = {
     "negotiation": negotiation_strategy,
     **{f"fixed-{iset.label}": partial(fixed_instruction_strategy, iset) for iset in INSTRUCTION_SETS},

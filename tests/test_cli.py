@@ -638,13 +638,9 @@ def test_module_entry_point():
     assert "negotiation" in proc.stdout
 
 
-@pytest.mark.skipif(sys.platform == "win32", reason="the resource module is POSIX-only")
-@pytest.mark.parametrize("command", ["run", "verify-censor"])
-def test_a_named_strategy_is_built_alone(command):
-    # a fresh interpreter whose only child is the command, so RUSAGE_CHILDREN
-    # is the command's peak; building all 14 strategies at this frame size
-    # took about 200 MB, the one named about 15 MB
-    argv = [command, "--strategy", "fixed-RRG", "--n", "1", "--payload-bytes", "10000000"]
+def _peak_mb(argv) -> float:
+    """The peak memory of ``bellgame *argv``, run as the only child of a
+    fresh interpreter, so RUSAGE_CHILDREN is the command's peak."""
     wrapper = (
         "import resource, subprocess, sys\n"
         f"subprocess.run([sys.executable, '-m', 'bellgame', *{argv!r}], check=True, stdout=subprocess.DEVNULL)\n"
@@ -654,8 +650,23 @@ def test_a_named_strategy_is_built_alone(command):
     env.pop("BELLGAME_OUTPUT", None)
     proc = subprocess.run([sys.executable, "-c", wrapper], capture_output=True, text=True, env=env, check=True)
     # ru_maxrss counts bytes on macOS and KiB elsewhere
-    peak_mb = int(proc.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
-    assert peak_mb < 60
+    return int(proc.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="the resource module is POSIX-only")
+@pytest.mark.parametrize("command", ["run", "verify-censor"])
+def test_a_named_strategy_is_built_alone(command):
+    # building all 14 strategies at this frame size took about 200 MB, the
+    # one named about 15 MB
+    assert _peak_mb([command, "--strategy", "fixed-RRG", "--n", "1", "--payload-bytes", "10000000"]) < 60
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="the resource module is POSIX-only")
+def test_the_sweep_builds_one_strategy_at_a_time():
+    # at this frame size the sweep peaked at about 90 MB with all 14
+    # strategies built before the first check, and at about 52 MB building
+    # each in its turn
+    assert _peak_mb(["verify-censor", "--strategy", "all", "--n", "1", "--payload-bytes", "2000000"]) < 70
 
 
 class TestOneErrorPath:

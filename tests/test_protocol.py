@@ -29,6 +29,7 @@ from bellgame.protocol import (
     RunConfig,
     draw_settings,
     execute_run,
+    induced_instruction_set,
     run_experiment,
 )
 from bellgame.quantum import QUANTUM_ORACLE_ID, quantum_experiment, sample_quantum_run
@@ -165,6 +166,33 @@ class TestExecuteRun:
             execute_run(CFG, strat, pair, seed)
             logs.append(list(log))
         assert all(run_log == logs[0] for run_log in logs)
+
+    @pytest.mark.parametrize(
+        "seed, run_index, message",
+        [
+            (2**64 + 5, 0, "seed must be in [0, 2**64), got 18446744073709551621"),
+            (-1, 0, "seed must be in [0, 2**64), got -1"),
+            (5, -3, "run index must be >= 0, got -3"),
+        ],
+        ids=["seed-past-2**64", "negative-seed", "negative-run-index"],
+    )
+    def test_refuses_what_no_record_line_holds(self, seed, run_index, message):
+        # the byte streams reduce a seed mod 2**64, so 2**64 + 5 would run
+        # seed 5's bytes under a record that the writer refuses; a replay
+        # refuses such a record as well
+        pair = SettingPair(Setting.ONE, Setting.TWO)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            execute_run(CFG, RRR, pair, seed, run_index=run_index)
+        record = execute_run(CFG, RRR, pair, 5)._replace(seed=seed, run_index=run_index)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            record.to_json_line()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            induced_instruction_set(RRR, record, CFG)
+
+    def test_accepts_the_ends_of_the_seed_range(self):
+        for seed in (0, 2**64 - 1):
+            line = execute_run(CFG, RRR, SettingPair(Setting.ONE, Setting.TWO), seed).to_json_line()
+            assert RunRecord.from_json_line(line).seed == seed
 
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.sampled_from(ALL_SETTING_PAIRS))
     @hsettings(max_examples=30, deadline=None)
@@ -550,6 +578,36 @@ class TestRefereeCalls:
             "transition": 2 * rounds,
             "emit": (3 if censor else 1) * 2 * rounds,
             "flash": 6,
+        }
+
+    @pytest.mark.parametrize("config", [CFG, LONG_EXCHANGE], ids=["default", "long-exchange"])
+    @pytest.mark.parametrize("sid", list(build_registry()))
+    def test_shipped_calls_per_run(self, config, sid):
+        # only negotiation has a transition to call; every other shipped
+        # strategy keeps its state, and the referee skips the identity
+        strategy = build_registry(config.payload_bytes)[sid]
+        assert (strategy.transition is _keep_state) is (sid != "negotiation")
+        counts = dict.fromkeys(("init", "transition", "emit", "flash"), 0)
+
+        def counted(slot):
+            fn = getattr(strategy, slot)
+
+            def call(*args):
+                counts[slot] += 1
+                return fn(*args)
+
+            return call
+
+        slots = [slot for slot in counts if getattr(strategy, slot) is not _keep_state]
+        censor = not strategy.requires_censor_off
+        counting = strategy.replace(**{slot: counted(slot) for slot in slots})
+        run_experiment(config.replace(censor_enabled=censor), counting, 3, 9)
+        rounds = config.rounds
+        assert counts == {
+            "init": 3 * 2,
+            "transition": 3 * 2 * rounds if sid == "negotiation" else 0,
+            "emit": 3 * (3 if censor else 1) * 2 * rounds,
+            "flash": 3 * 6,
         }
 
     @pytest.mark.parametrize("config", [CFG, LONG_EXCHANGE], ids=["default", "long-exchange"])
