@@ -130,6 +130,7 @@ class SettingPair(NamedTuple):
 ALL_SETTING_PAIRS = tuple(
     SettingPair(a, b) for a in SETTINGS for b in SETTINGS
 )
+_SETTING_PAIRS = frozenset(ALL_SETTING_PAIRS)
 
 
 class InstructionSet(NamedTuple):
@@ -247,23 +248,25 @@ _LINE = '{"colors":"%s%s","run":%d,"seed":"%d","settings":[%d,%d],"strategy":%s,
 _MEMO_SIZE = 16
 
 
-def _check_run_ids(run_index: int, seed: int) -> None:
-    """Refuse a run index below 0 and a seed outside [0, 2**64), which no
-    record line holds."""
+def _check_run_ids(run_index: int, seed: int, settings) -> None:
+    """Refuse a run index below 0, a seed outside [0, 2**64) and settings
+    that are not one of the nine pairs, which no record line holds."""
     if run_index < 0:
         raise ValueError(f"run index must be >= 0, got {run_index!r}")
     if seed >> 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
+    if settings not in _SETTING_PAIRS:
+        raise ValueError(f"settings must be a pair of settings in [1, 3], got {settings!r}")
 
 
 def _record_line(record: RunRecord) -> str:
     """The line ``to_json_line`` writes: the record filled into templates.
-    A run index below 0, a seed outside [0, 2**64), an empty id and an id
-    holding a surrogate code point are refused, so each line written reads
-    back as its record (JSON reads a pair of ``\\u`` escapes as one
-    character, and no UTF-8 text holds a lone one)."""
+    What ``_check_run_ids`` refuses, an empty id and an id holding a
+    surrogate code point are refused, so each line written reads back as its
+    record (JSON reads a pair of ``\\u`` escapes as one character, and no
+    UTF-8 text holds a lone one)."""
     run_index, (setting_l, setting_r), (left, right), transcript, seed, strategy_id = record
-    _check_run_ids(run_index, seed)
+    _check_run_ids(run_index, seed, record[1])
     if not strategy_id or not strategy_id.isascii() and any("\ud800" <= ch <= "\udfff" for ch in strategy_id):
         raise ValueError(f"strategy id must be non-empty and hold no surrogate code point, got {strategy_id!r}")
     # _value_ is what the .value property returns, without its lookup

@@ -138,7 +138,8 @@ def _keyed_settings(keyed, seed: int) -> SettingPair:
 
 
 def run_settings(seed: int) -> SettingPair:
-    """The settings of the run with this seed."""
+    """The settings of the run with this seed, reduced mod 2**64 as in
+    ``ByteStream``; ``execute_run`` refuses a seed outside [0, 2**64)."""
     return _keyed_settings(blake2b(key=(seed & MASK64).to_bytes(8, "little")), seed)
 
 
@@ -181,9 +182,9 @@ def _flash_error(colors_l, colors_r) -> ProtocolError:
 def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_index: int):
     """The referee loop: ``(record, colors_l, colors_r)``, where ``colors_l``
     and ``colors_r`` are each wing's flashes under settings 1, 2 and 3. A run
-    index or seed that no record line holds is refused: the byte streams
-    would reduce the seed mod 2**64."""
-    _check_run_ids(run_index, seed)
+    index, seed or settings pair that no record line holds is refused before
+    any strategy call: the byte streams would reduce the seed mod 2**64."""
+    _check_run_ids(run_index, seed, settings)
     rounds = config.rounds
     payload_bytes = config.payload_bytes
     setting_l, setting_r = settings
@@ -280,7 +281,7 @@ def execute_run(
 
     Byte-for-byte deterministic in (config, strategy, settings, seed).
     Raises CensorViolation if any emission depends on the local setting, and
-    ValueError for a run index or seed that no record line can hold.
+    ValueError for a run index, seed or settings no record line can hold.
     """
     return _play(config, strategy, settings, seed, run_index)[0]
 

@@ -169,41 +169,36 @@ def negotiation_strategy(payload_bytes: int = DEFAULT_PAYLOAD_BYTES) -> WingStra
     """Both wings settle on one instruction set in every run.
 
     Left proposes the set decoded from the first three shared-tape bytes and
-    sends it in round 1; Right parses the proposal from its inbox and echoes
-    it back as acknowledgement. No message depends on any setting, so the
-    whole exchange passes the censor, yet agreement is reached whether or
-    not the settings happen to be equal.
+    sends it in round 1; Right echoes that frame back as acknowledgement and
+    flashes from the set it proposes. No message depends on any setting, so
+    the whole exchange passes the censor, yet agreement is reached whether
+    or not the settings happen to be equal.
     """
     filler = bytes(payload_bytes)
-    # A wing's state is (wing, agreed set, round-1 frame, later frame). Left
-    # has one per proposal; Right starts with neither set nor echo, and its
-    # transition fills both in at the end of round 1.
+    # A wing's state is (wing, agreed set, round-1 frame, later frame), fixed
+    # at init: Left has one per proposal; Right has neither set nor echo, so
+    # it echoes the very frame Left sent and flashes from the set it proposes.
     left_states = tuple((_LEFT, iset, iset.label.encode("ascii") + filler[3:], filler) for iset in _TAPE_SETS)
-    right_start = (_RIGHT, None, filler, filler)
+    proposed = {state[2]: state[1] for state in left_states}
+    right_state = (_RIGHT, None, filler, None)
 
     def init(wing_id, shared_tape, private_tape, run_index):
         if payload_bytes < 3:
             raise ValueError("negotiation needs payload frames of at least 3 bytes")
         if len(shared_tape) < 3:
             raise ValueError("negotiation needs at least 3 shared tape bytes")
-        return left_states[_tape_set_index(shared_tape)] if wing_id is _LEFT else right_start
-
-    def transition(state, round, inbox):
-        if state[1] is None and inbox:
-            # the echo is the very frame Left sent; a head that is no label
-            # fails the decode or the lookup
-            echo = inbox[0]
-            return (_RIGHT, InstructionSet.from_label(echo[:3].decode("ascii")), filler, echo)
-        return state
+        return left_states[_tape_set_index(shared_tape)] if wing_id is _LEFT else right_state
 
     def emit(state, round, inbox, randomness_slice, setting):
-        return state[2] if round == 1 else state[3]
+        return state[2] if round == 1 else state[3] or inbox[0]
 
     def flash(state, full_inbox, setting):
-        return state[1][setting - 1]
+        # Right looks up, or decodes, the set Left's frame proposes; a head that is no label fails
+        agreed = state[1] or proposed.get(full_inbox[0]) or InstructionSet.from_label(full_inbox[0][:3].decode("ascii"))
+        return agreed[setting - 1]
 
     return WingStrategy(
-        "negotiation", init, transition, emit, flash, agreement_based=True, reads=("shared", "inbox")
+        "negotiation", init, _keep_state, emit, flash, agreement_based=True, reads=("shared", "inbox")
     )
 
 

@@ -245,6 +245,18 @@ class TestRunRecordSerialization:
             return
         assert RunRecord.from_json_line(line) == rec
 
+    @given(st.integers(-2, 5), st.integers(-2, 5))
+    def test_the_writer_writes_only_settings_the_reader_reads(self, left, right):
+        # a plain pair of ints is written as the SettingPair it reads back as
+        rec = self._record()._replace(settings=(left, right))
+        try:
+            line = rec.to_json_line()
+        except ValueError as refused:
+            assert not (1 <= left <= 3 and 1 <= right <= 3)
+            assert str(refused) == f"settings must be a pair of settings in [1, 3], got {(left, right)!r}"
+            return
+        assert RunRecord.from_json_line(line) == rec
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

@@ -168,26 +168,46 @@ class TestExecuteRun:
         assert all(run_log == logs[0] for run_log in logs)
 
     @pytest.mark.parametrize(
-        "seed, run_index, message",
+        "seed, run_index, pair, message",
         [
-            (2**64 + 5, 0, "seed must be in [0, 2**64), got 18446744073709551621"),
-            (-1, 0, "seed must be in [0, 2**64), got -1"),
-            (5, -3, "run index must be >= 0, got -3"),
+            (2**64 + 5, 0, (1, 2), "seed must be in [0, 2**64), got 18446744073709551621"),
+            (-1, 0, (1, 2), "seed must be in [0, 2**64), got -1"),
+            (5, -3, (1, 2), "run index must be >= 0, got -3"),
+            (5, 0, (0, 1), "settings must be a pair of settings in [1, 3], got (0, 1)"),
+            (5, 0, (1, 4), "settings must be a pair of settings in [1, 3], got (1, 4)"),
         ],
-        ids=["seed-past-2**64", "negative-seed", "negative-run-index"],
+        ids=["seed-past-2**64", "negative-seed", "negative-run-index", "setting-0", "setting-4"],
     )
-    def test_refuses_what_no_record_line_holds(self, seed, run_index, message):
+    def test_refuses_what_no_record_line_holds(self, seed, run_index, pair, message):
         # the byte streams reduce a seed mod 2**64, so 2**64 + 5 would run
-        # seed 5's bytes under a record that the writer refuses; a replay
+        # seed 5's bytes under a record that the writer refuses; setting 0
+        # would flash as setting 3, and setting 4 would fail after the
+        # rounds. Each is refused before any strategy call, and a replay
         # refuses such a record as well
-        pair = SettingPair(Setting.ONE, Setting.TWO)
+        calls = []
+
+        def init(wing_id, shared_tape, private_tape, run_index):
+            calls.append(wing_id)
+            return RRR.init(wing_id, shared_tape, private_tape, run_index)
+
+        strategy = RRR.replace(init=init)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            execute_run(CFG, RRR, pair, seed, run_index=run_index)
-        record = execute_run(CFG, RRR, pair, 5)._replace(seed=seed, run_index=run_index)
+            execute_run(CFG, strategy, pair, seed, run_index=run_index)
+        assert calls == []
+        record = execute_run(CFG, RRR, (1, 2), 5)._replace(seed=seed, run_index=run_index, settings=pair)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             record.to_json_line()
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            induced_instruction_set(RRR, record, CFG)
+            induced_instruction_set(strategy, record, CFG)
+        assert calls == []
+
+    def test_takes_plain_setting_pairs(self):
+        # a pair of ints is one of the nine pairs, and plays as its member
+        for pair in ALL_SETTING_PAIRS:
+            plain = tuple(int(s) for s in pair)
+            assert execute_run(CFG, negotiation_strategy(), plain, 11) == execute_run(
+                CFG, negotiation_strategy(), pair, 11
+            )
 
     def test_accepts_the_ends_of_the_seed_range(self):
         for seed in (0, 2**64 - 1):
@@ -583,10 +603,10 @@ class TestRefereeCalls:
     @pytest.mark.parametrize("config", [CFG, LONG_EXCHANGE], ids=["default", "long-exchange"])
     @pytest.mark.parametrize("sid", list(build_registry()))
     def test_shipped_calls_per_run(self, config, sid):
-        # only negotiation has a transition to call; every other shipped
-        # strategy keeps its state, and the referee skips the identity
+        # every shipped strategy keeps its state, and the referee skips the
+        # identity, so no transition call is made
         strategy = build_registry(config.payload_bytes)[sid]
-        assert (strategy.transition is _keep_state) is (sid != "negotiation")
+        assert strategy.transition is _keep_state
         counts = dict.fromkeys(("init", "transition", "emit", "flash"), 0)
 
         def counted(slot):
@@ -605,7 +625,7 @@ class TestRefereeCalls:
         rounds = config.rounds
         assert counts == {
             "init": 3 * 2,
-            "transition": 3 * 2 * rounds if sid == "negotiation" else 0,
+            "transition": 0,
             "emit": 3 * (3 if censor else 1) * 2 * rounds,
             "flash": 3 * 6,
         }

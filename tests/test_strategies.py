@@ -208,9 +208,39 @@ class TestNegotiation:
         ],
     )
     def test_a_head_that_is_no_label_raises_as_the_decode_did(self, head, error, message):
-        transition = negotiation_strategy().transition
+        strategy = negotiation_strategy()
+        right = strategy.init(Wing.RIGHT, bytes(3), b"", 0)
         with pytest.raises(error, match=re.escape(message)):
-            transition((Wing.RIGHT, None, None), 1, (head + bytes(29),))
+            strategy.flash(right, (head + bytes(29),), Setting.ONE)
+
+    @pytest.mark.parametrize("rounds, payload_bytes", [(4, 32), (32, 256)])
+    def test_right_echoes_the_very_frame_left_sent(self, rounds, payload_bytes):
+        # from round 2 on, Right sends the object Left sent in round 1, so the
+        # referee checks that frame once per wing
+        config = RunConfig(rounds=rounds, payload_bytes=payload_bytes, shared_tape_bytes=payload_bytes)
+        strategy = negotiation_strategy(payload_bytes)
+        for rec in _runs(strategy, 20, 3, config):
+            proposal = rec.transcript[0]
+            assert proposal[:3].decode("ascii") in {iset.label for iset in INSTRUCTION_SETS}
+            assert rec.transcript[1] == bytes(payload_bytes)
+            assert all(frame is proposal for frame in rec.transcript[3::2])
+
+    def test_a_proposal_with_a_nonzero_tail_still_agrees(self):
+        # a frame that is no entry of the lookup is decoded from its head
+        base = negotiation_strategy()
+
+        def emit(state, round, inbox, randomness_slice, setting):
+            frame = base.emit(state, round, inbox, randomness_slice, setting)
+            return frame[:3] + b"\x01" * 29 if state[0] is Wing.LEFT and round == 1 else frame
+
+        strategy = base.replace(emit=emit)
+        labels = set()
+        for rec in _runs(strategy, 40, 8):
+            assert rec.transcript[0][3:] == b"\x01" * 29
+            left, right = induced_instruction_set(strategy, rec, CFG)
+            assert left == right == InstructionSet.from_label(rec.transcript[0][:3].decode("ascii"))
+            labels.add(left.label)
+        assert len(labels) > 4
 
     def test_rejects_tiny_frames(self):
         strategy = negotiation_strategy(payload_bytes=2)  # building it is fine
