@@ -18,6 +18,7 @@ from .core import (
     SETTINGS,
     InstructionSet,
     SettingPair,
+    _check_int,
     canonical_json,
     same_color_fraction,
 )
@@ -37,13 +38,14 @@ __all__ = [
 DEFAULT_FAILURE_PROBABILITY = 1e-6
 
 CLASSICAL_FLOOR = Fraction(5, 9)
+# the floor-to-half gap, 1/18, that two confidence radii must not cover
+_FLOOR_GAP = float(CLASSICAL_FLOOR - Fraction(1, 2))
 
 
 def hoeffding_radius(n: int) -> float:
     """Two-sided Hoeffding confidence half-width for a mean of n coin flips,
     at failure probability ``DEFAULT_FAILURE_PROBABILITY``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_int("n", n, 1)
     return math.sqrt(math.log(2.0 / DEFAULT_FAILURE_PROBABILITY) / (2.0 * n))
 
 
@@ -249,7 +251,7 @@ class GapReport(NamedTuple):
             return (
                 "insufficient power: confidence radii "
                 f"{self.classical_radius:.6f}+{self.quantum_radius:.6f} cover "
-                f"the floor-to-half gap {float(CLASSICAL_FLOOR - Fraction(1, 2)):.6f}"
+                f"the floor-to-half gap {_FLOOR_GAP:.6f}"
             )
         return None
 
@@ -308,7 +310,7 @@ def bell_gap_report(
     q_r = hoeffding_radius(q_n)
     c, q = classical_stats.overall_same, quantum_stats.overall_same
     disjoint = float(c) - c_r > float(q) + q_r or float(q) - q_r > float(c) + c_r
-    sufficient = c_r + q_r < float(CLASSICAL_FLOOR - Fraction(1, 2))
+    sufficient = c_r + q_r < _FLOOR_GAP
     return GapReport(
         classical_same=c,
         quantum_same=q,

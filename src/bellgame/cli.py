@@ -36,7 +36,7 @@ from .analysis import (
     prove_bound,
 )
 from .censor import ExperimentAborted, verify_transcript_invariance
-from .core import ALL_SETTING_PAIRS, canonical_json
+from .core import ALL_SETTING_PAIRS, _check_int, canonical_json
 from .protocol import (
     DEFAULT_PAYLOAD_BYTES,
     DEFAULT_ROUNDS,
@@ -46,7 +46,7 @@ from .protocol import (
     run_settings,
 )
 from .quantum import QUANTUM_ORACLE_ID, quantum_experiment
-from .randomness import MASK64, derive_run_seed, mix64
+from .randomness import derive_run_seed, mix64
 from .strategies import _FACTORIES
 
 EXIT_OK = 0
@@ -173,8 +173,7 @@ def _experiment_inputs(args) -> tuple[int, RunConfig]:
         except ValueError:
             raise ValueError(f"{source}invalid int value: {env!r}") from None
     seed = DEFAULT_SEED if seed is None else seed
-    if not 0 <= seed <= MASK64:
-        raise ValueError(f"{source}master seed must be in [0, 2**64), got {seed}")
+    _check_int(f"{source}master seed", seed, seed=True)
     return seed, RunConfig(
         rounds=args.rounds, payload_bytes=args.payload_bytes, shared_tape_bytes=args.tape_bytes,
         censor_enabled=args.censor == "on",

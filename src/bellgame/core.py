@@ -130,7 +130,8 @@ class SettingPair(NamedTuple):
 ALL_SETTING_PAIRS = tuple(
     SettingPair(a, b) for a in SETTINGS for b in SETTINGS
 )
-_SETTING_PAIRS = frozenset(ALL_SETTING_PAIRS)
+# each of the nine pairs keyed by itself, so that a pair equal to one finds it
+_SETTING_PAIRS = {pair: pair for pair in ALL_SETTING_PAIRS}
 
 
 class InstructionSet(NamedTuple):
@@ -181,11 +182,16 @@ def same_color_fraction(iset: InstructionSet) -> Fraction:
     return Fraction(matches, 9)
 
 
-def _wire_int(value, low: int, high: float = float("inf")) -> int:
-    """A JSON integer in [low, high]; bools, floats and strings are rejected."""
-    if type(value) is not int or not low <= value <= high:
-        raise ValueError(f"expected an integer in [{low}, {high}], got {value!r}")
-    return value
+def _check_int(name: str, value, low: int = 0, seed: bool = False) -> None:
+    """The rule of every count, size, seed and run index the package takes:
+    an exact ``int``, not a bool or a float, of at least ``low``, or for a
+    seed in [0, 2**64), which 8 key bytes hold; a ValueError names ``name``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if seed and value >> 64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _misplaced_entry(entries: list) -> str:
@@ -249,26 +255,32 @@ _MEMO_SIZE = 16
 
 
 def _check_run_ids(run_index: int, seed: int, settings) -> None:
-    """Refuse a run index below 0, a seed outside [0, 2**64) and settings
-    that are not one of the nine pairs, which no record line holds."""
-    if run_index < 0:
-        raise ValueError(f"run index must be >= 0, got {run_index!r}")
-    if seed >> 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
-    if settings not in _SETTING_PAIRS:
+    """Refuse what no record line holds: a run index or seed that ``_check_int``
+    refuses, or settings that are not one of the nine pairs as two ints or
+    ``Setting`` members. Runs with a member of ``ALL_SETTING_PAIRS``, as an
+    experiment's are, pass one combined test; the rest name the first fault."""
+    try:
+        if type(run_index) is int and type(seed) is int and run_index >= 0 and not seed >> 64 and _SETTING_PAIRS[settings] is settings:
+            return
+    except (KeyError, TypeError):  # settings that are no pair or cannot be hashed
+        pass
+    _check_int("run index", run_index)
+    _check_int("seed", seed, seed=True)
+    if not (isinstance(settings, tuple) and all([type(s) is int or type(s) is Setting for s in settings]) and settings in _SETTING_PAIRS):
         raise ValueError(f"settings must be a pair of settings in [1, 3], got {settings!r}")
 
 
 def _record_line(record: RunRecord) -> str:
     """The line ``to_json_line`` writes: the record filled into templates.
-    What ``_check_run_ids`` refuses, an empty id and an id holding a
-    surrogate code point are refused, so each line written reads back as its
-    record (JSON reads a pair of ``\\u`` escapes as one character, and no
-    UTF-8 text holds a lone one)."""
-    run_index, (setting_l, setting_r), (left, right), transcript, seed, strategy_id = record
-    _check_run_ids(run_index, seed, record[1])
-    if not strategy_id or not strategy_id.isascii() and any("\ud800" <= ch <= "\udfff" for ch in strategy_id):
-        raise ValueError(f"strategy id must be non-empty and hold no surrogate code point, got {strategy_id!r}")
+    What ``_check_run_ids`` refuses and an id that is not a non-empty ``str``
+    free of surrogate code points are refused, so each line written reads
+    back as its record (JSON reads a pair of ``\\u`` escapes as one
+    character, and no UTF-8 text holds a lone one)."""
+    run_index, settings, (left, right), transcript, seed, strategy_id = record
+    _check_run_ids(run_index, seed, settings)
+    if not (isinstance(strategy_id, str) and strategy_id) or not strategy_id.isascii() and any("\ud800" <= ch <= "\udfff" for ch in strategy_id):
+        raise ValueError(f"strategy id must be non-empty, a str, and hold no surrogate code point, got {strategy_id!r}")
+    setting_l, setting_r = settings
     # _value_ is what the .value property returns, without its lookup
     return _LINE % (
         left._value_, right._value_, run_index, seed, setting_l, setting_r,
@@ -349,7 +361,7 @@ def _json_record(cls, line: str) -> RunRecord:
             raise ValueError(f"transcript must be a list of whole rounds, got {entries!r:.80}")
         # senders and rounds are checked by the round trip below
         payloads = tuple([a2b_base64(entry["payload"]) for entry in entries])
-        run_index = _wire_int(obj["run"], 0)
+        run_index, settings = obj["run"], (left, right)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed run record: {exc!r}") from None
     colors = _COLOR_PAIRS.get(letters) if type(letters) is str else None
@@ -359,14 +371,8 @@ def _json_record(cls, line: str) -> RunRecord:
         raise ValueError(f"seed must be a 64-bit decimal string, got {seed!r}")
     if type(strategy_id) is not str or not strategy_id:
         raise ValueError(f"strategy must be a non-empty string, got {strategy_id!r}")
-    record = cls(
-        run_index,
-        ALL_SETTING_PAIRS[3 * _wire_int(left, 1, 3) + _wire_int(right, 1, 3) - 4],
-        colors,
-        payloads,
-        int(seed),
-        strategy_id,
-    )
+    _check_run_ids(run_index, int(seed), settings)
+    record = cls(run_index, _SETTING_PAIRS[settings], colors, payloads, int(seed), strategy_id)
     if _record_line(record) != line:
         # the cut repr cannot show a line break at the end of a long line
         broken = "; it ends with a line break, which to_json_line never writes" if line.endswith(("\n", "\r")) else ""

@@ -38,6 +38,7 @@ from .core import (
     SettingPair,
     Wing,
     _Frozen,
+    _check_int,
     _check_run_ids,
     _keep_state,
     canonical_json,
@@ -90,13 +91,9 @@ class RunConfig(_Frozen):
         self, rounds: int = DEFAULT_ROUNDS, payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
         shared_tape_bytes: int = DEFAULT_SHARED_TAPE_BYTES, censor_enabled: bool = True,
     ):
-        sizes = (("rounds", rounds, 1), ("payload_bytes", payload_bytes, 1), ("shared_tape_bytes", shared_tape_bytes, 0))
-        for name, value, low in sizes:
-            # a bool is an int, but not a size
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}")
+        _check_int("rounds", rounds, 1)
+        _check_int("payload_bytes", payload_bytes, 1)
+        _check_int("shared_tape_bytes", shared_tape_bytes)
         if not isinstance(censor_enabled, bool):
             raise ValueError(f"censor_enabled must be a bool, got {censor_enabled!r}")
         self._fill(rounds, payload_bytes, shared_tape_bytes, censor_enabled)
@@ -331,13 +328,8 @@ def _experiment(config: RunConfig, source_id: str, play, n_runs: int, master_see
     the sink empty. An ExperimentAborted propagates with the completed runs
     and their tallies attached. Master seeds lie in [0, 2**64), where
     ``derive_run_seed`` gives each its own runs."""
-    for name, value in (("n_runs", n_runs), ("master_seed", master_seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    if not 0 <= master_seed <= MASK64:
-        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed}")
+    _check_int("n_runs", n_runs, 1)
+    _check_int("master_seed", master_seed, seed=True)
     header = ""
     if sink is not None:
         header = canonical_json({

@@ -273,9 +273,16 @@ class TestHoeffdingRadius:
         )
 
     def test_rejects_bad_arguments(self):
-        for n in (0, -1):
-            with pytest.raises(ValueError):
+        # a bool or a float equal to a count is not one
+        for n, message in [
+            (0, "must be >= 1, got 0"),
+            (-1, "must be >= 1, got -1"),
+            (True, "must be an integer, got True"),
+            (2.5, "must be an integer, got 2.5"),
+        ]:
+            with pytest.raises(ValueError) as refused:
                 hoeffding_radius(n)
+            assert str(refused.value) == f"n {message}"
 
 
 class TestFeatureI:

@@ -192,6 +192,12 @@ def _refused_id(strategy_id: str) -> bool:
     return not strategy_id or any("\ud800" <= ch <= "\udfff" for ch in strategy_id)
 
 
+def _ints_and_lookalikes(low, high):
+    """Ints in [low, high], and floats and bools, which compare equal to
+    ints but which no record line holds."""
+    return st.one_of(st.integers(low, high), st.floats(low, high), st.booleans())
+
+
 class TestRunRecordSerialization:
     def _record(self):
         transcript = (b"\x01" + bytes(31), bytes(32))
@@ -231,30 +237,42 @@ class TestRunRecordSerialization:
         else:
             assert rec.to_json_line() == _dict_line(rec)
 
-    @given(st.integers(-(2**70), 2**80), st.integers(-(2**70), 2**70))
+    @given(_ints_and_lookalikes(-(2**70), 2**80), _ints_and_lookalikes(-(2**70), 2**70))
     @example(-1, 0)
     @example(0, -1)
     @example(0, 2**64 - 1)
     @example(0, 2**64)
+    @example(1.5, 0)
+    @example(1.0, 0)
+    @example(True, 0)
+    @example(0, 5.0)
+    @example(0, False)
     def test_the_writer_writes_only_lines_the_reader_reads(self, run_index, seed):
+        # a float or bool equal to an int would be written as that int, and
+        # read back as another record
         rec = self._record()._replace(run_index=run_index, seed=seed)
         try:
             line = rec.to_json_line()
         except ValueError:
-            assert run_index < 0 or not 0 <= seed < 2**64
+            assert not (type(run_index) is int and run_index >= 0 and type(seed) is int and 0 <= seed < 2**64)
             return
-        assert RunRecord.from_json_line(line) == rec
+        back = RunRecord.from_json_line(line)
+        assert back == rec
+        assert [type(field) for field in back] == [type(field) for field in rec]
 
-    @given(st.integers(-2, 5), st.integers(-2, 5))
+    @given(_ints_and_lookalikes(-2, 5), _ints_and_lookalikes(-2, 5))
+    @example(1.0, 2)
+    @example(True, 2)
     def test_the_writer_writes_only_settings_the_reader_reads(self, left, right):
         # a plain pair of ints is written as the SettingPair it reads back as
         rec = self._record()._replace(settings=(left, right))
         try:
             line = rec.to_json_line()
         except ValueError as refused:
-            assert not (1 <= left <= 3 and 1 <= right <= 3)
+            assert not (type(left) is int and type(right) is int and 1 <= left <= 3 and 1 <= right <= 3)
             assert str(refused) == f"settings must be a pair of settings in [1, 3], got {(left, right)!r}"
             return
+        assert type(left) is int and type(right) is int
         assert RunRecord.from_json_line(line) == rec
 
     @pytest.mark.parametrize(
@@ -263,6 +281,10 @@ class TestRunRecordSerialization:
             ("run_index", -1, "run index must be >= 0, got -1"),
             ("seed", -5, "seed must be in [0, 2**64), got -5"),
             ("seed", 2**64, "seed must be in [0, 2**64), got 18446744073709551616"),
+            *[
+                ("strategy_id", sid, f"strategy id must be non-empty, a str, and hold no surrogate code point, got {sid!r}")
+                for sid in (123, b"negotiation", None)
+            ],
         ],
     )
     def test_the_writer_names_the_field_it_refuses(self, field, value, message):
@@ -349,8 +371,11 @@ CORRUPT_VALUES = [
     (("settings",), [2]),
     (("settings",), [2, 4]),
     (("settings",), [True, 2]),
+    (("settings",), [1.0, 2]),
+    (("settings",), [[1], 2]),
     (("settings",), "23"),
     (("run",), True),
+    (("run",), 1.0),
     (("run",), -1),
     (("run",), "0"),
     (("seed",), 5),

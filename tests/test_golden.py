@@ -15,6 +15,8 @@ import functools
 import hashlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +256,20 @@ def test_cli_pins_hold_on_repeated_calls(capsys, clean_env):
         for argv, code, line in CLI_ERROR_LINES.values():
             assert main(list(argv)) == code
             assert capsys.readouterr().err == line, argv
+
+
+def test_ci_workflow_digests_are_golden_pins():
+    """Every 64-hex digest the CI workflow spells out is one of the pins
+    above: a pin that moves here without its copy in the workflow fails
+    Tier-1, not only on a CI runner."""
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+    found = re.findall(r"(?<![0-9A-Fa-f])[0-9A-Fa-f]{64}(?![0-9A-Fa-f])", workflow.read_text())
+    pinned = {
+        QUANTUM_SHA256,
+        *STREAM_SHA256.values(),
+        *LONG_STREAM_SHA256.values(),
+        *MID_BLOCK_STREAM_SHA256.values(),
+        *CLI_STDOUT_SHA256.values(),
+    }
+    assert found, "the workflow checks no digest"
+    assert [digest for digest in found if digest not in pinned] == []

@@ -175,13 +175,26 @@ class TestExecuteRun:
             (5, -3, (1, 2), "run index must be >= 0, got -3"),
             (5, 0, (0, 1), "settings must be a pair of settings in [1, 3], got (0, 1)"),
             (5, 0, (1, 4), "settings must be a pair of settings in [1, 3], got (1, 4)"),
+            (5, 0, (1.0, 2), "settings must be a pair of settings in [1, 3], got (1.0, 2)"),
+            (5, 0, (True, 2), "settings must be a pair of settings in [1, 3], got (True, 2)"),
+            (5, 1.0, (1, 2), "run index must be an integer, got 1.0"),
+            (5, True, (1, 2), "run index must be an integer, got True"),
+            (5.0, 0, (1, 2), "seed must be an integer, got 5.0"),
+            (5, 0, None, "settings must be a pair of settings in [1, 3], got None"),
+            (5, 0, [1, 2], "settings must be a pair of settings in [1, 3], got [1, 2]"),
         ],
-        ids=["seed-past-2**64", "negative-seed", "negative-run-index", "setting-0", "setting-4"],
+        ids=[
+            "seed-past-2**64", "negative-seed", "negative-run-index", "setting-0", "setting-4",
+            "float-setting", "bool-setting", "float-run-index", "bool-run-index", "float-seed",
+            "no-settings", "list-settings",
+        ],
     )
     def test_refuses_what_no_record_line_holds(self, seed, run_index, pair, message):
         # the byte streams reduce a seed mod 2**64, so 2**64 + 5 would run
         # seed 5's bytes under a record that the writer refuses; setting 0
         # would flash as setting 3, and setting 4 would fail after the
+        # rounds. A float or bool compares equal to an int, but no record
+        # line holds it: a float setting would fail as an index after the
         # rounds. Each is refused before any strategy call, and a replay
         # refuses such a record as well
         calls = []
@@ -816,6 +829,7 @@ class TestRunExperiment:
                 *((n, seed, "must be an integer") for n, seed in [
                     (True, 1), (2.0, 1), ("2", 1), (2, True), (2, False), (2, 1.5), (2, "1"), (2, None),
                 ]),
+                (0, 1, "n_runs must be >= 1, got 0"),
                 # derive_run_seed reduces mod 2**64, so these would alias 2**64 - 1 and 0
                 (2, -1, "master_seed must be in [0, 2**64), got -1"),
                 (2, 2**64, "master_seed must be in [0, 2**64), got 18446744073709551616"),
