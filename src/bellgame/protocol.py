@@ -218,9 +218,9 @@ def _play(config: RunConfig, strategy, settings: SettingPair, seed: int, run_ind
     if transition is _keep_state:
         transition = None
     # Each wing's payloads go on a list, appended once a round. A strategy
-    # that reads its inbox gets a new tuple of its peer's payloads each round,
-    # where index r - 1 holds round r, so no object is shared between a
-    # frame's three counterfactual emit calls; one that does not is passed ().
+    # that reads its inbox gets a new tuple of its peer's payloads each round
+    # (index r - 1 holds round r), the very one for all three emit calls of a
+    # frame, and none can change it; one that does not is passed ().
     reads_inbox = "inbox" in reads
     inbox_l = inbox_r = ()
     sent_l, sent_r = [], []

@@ -29,6 +29,8 @@ OpenSSL, which costs more than the rest of this module's import.
 
 from __future__ import annotations
 
+from .core import _check_int
+
 try:
     from _blake2 import blake2b  # the very object hashlib.blake2b is
 except ImportError:  # an interpreter built without the _blake2 module
@@ -77,8 +79,7 @@ class ByteStream:
     def take(self, n: int) -> bytes:
         """The next ``n`` bytes of the stream, read one ``u8`` at a time: the
         reference reader that ``stream_bytes`` is tested against."""
-        if n < 0:
-            raise ValueError("cannot take a negative number of bytes")
+        _check_int("n", n)
         return bytes([self.u8() for _ in range(n)])
 
     def u8(self) -> int:
@@ -96,7 +97,9 @@ class ByteStream:
 def stream_bytes(seed: int, label: bytes, n: int) -> bytes:
     """The first ``n`` bytes of ``ByteStream(seed, label)``: one blake2b
     digest when ``n`` is at most one block; beyond that, one digest per block
-    on a copy of one keyed state, fed the block's ``label || counter``."""
+    on a copy of one keyed state, fed the block's ``label || counter``. It
+    is internal and on the per-run path, so its callers pass sizes already
+    checked (``RunConfig``'s, or constants), and it tests only for ``n < 0``."""
     key = (seed & MASK64).to_bytes(8, "little")
     if 0 <= n <= BLOCK_BYTES:
         return blake2b(label + _FIRST_BLOCK, key=key, digest_size=BLOCK_BYTES).digest()[:n]

@@ -1,6 +1,7 @@
 """Seed derivation and byte streams must be stable forever."""
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import example, given, settings as hsettings, strategies as st
@@ -64,6 +65,16 @@ def test_take_zero_and_negative():
     assert s.take(0) == b""
     with pytest.raises(ValueError):
         s.take(-1)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [(True, "n must be an integer, got True"), (1.5, "n must be an integer, got 1.5"), (-1, "n must be >= 0, got -1")],
+)
+def test_take_counts_by_the_integer_rule(n, message):
+    # a bool is no count, and a float raises the rule's ValueError, not a TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ByteStream(5, b"x").take(n)
 
 
 # seeds beyond 64 bits and negative ones are masked, as ByteStream masks them

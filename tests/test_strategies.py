@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,6 +31,7 @@ from bellgame.protocol import (
 from bellgame.quantum import sample_quantum_run
 from bellgame.randomness import ByteStream, derive_run_seed
 from bellgame.strategies import (
+    _FACTORIES,
     _TAPE_SETS,
     StrategyError,
     WingStrategy,
@@ -43,6 +45,8 @@ from bellgame.strategies import (
     tape_mixing_strategy,
     validate_strategy,
 )
+from test_core import _retained_bytes
+from test_golden import MID_BLOCK_CONFIG
 
 CFG = RunConfig()
 CFG_OFF = RunConfig(censor_enabled=False)
@@ -618,13 +622,130 @@ class TestComputedOnce:
             raw = bytes(high << 2 | low for high, low in zip(high_bits, low_bits)) + rest
             assert _TAPE_SETS[_tape_set_index(raw)] == _generator_decode(raw), raw
 
+    @pytest.mark.parametrize("config", [CFG, CFG_OFF], ids=["censor-on", "censor-off"])
     @pytest.mark.parametrize(
         "sid, reads, size", [("max-random", ("shared",), 1), ("near-leak", ("private", "inbox"), 5)]
     )
-    def test_a_frame_without_its_slices_is_a_protocol_error(self, sid, reads, size):
+    def test_a_frame_without_its_slices_is_a_protocol_error(self, sid, reads, size, config):
         # with b"" for a slice, the frame is only its last byte or its head
         strategy = build_registry()[sid].replace(reads=reads)
         message = f"^wing L, round 1: payload must be exactly 32 bytes, got {size}$"
         with pytest.raises(ProtocolError, match=message) as excinfo:
-            run_experiment(CFG, strategy, 3, 0)
+            run_experiment(config, strategy, 3, 0)
         assert excinfo.value.completed_runs == 0
+        # both wings get the one b"", and each still gets its own frame
+        emit, alone = strategy.emit, _built_alone(sid)
+        for state in _states(sid):
+            assert emit(state, 1, (), b"", Setting.ONE) == alone(state, 1, (), b"", Setting.ONE)
+
+
+COMPLIANT_IDS = [sid for sid, strategy in build_registry().items() if not strategy.requires_censor_off]
+# one declared randomness slice
+SLICE = bytes(range(16))
+
+
+def _returned_by_emit(config, strategy, n_runs):
+    """Every object ``emit`` returned over an experiment, in call order."""
+    returned = []
+    emit = strategy.emit
+
+    def spy(state, round, inbox, randomness_slice, setting):
+        payload = emit(state, round, inbox, randomness_slice, setting)
+        returned.append(payload)
+        return payload
+
+    run_experiment(config, strategy.replace(emit=spy), n_runs, 3)
+    return returned
+
+
+def _built_alone(sid, payload_bytes=32):
+    """``emit`` of a strategy built for this one call: a frame computed from
+    its inputs, with no frame kept from an earlier call."""
+
+    def emit(*args):
+        return _FACTORIES[sid](payload_bytes).emit(*args)
+
+    return emit
+
+
+def _states(sid):
+    """Left's and Right's states of run 9, from tapes of distinct bytes."""
+    init = _FACTORIES[sid]().init
+    return tuple(init(wing, bytes(range(64)), bytes(range(1, 65)), 9) for wing in (Wing.LEFT, Wing.RIGHT))
+
+
+class TestFrameBuiltOnce:
+    """The censor's three ``emit`` calls of a frame get one object back, and
+    the frame ``max-random`` and ``near-leak`` keep for it is always the one
+    its inputs give."""
+
+    @pytest.mark.parametrize("config", [CFG, LONG_EXCHANGE, MID_BLOCK_CONFIG], ids=["default", "32x256", "mid-block"])
+    @pytest.mark.parametrize("sid", COMPLIANT_IDS)
+    def test_a_frames_three_calls_return_one_object(self, sid, config):
+        returned = _returned_by_emit(config, build_registry(config.payload_bytes)[sid], 10)
+        assert len(returned) == 3 * 2 * config.rounds * 10
+        for frame in range(len(returned) // 3):
+            first, second, third = returned[3 * frame : 3 * frame + 3]
+            assert first is second is third, frame
+
+    def test_every_compliant_strategy_is_covered(self):
+        assert len(COMPLIANT_IDS) == 13
+
+    @pytest.mark.parametrize("sid", ["max-random", "near-leak"])
+    def test_an_equal_but_distinct_slice_is_rebuilt(self, sid):
+        emit = _FACTORIES[sid]().emit
+        state = _states(sid)[0]
+        first = emit(state, 1, (), SLICE, Setting.ONE)
+        again = emit(state, 1, (), bytes(bytearray(SLICE)), Setting.ONE)
+        assert again == first and again is not first
+
+    @pytest.mark.parametrize("sid", ["max-random", "near-leak"])
+    def test_interleaved_wings_get_their_own_frames(self, sid):
+        emit, alone = _FACTORIES[sid]().emit, _built_alone(sid)
+        states = _states(sid)
+        slices = {(wing, rnd): bytes((16 * rnd + 2 * wing + i) & 0xFF for i in range(16)) for wing in (0, 1) for rnd in (1, 2, 3)}
+        inboxes = {0: (), 1: (), 2: (b"\x11" * 32,), 3: (b"\x11" * 32, b"\x22" * 32)}
+        # each wing in turn, each frame asked once, then three times, then the other wing again
+        calls = [(wing, rnd) for rnd in (1, 2, 3) for wing in (0, 1)]
+        calls += [call for call in calls for _ in range(3)] + [(0, 1), (1, 1), (0, 1), (1, 3), (0, 3), (1, 3)]
+        for wing, rnd in calls:
+            args = (states[wing], rnd, inboxes[rnd - 1 + wing], slices[wing, rnd], Setting.TWO)
+            assert emit(*args) == alone(*args), (wing, rnd)
+
+    @pytest.mark.parametrize("sid", ["max-random", "near-leak"])
+    def test_a_bytearray_slice_changed_between_calls_gives_the_changed_frame(self, sid):
+        emit, alone = _FACTORIES[sid]().emit, _built_alone(sid)
+        state = _states(sid)[0]
+        buffer = bytearray(SLICE)
+        first = emit(state, 1, (), buffer, Setting.ONE)
+        buffer[0] ^= 0xFF
+        changed = emit(state, 1, (), buffer, Setting.ONE)
+        assert changed == alone(state, 1, (), bytes(buffer), Setting.ONE) != first
+
+    def test_a_bytearray_frame_in_the_inbox_changed_between_calls_gives_the_changed_frame(self):
+        emit, alone = _FACTORIES["near-leak"]().emit, _built_alone("near-leak")
+        state = _states("near-leak")[1]
+        received = bytearray(32)
+        inbox = (received,)
+        first = emit(state, 2, inbox, SLICE, Setting.ONE)
+        received[0] = 7
+        changed = emit(state, 2, inbox, SLICE, Setting.ONE)
+        assert changed == alone(state, 2, (bytes(received),), SLICE, Setting.ONE) != first
+
+    def test_a_bytearray_in_the_state_changed_between_calls_gives_the_changed_frame(self):
+        emit, alone = _FACTORIES["near-leak"]().emit, _built_alone("near-leak")
+        coin, clock, wing_coin = _states("near-leak")[0]
+        state = (coin, bytearray(clock), wing_coin)
+        first = emit(state, 1, (), SLICE, Setting.ONE)
+        state[1][0] ^= 0xFF
+        changed = emit(state, 1, (), SLICE, Setting.ONE)
+        assert changed == alone((coin, bytes(state[1]), wing_coin), 1, (), SLICE, Setting.ONE) != first
+
+    def test_near_leak_keeps_one_frames_inputs_after_an_experiment(self):
+        strategy = near_leak_strategy(256)
+        run_experiment(LONG_EXCHANGE, strategy, 1, 1)  # the slice cutter for 32 rounds, cached once
+        retained = _retained_bytes(lambda: run_experiment(LONG_EXCHANGE, strategy, 50, 2024))
+        # one frame's inputs, an inbox of 31 frames with a slice and a state,
+        # and the frame take about 33 frames (9.7 kB); a frame kept for each
+        # wing would hold two inboxes, and one for each frame 3,200
+        assert retained < 48 * sys.getsizeof(bytes(256))
