@@ -146,7 +146,10 @@ class InstructionSet(NamedTuple):
     s3: Color
 
     def color_for(self, setting: Setting) -> Color:
-        return self[setting - 1]
+        """The color for setting 1, 2 or 3, an int or ``Setting``; else ValueError."""
+        if (type(setting) is int or type(setting) is Setting) and 1 <= setting <= 3:
+            return self[setting - 1]
+        raise ValueError(f"setting must be an int or Setting in [1, 3], got {setting!r}")
 
     @property
     def label(self) -> str:
@@ -272,12 +275,17 @@ def _check_run_ids(run_index: int, seed: int, settings) -> None:
 
 def _record_line(record: RunRecord) -> str:
     """The line ``to_json_line`` writes: the record filled into templates.
-    What ``_check_run_ids`` refuses and an id that is not a non-empty ``str``
-    free of surrogate code points are refused, so each line written reads
-    back as its record (JSON reads a pair of ``\\u`` escapes as one
-    character, and no UTF-8 text holds a lone one)."""
-    run_index, settings, (left, right), transcript, seed, strategy_id = record
+    What ``_check_run_ids`` refuses, colors that are not a pair of ``Color``
+    members and an id that is not a non-empty ``str`` free of surrogate code
+    points are refused, so each line written reads back as its record (JSON
+    reads a pair of ``\\u`` escapes as one character, and no UTF-8 text
+    holds a lone one)."""
+    run_index, settings, colors, transcript, seed, strategy_id = record
     _check_run_ids(run_index, seed, settings)
+    # tested by identity: an Enum's hash and equality run Python code
+    left, right = colors if isinstance(colors, tuple) and len(colors) == 2 else (None, None)
+    if left is not _RED and left is not _GREEN or right is not _RED and right is not _GREEN:
+        raise ValueError(f"colors must be a pair of Color members, got {colors!r}")
     if not (isinstance(strategy_id, str) and strategy_id) or not strategy_id.isascii() and any("\ud800" <= ch <= "\udfff" for ch in strategy_id):
         raise ValueError(f"strategy id must be non-empty, a str, and hold no surrogate code point, got {strategy_id!r}")
     setting_l, setting_r = settings

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, determinism, diagnostics."""
 
 import hashlib
+import importlib.metadata
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import bellgame
 from bellgame import cli
 from bellgame.analysis import ExperimentStats, hoeffding_radius
 from bellgame.cli import (
@@ -619,11 +621,15 @@ class TestUsageErrors:
         assert json.loads(err) == {"error": "config", "detail": detail}
 
 
+# The directory of the bellgame these tests imported: src/, or the installed
+# copy when Tier-1 runs on one. A child interpreter does not see pytest's
+# pythonpath setting, so it gets this directory on PYTHONPATH.
+IMPORTED_FROM = str(Path(bellgame.__file__).resolve().parents[1])
+
+
 def _child_env() -> dict:
-    # the child interpreter does not see pytest's pythonpath setting
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [IMPORTED_FROM, env.get("PYTHONPATH")]))
     return env
 
 
@@ -636,6 +642,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "negotiation" in proc.stdout
+
+
+def test_installed_metadata():
+    # the distribution the imported bellgame was installed from, if any: from
+    # src/ there is none, and an install elsewhere on the path is another copy
+    imported = Path(bellgame.__file__).resolve()
+    owners = [
+        dist for dist in importlib.metadata.distributions(name="bellgame")
+        if Path(dist.locate_file("bellgame/__init__.py")).resolve() == imported
+    ]
+    if not owners:
+        pytest.skip(f"{imported.parent} was not installed from a distribution")
+    (dist,) = owners
+    assert dist.version == bellgame.__version__
+    (script,) = dist.entry_points.select(group="console_scripts", name="bellgame")
+    assert script.value == "bellgame.cli:main"
+    assert script.load() is main
 
 
 def _peak_mb(argv) -> float:

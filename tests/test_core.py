@@ -23,6 +23,7 @@ from bellgame.core import (
     RunRecord,
     Setting,
     SettingPair,
+    Wing,
     _canonical_record,
     _json_record,
     canonical_json,
@@ -126,6 +127,19 @@ def test_setting_ordering():
 def test_instruction_set_label_roundtrip():
     for iset in INSTRUCTION_SETS:
         assert InstructionSet.from_label(iset.label) == iset
+
+
+def test_color_for_takes_the_three_settings_as_int_or_setting():
+    iset = InstructionSet.from_label("RRG")
+    assert [iset.color_for(s) for s in (1, 2, 3)] == [iset.color_for(s) for s in SETTINGS] == [Color.R, Color.R, Color.G]
+
+
+@pytest.mark.parametrize("setting", [0, -1, 4, True, 1.0], ids=repr)
+def test_color_for_refuses_what_is_no_setting(setting):
+    # 0 and -1 would index the set from its end, and True would read as 1
+    with pytest.raises(ValueError) as refused:
+        InstructionSet.from_label("RRG").color_for(setting)
+    assert str(refused.value) == f"setting must be an int or Setting in [1, 3], got {setting!r}"
 
 
 @pytest.mark.parametrize("bad", ["RR", "RGBX", "rgg", "RGB", ""])
@@ -284,6 +298,15 @@ class TestRunRecordSerialization:
             *[
                 ("strategy_id", sid, f"strategy id must be non-empty, a str, and hold no surrogate code point, got {sid!r}")
                 for sid in (123, b"negotiation", None)
+            ],
+            # another Enum's "R" would be written as a color and read back
+            # as Color.R: another record
+            *[
+                ("colors", colors, f"colors must be a pair of Color members, got {colors!r}")
+                for colors in (
+                    (Wing.RIGHT, Color.G), (Color.R, Wing.LEFT), ("R", "G"), "RG", [Color.R, Color.G],
+                    (Color.R,), (Color.R, Color.G, Color.R), None,
+                )
             ],
         ],
     )

@@ -3,7 +3,6 @@ completion against the package."""
 
 import contextlib
 import io
-import os
 import re
 import subprocess
 import sys
@@ -11,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_cli import _child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -24,13 +24,11 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_zero(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(demo), *ARGS.get(demo.name, [])],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

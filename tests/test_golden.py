@@ -196,7 +196,12 @@ CLI_STDOUT_SHA256 = {
 _CHEAT_PAYLOADS = (
     '"payload_a":"01' + "00" * 31 + '","payload_b":"02' + "00" * 31 + '"'
 )
-# (argv, exit code, the whole of stderr)
+_CHEAT_LINE = (
+    '{"completed_runs":0,"error":"censor-violation","strategy":"cheat",'
+    '"violation":{' + _CHEAT_PAYLOADS + ',"round":1,"setting_a":1,'
+    '"setting_b":2,"wing":"L"}}\n'
+)
+# (argv, exit code, the whole of stderr); a failed command writes no stdout
 CLI_ERROR_LINES = {
     "unknown-strategy": (
         ("run", "--strategy", "nope", "--n", "5"),
@@ -214,9 +219,13 @@ CLI_ERROR_LINES = {
     "censor-violation": (
         ("run", "--strategy", "cheat", "--n", "2000", "--seed", "2024"),
         4,
-        '{"completed_runs":0,"error":"censor-violation","strategy":"cheat",'
-        '"violation":{' + _CHEAT_PAYLOADS + ',"round":1,"setting_a":1,'
-        '"setting_b":2,"wing":"L"}}\n',
+        _CHEAT_LINE,
+    ),
+    # the header goes out only with run 0's record, so stdout stays empty
+    "censor-violation-jsonl": (
+        ("run", "--strategy", "cheat", "--n", "2000", "--seed", "2024", "--format", "jsonl"),
+        4,
+        _CHEAT_LINE,
     ),
     "power-warning": (
         ("gap", "--n", "50"),
@@ -243,7 +252,10 @@ def test_cli_stdout(argv, capsys, clean_env):
 def test_cli_error_line(kind, capsys, clean_env):
     argv, code, line = CLI_ERROR_LINES[kind]
     assert main(list(argv)) == code
-    assert capsys.readouterr().err == line
+    captured = capsys.readouterr()
+    assert captured.err == line
+    if code:
+        assert captured.out == ""
 
 
 def test_cli_pins_hold_on_repeated_calls(capsys, clean_env):
@@ -258,18 +270,21 @@ def test_cli_pins_hold_on_repeated_calls(capsys, clean_env):
             assert capsys.readouterr().err == line, argv
 
 
-def test_ci_workflow_digests_are_golden_pins():
-    """Every 64-hex digest the CI workflow spells out is one of the pins
-    above: a pin that moves here without its copy in the workflow fails
-    Tier-1, not only on a CI runner."""
-    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
-    found = re.findall(r"(?<![0-9A-Fa-f])[0-9A-Fa-f]{64}(?![0-9A-Fa-f])", workflow.read_text())
-    pinned = {
-        QUANTUM_SHA256,
-        *STREAM_SHA256.values(),
-        *LONG_STREAM_SHA256.values(),
-        *MID_BLOCK_STREAM_SHA256.values(),
-        *CLI_STDOUT_SHA256.values(),
-    }
-    assert found, "the workflow checks no digest"
-    assert [digest for digest in found if digest not in pinned] == []
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+
+
+def test_ci_runs_tier1_on_the_installed_package():
+    """CI installs the package, then runs Tier-1 with pyproject's
+    ``pythonpath = ["src"]`` cleared and no PYTHONPATH of its own, so every
+    test above checks the installed copy; and the workflow spells out no
+    digest, so the tables above are the only copy of each pin."""
+    text = WORKFLOW.read_text()
+    steps = re.split(r"\n *- (?=name: |uses: )", text)
+    install = [i for i, step in enumerate(steps) if 'pip install ".[test]"' in step]
+    tier1 = [i for i, step in enumerate(steps) if step.startswith("name: Tier-1 verify")]
+    assert len(install) == len(tier1) == 1 and install[0] < tier1[0]
+    command = re.search(r"\n *run: (.*)", steps[tier1[0]]).group(1)
+    assert re.search(r"(^|\s)python -m pytest\s", command), command
+    assert re.search(r"\s-o pythonpath=(\s|$)", command), command
+    assert "PYTHONPATH" not in command and "src" not in command, command
+    assert re.findall(r"(?<![0-9A-Fa-f])[0-9A-Fa-f]{64}(?![0-9A-Fa-f])", text) == []

@@ -2,24 +2,25 @@
 the bound and the CLI's run, prove-bound, list-strategies, verify-censor and
 gap commands load no module they never use.
 
-Each check runs in a fresh interpreter with ``src`` on PYTHONPATH and the
-flags of this one, and is compared with a bare interpreter started the same
-way, so a module the interpreter loads by itself is not counted.
+Each check runs in a fresh interpreter with the flags of this one and, on
+PYTHONPATH, the directory of the bellgame these tests imported (``src`` or an
+installed copy). It is compared with a bare interpreter started the same way,
+so a module the interpreter loads by itself is not counted.
 """
 
 import os
 import subprocess
 import sys
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from test_cli import IMPORTED_FROM
+
 WATCHED = ("dataclasses", "hashlib", "_hashlib", "inspect")
 
 
 def _loaded_after(code: str) -> set:
     """The WATCHED modules loaded once a fresh interpreter has run ``code``."""
     report = f"import sys; print(','.join(m for m in {WATCHED!r} if m in sys.modules))"
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": IMPORTED_FROM}
     env.pop("BELLGAME_OUTPUT", None)
     proc = subprocess.run(
         [sys.executable, *subprocess._args_from_interpreter_flags(), "-c", f"{code}\n{report}"],
